@@ -19,12 +19,12 @@ from typing import Iterable
 from .modules import (
     CyclicModule,
     DEFAULT_MAX_DEGREE,
-    STABLE_RUN,
     TruncatedSpan,
     WINDOW_MARGIN,
     _check_degree,
     _coerce_module,
     _deg,
+    _stabilized_at,
     monomial_count,
     truncated_monomials,
 )
@@ -86,13 +86,6 @@ class Ext2Result(int):
 
 class ObstructionError(RuntimeError):
     pass
-
-
-def _stabilized_at(dims: tuple[int, ...]) -> int | None:
-    for n in range(len(dims) - STABLE_RUN + 1):
-        if len(set(dims[n : n + STABLE_RUN])) == 1:
-            return n
-    return None
 
 
 _ext_cache: dict = {}

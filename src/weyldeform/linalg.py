@@ -1,9 +1,14 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Small matrices only (the systems here stay in the low hundreds of rows),
-so everything is plain Gauss-Jordan on lists of Fractions.  The module
-exposes a functional core (rref, kernel_basis, solve, inverse) plus an
-immutable QMatrix wrapper used by the representation-theory code.
+The systems built from truncated monomial coordinates are a few percent
+dense, so the one elimination kernel, ``rref_rows``, eliminates on
+sparse rows (``{column: Fraction}`` dicts) while the public functions
+(rref, rank, kernel_basis, solve, inverse) keep taking and returning
+dense lists.  Each pivot is the leftmost nonzero column of its reduced
+row, so the result is the unique reduced row echelon form, and every
+basis and solution is the one a dense Gauss-Jordan gives.
+``reduce_row`` reduces a sparse vector by echelon rows.  QMatrix is an
+immutable wrapper used by the representation-theory code.
 """
 
 from __future__ import annotations
@@ -13,43 +18,59 @@ from typing import Iterable, Sequence
 
 Vec = list
 Mat = list
+Row = dict
+
+_ZERO = Fraction(0)
 
 
-def copy_matrix(rows: Iterable[Sequence]) -> Mat:
-    return [[Fraction(x) for x in row] for row in rows]
+def reduce_row(vec: Row, rows: Sequence[Row], pivots: Sequence[int]) -> Row:
+    """Reduce a sparse vector by sparse echelon rows; ``vec`` is not modified.
+
+    ``rows[k]`` has a 1 at ``pivots[k]`` and is zero at every earlier
+    pivot, so one pass in order leaves the result zero at all pivots.
+    """
+    out = dict(vec)
+    for row, p in zip(rows, pivots):
+        f = out.get(p)
+        if f:
+            for c, x in row.items():
+                y = out.get(c, 0) - f * x
+                if y:
+                    out[c] = y
+                else:
+                    del out[c]
+    return out
 
 
-def rref_rows(rows: Iterable[Sequence]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form, compact variant.
+def rref_rows(rows: Iterable[Sequence]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of dense rows, eliminated sparse.
 
-    Returns (nonzero reduced rows, pivot column indices).  Input is not
+    Returns (nonzero reduced rows as ``{column: Fraction}`` dicts, pivot
+    column indices), both in ascending pivot order.  Input is not
     modified.
     """
-    mat = copy_matrix(rows)
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    for row in mat:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
+    rows = list(rows)
+    if rows and any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
+    red: list[Row] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
-        if pr is None:
+    for row in rows:
+        # entries are converted before the zero test: "0" is truthy
+        vec = reduce_row(
+            {c: f for c, x in enumerate(row) if x and (f := Fraction(x))}, red, pivots
+        )
+        if not vec:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][c]:
-                f = mat[k][c]
-                mat[k] = [a - f * b for a, b in zip(mat[k], mat[r])]
+        c = min(vec)
+        inv = 1 / vec[c]
+        vec = {k: x * inv for k, x in vec.items()}
+        for k, other in enumerate(red):
+            if c in other:
+                red[k] = reduce_row(other, (vec,), (c,))
+        red.append(vec)
         pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [red[k] for k in order], [pivots[k] for k in order]
 
 
 def rref(a) -> tuple:
@@ -60,11 +81,11 @@ def rref(a) -> tuple:
     rows retained at the bottom.  ``R`` matches the input type.
     """
     is_qmatrix = isinstance(a, QMatrix)
-    rows = a.to_rows() if is_qmatrix else copy_matrix(a)
-    nrows = len(rows)
+    rows = list(a._rows if is_qmatrix else a)
     ncols = len(rows[0]) if rows else 0
     red, pivots = rref_rows(rows)
-    full = red + [[Fraction(0)] * ncols for _ in range(nrows - len(red))]
+    full = [[row.get(c, _ZERO) for c in range(ncols)] for row in red]
+    full += [[_ZERO] * ncols for _ in range(len(rows) - len(red))]
     if is_qmatrix:
         return QMatrix(full), len(pivots), pivots
     return full, len(pivots), pivots
@@ -76,58 +97,58 @@ def rank(rows: Iterable[Sequence]) -> int:
 
 def kernel_basis(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
     """Basis of the right kernel {v : A v = 0}, one vector per free column."""
-    mat = copy_matrix(rows)
-    for row in mat:
-        if len(row) != ncols:
-            raise ValueError("row length disagrees with ncols")
-    red, pivots = rref_rows(mat)
+    rows = list(rows)
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("row length disagrees with ncols")
+    red, pivots = rref_rows(rows)
     pivot_set = set(pivots)
-    basis: list[Vec] = []
+    basis: dict[int, Vec] = {}
     for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -red[r_idx][fc]
-        basis.append(v)
-    return basis
+        if fc not in pivot_set:
+            basis[fc] = [_ZERO] * ncols
+            basis[fc][fc] = Fraction(1)
+    # a reduced row is zero at every other pivot, so its off-pivot
+    # entries all sit in free columns
+    for row, pc in zip(red, pivots):
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = -x
+    return list(basis.values())
 
 
 def solve(rows: Iterable[Sequence], rhs: Sequence, ncols: int | None = None) -> Vec | None:
     """One solution of A x = b with free variables set to 0, or None."""
-    mat = copy_matrix(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(mat) != len(b):
+    rows = list(rows)
+    b = list(rhs)
+    if len(rows) != len(b):
         raise ValueError("rhs length disagrees with row count")
-    if not mat:
+    if not rows:
         if ncols is None:
             raise ValueError("ncols is required when the system has no rows")
-        return [Fraction(0)] * ncols
-    n = len(mat[0])
+        return [_ZERO] * ncols
+    n = len(rows[0])
     if ncols is not None and ncols != n:
         raise ValueError("ncols disagrees with matrix width")
-    aug = [row + [b[i]] for i, row in enumerate(mat)]
-    red, pivots = rref_rows(aug)
-    if n in pivots:
+    red, pivots = rref_rows([*row, bi] for row, bi in zip(rows, b))
+    if pivots and pivots[-1] == n:
         return None
-    x = [Fraction(0)] * n
-    for r_idx, pc in enumerate(pivots):
-        x[pc] = red[r_idx][n]
+    x = [_ZERO] * n
+    for row, pc in zip(red, pivots):
+        x[pc] = row.get(n, _ZERO)
     return x
 
 
 def inverse(rows: Iterable[Sequence]) -> Mat | None:
-    mat = copy_matrix(rows)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    rows = list(rows)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("inverse needs a square matrix")
-    ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    aug = [mat[i] + ident[i] for i in range(n)]
-    red, pivots = rref_rows(aug)
+    red, pivots = rref_rows(
+        [*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)
+    )
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in red]
+    return [[row.get(n + j, _ZERO) for j in range(n)] for row in red]
 
 
 class QMatrix:

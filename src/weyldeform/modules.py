@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-from .linalg import kernel_basis, rref_rows
+from .linalg import kernel_basis, reduce_row, rref_rows
 from .linalg import solve as solve_linear
 from .weyl import WeylElement, parse_weyl, print_weyl
 
@@ -259,19 +259,19 @@ class TruncatedSpan:
         )
         self._cols = cols
         self._pos = {c: k for k, c in enumerate(cols)}
-        dense = [self._dense(v) for v in vectors]
-        if dense:
-            self._rows, self._pivots = rref_rows(dense)
-        else:
-            self._rows, self._pivots = [], []
+        dense = [
+            [row.get(k, 0) for k in range(len(cols))]
+            for row in map(self._coords, vectors)
+        ]
+        self._rows, self._pivots = rref_rows(dense) if dense else ([], [])
         self._pivot_degree = [
             cols[p][1][0] + cols[p][1][1] for p in self._pivots
         ]
 
-    def _dense(self, vec: tuple) -> list[Fraction]:
+    def _coords(self, vec: tuple) -> dict[int, Fraction]:
         if len(vec) != self.ngens:
             raise ValueError("vector has the wrong number of components")
-        row = [Fraction(0)] * len(self._cols)
+        row = {}
         for g, w in enumerate(vec):
             for ij, c in w.items():
                 pos = self._pos.get((g, ij))
@@ -280,11 +280,11 @@ class TruncatedSpan:
                 row[pos] = c
         return row
 
-    def _sparse(self, row: Sequence[Fraction]) -> tuple:
+    def _elements(self, row: dict[int, Fraction]) -> tuple:
         parts: list[dict] = [{} for _ in range(self.ngens)]
-        for (g, ij), c in zip(self._cols, row):
-            if c:
-                parts[g][ij] = c
+        for k in sorted(row):
+            g, ij = self._cols[k]
+            parts[g][ij] = row[k]
         return tuple(WeylElement(p) for p in parts)
 
     @property
@@ -301,16 +301,10 @@ class TruncatedSpan:
         return list(self._pivot_degree)
 
     def basis_vectors(self) -> list[tuple]:
-        return [self._sparse(r) for r in self._rows]
+        return [self._elements(r) for r in self._rows]
 
     def reduce(self, vec: tuple) -> tuple:
-        dense = self._dense(vec)
-        for r_idx, p in enumerate(self._pivots):
-            f = dense[p]
-            if f:
-                row = self._rows[r_idx]
-                dense = [a - f * b for a, b in zip(dense, row)]
-        return self._sparse(dense)
+        return self._elements(reduce_row(self._coords(vec), self._rows, self._pivots))
 
     def contains(self, vec: tuple) -> bool:
         return all(e.is_zero() for e in self.reduce(vec))
@@ -494,11 +488,15 @@ class HomBasis:
         return self.dims[-1]
 
     def stabilized_at(self) -> int | None:
-        run = STABLE_RUN
-        for n in range(len(self.dims) - run + 1):
-            if len(set(self.dims[n : n + run])) == 1:
-                return n
-        return None
+        return _stabilized_at(self.dims)
+
+
+def _stabilized_at(dims: tuple[int, ...]) -> int | None:
+    """First cutoff from which STABLE_RUN consecutive dims agree, or None."""
+    for n in range(len(dims) - STABLE_RUN + 1):
+        if len(set(dims[n : n + STABLE_RUN])) == 1:
+            return n
+    return None
 
 
 _hom_cache: dict = {}
@@ -923,7 +921,6 @@ def _cyclic_form_search(m: PresentedModule, n_cap: int):
             return None
         return _scaling_witness(m, n_cap)
     attempts = 0
-    ann_rungs = sorted({min(x, n_cap) for x in (1, 2, 4, 6)})
     gens = _generator_candidates(m)
     ann_cache: dict[int, list[WeylElement]] = {}
     tried_cert: set = set()
@@ -931,7 +928,7 @@ def _cyclic_form_search(m: PresentedModule, n_cap: int):
         for gi, g in enumerate(gens):
             candidates = ann_cache.get(gi)
             if candidates is None:
-                candidates = _annihilator_candidates(m, g, ann_rungs)
+                candidates = _annihilator_candidates(m, g, _s_rungs(n_cap))
                 ann_cache[gi] = candidates
             for p_cand in candidates:
                 cert_key = (gi, p_cand, sd)
@@ -1008,6 +1005,9 @@ def cyclic_identify(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE) ->
 
 
 def clear_caches() -> None:
+    from .ext import _ext_cache  # ext imports this module
+
     _image_cache.clear()
     _hom_cache.clear()
     _cform_cache.clear()
+    _ext_cache.clear()

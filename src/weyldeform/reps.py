@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .linalg import QMatrix, kernel_basis, rref_rows
+from .linalg import QMatrix, kernel_basis, rank, reduce_row
 from .linalg import solve as solve_linear
 
 _PARAMETER_SAMPLES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
@@ -443,13 +443,9 @@ def intertwiners(rep1: Representation, rep2: Representation) -> list[QMatrix]:
                     row[k * n + j] -= xp[i, k]
                 rows.append(row)
     basis = []
-    for vec in _kernel(rows, n * n):
+    for vec in kernel_basis(rows, n * n):
         basis.append(QMatrix([vec[i * n : (i + 1) * n] for i in range(n)]))
     return basis
-
-
-def _kernel(rows, ncols):
-    return kernel_basis(rows, ncols)
 
 
 def are_conjugate(rep1: Representation, rep2: Representation) -> QMatrix | None:
@@ -524,37 +520,24 @@ def is_simple(rep: Representation) -> bool:
     gens = [rep.e1, rep.s12, rep.s21]
     target = n * n
 
-    reduced: list[list[Fraction]] = []
+    # echelon basis of the span of words in the generators, grown one
+    # word length at a time; a word enters the frontier when it is new
+    reduced: list[dict] = []
     pivots: list[int] = []
-
-    def insert(mat: QMatrix) -> bool:
-        vec = [mat[i, j] for i in range(n) for j in range(n)]
-        for r, piv in zip(reduced, pivots):
-            f = vec[piv]
-            if f:
-                vec = [x - f * y for x, y in zip(vec, r)]
-        for idx, x in enumerate(vec):
-            if x:
-                inv = 1 / x
-                vec = [v * inv for v in vec]
-                reduced.append(vec)
-                pivots.append(idx)
-                return True
-        return False
-
-    frontier = [QMatrix.identity(n)]
-    insert(frontier[0])
-    while frontier and len(reduced) < target:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                cand = g * w
-                if insert(cand):
-                    nxt.append(cand)
-                cand = w * g
-                if insert(cand):
-                    nxt.append(cand)
-        frontier = nxt
+    candidates = [QMatrix.identity(n)]
+    while candidates:
+        frontier = []
+        for mat in candidates:
+            flat = {i * n + j: x for i in range(n) for j, x in enumerate(mat.row(i)) if x}
+            vec = reduce_row(flat, reduced, pivots)
+            if vec:
+                piv = min(vec)
+                reduced.append({c: x / vec[piv] for c, x in vec.items()})
+                pivots.append(piv)
+                frontier.append(mat)
+        if len(reduced) == target:
+            break
+        candidates = [m for w in frontier for g in gens for m in (g * w, w * g)]
     return len(reduced) == target
 
 
@@ -595,7 +578,7 @@ def find_proper_submodule(rep: Representation):
     )
     for w in l0 + l1:
         rows = [list(w)]
-        comp = _kernel(rows, n)
+        comp = kernel_basis(rows, n)
         sub = tuple(tuple(v) for v in comp)
         if sub and len(sub) < n and _invariant(rep, sub):
             return sub
@@ -603,15 +586,9 @@ def find_proper_submodule(rep: Representation):
 
 
 def _invariant(rep: Representation, basis: tuple) -> bool:
-    span_rows = [list(v) for v in basis]
-    _, piv = rref_rows(span_rows)
-    dim = len(piv)
+    dim = rank(basis)
     for m in rep.triple():
-        rows = [list(v) for v in basis]
-        for v in basis:
-            rows.append(m.apply(v))
-        _, piv2 = rref_rows(rows)
-        if len(piv2) != dim:
+        if rank([*basis, *(m.apply(v) for v in basis)]) != dim:
             return False
     return True
 

@@ -83,6 +83,40 @@ def bareiss_rank(rows):
     return rank_val
 
 
+def dense_rref_rows(rows):
+    """Reduced row echelon form by dense Gauss-Jordan on Fraction lists.
+
+    The elimination loop the package used before its sparse kernel, kept
+    verbatim as a reference: returns (nonzero reduced rows, pivot column
+    indices) as dense lists.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    for row in mat:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for k in range(len(mat)):
+            if k != r and mat[k][c]:
+                f = mat[k][c]
+                mat[k] = [a - f * b for a, b in zip(mat[k], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
 def path_count_dims(arrow_counts, order):
     """dim of (paths of length < order) in a quiver, by direct walking.
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import weyldeform
 from weyldeform import (
     CyclicModule,
     Ext2Result,
@@ -31,6 +32,15 @@ def test_self_extensions_vanish():
     assert ext1_dim("d", "d", 8).dim == 0
     assert ext1_dim("t", "t", 8).dim == 0
     assert ext1_dim("d", "d", 8).representatives == ()
+
+
+def test_clear_caches_empties_the_ext_cache():
+    first = ext1_dim("t*d", "t", 6)
+    assert ext1_dim("t*d", "t", 6) is first
+    weyldeform.clear_caches()
+    again = ext1_dim("t*d", "t", 6)
+    assert again is not first
+    assert again == first
 
 
 def test_stabilization_of_crossing_entry():

@@ -1,5 +1,6 @@
-"""Exact linear algebra against the fraction-free elimination oracle."""
+"""Exact linear algebra against the fraction-free and dense oracles."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from weyldeform import QMatrix, inverse, kernel_basis, rank, rref, solve
 
-from conftest import bareiss_rank
+from conftest import bareiss_rank, dense_rref_rows
 
 
 def rand_int_rows(rng, nrows, ncols, bound=5):
@@ -153,3 +154,177 @@ def test_string_fraction_entries():
     assert m[(0, 0)] == Fraction(1, 3)
     with pytest.raises(ZeroDivisionError):
         QMatrix([["1/0"]])
+
+
+# -- differential checks against the dense Gauss-Jordan oracle ----------
+
+
+def rand_entry(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 1, 2, 3)))
+
+
+def rand_sparse_rows(rng, nrows, ncols, density):
+    """Sparse rows; about a third are combinations of two earlier rows."""
+    rows = [
+        [rand_entry(rng) if rng.random() < density else Fraction(0) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    for k in range(2, nrows):
+        if rng.random() < 0.3:
+            i, j = rng.sample(range(k), 2)
+            ci, cj = rand_entry(rng), rand_entry(rng)
+            rows[k] = [ci * a + cj * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def oracle_kernel(red, pivots, ncols):
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def oracle_solve(rows, rhs):
+    n = len(rows[0])
+    red, pivots = dense_rref_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for row, pc in zip(red, pivots):
+        x[pc] = row[n]
+    return x
+
+
+def oracle_inverse(rows):
+    n = len(rows)
+    red, pivots = dense_rref_rows(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    )
+    return [row[n:] for row in red] if pivots == list(range(n)) else None
+
+
+def assert_fraction_rows(rows):
+    assert all(type(x) is Fraction for row in rows for x in row)
+
+
+def check_against_oracle(rng, rows):
+    """Compare every public entry point with the oracle on one system."""
+    before = copy.deepcopy(rows)
+    nrows, ncols = len(rows), len(rows[0])
+    red, pivots = dense_rref_rows(rows)
+    full, rk, piv = rref(rows)
+    assert (full, rk, piv) == (
+        red + [[0] * ncols for _ in range(nrows - len(red))],
+        len(pivots),
+        pivots,
+    )
+    assert_fraction_rows(full)
+    assert rank(rows) == len(pivots)
+    null = kernel_basis(rows, ncols)
+    assert null == oracle_kernel(red, pivots, ncols)
+    assert_fraction_rows(null)
+    x = [rand_entry(rng) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+    for rhs in (QMatrix(rows).apply(x), [rand_entry(rng) for _ in range(nrows)]):
+        sol = solve(rows, rhs, ncols)
+        assert sol == oracle_solve(rows, rhs)
+        if sol is not None:
+            assert_fraction_rows([sol])
+    if nrows == ncols:
+        inv = inverse(rows)
+        assert inv == oracle_inverse(rows)
+        if inv is not None:
+            assert_fraction_rows(inv)
+    assert rows == before
+
+
+def test_sparse_systems_match_dense_oracle():
+    rng = random.Random(2250)
+    shapes = [(150, 180)] + [(rng.randint(60, 150), rng.randint(80, 180)) for _ in range(3)]
+    for nrows, ncols in shapes:
+        rows = rand_sparse_rows(rng, nrows, ncols, rng.uniform(0.008, 0.025))
+        check_against_oracle(rng, rows)
+
+
+def test_sparse_square_systems_match_dense_oracle():
+    rng = random.Random(2251)
+    for k in range(12):
+        n = rng.randint(5, 40)
+        rows = rand_sparse_rows(rng, n, n, 0.04)
+        if k % 2:
+            for i in range(n):
+                rows[i][i] += 1
+        check_against_oracle(rng, rows)
+
+
+def test_small_dense_systems_match_dense_oracle():
+    rng = random.Random(2252)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        if rng.random() < 0.5:
+            rows = rand_int_rows(rng, nrows, ncols, bound=2)
+        else:
+            rows = [[rand_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        check_against_oracle(rng, rows)
+
+
+def test_degenerate_shapes_match_dense_oracle():
+    assert rref([]) == ([], 0, [])
+    assert rank([]) == 0 and dense_rref_rows([]) == ([], [])
+    assert kernel_basis([], 2) == oracle_kernel([], [], 2)
+    assert solve([], [], 3) == [0, 0, 0]
+    assert inverse([]) == []
+    assert rref([[], []]) == ([[], []], 0, [])
+    assert kernel_basis([[], []], 0) == []
+    assert solve([[], []], [0, 1], 0) is None
+    assert inverse([[0, 0], [0, 0]]) is None
+    for rows in ([[0, 0, 0]], [[0, 0], [0, 0], [0, 0]]):
+        red, pivots = dense_rref_rows(rows)
+        assert (red, pivots) == ([], [])
+        assert rref(rows) == ([[0] * len(rows[0])] * len(rows), 0, [])
+        assert kernel_basis(rows, len(rows[0])) == oracle_kernel(red, pivots, len(rows[0]))
+        assert solve(rows, [0] * len(rows), len(rows[0])) == [0] * len(rows[0])
+    assert solve([[0, 0]], [1], 2) is None
+    text = [["0", "1/2", "0"], ["2", "0", "-1/3"]]
+    red, pivots = dense_rref_rows(text)
+    assert rref(text) == (red, 2, pivots)
+    assert kernel_basis(text, 3) == oracle_kernel(red, pivots, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dense_rref_rows([[1, 2], [3]]), "ragged matrix"),
+        (lambda: rref([[1, 2], [3]]), "ragged matrix"),
+        (lambda: rank([[1], [2, 3]]), "ragged matrix"),
+        (lambda: kernel_basis([[1, 2], [3]], 2), "row length disagrees with ncols"),
+        (lambda: kernel_basis([[1, 2]], 3), "row length disagrees with ncols"),
+        (lambda: solve([[1, 2], [3]], [1, 2], 2), "ragged matrix"),
+        (lambda: solve([[1, 2]], [1, 2], 2), "rhs length disagrees with row count"),
+        (lambda: solve([], []), "ncols is required when the system has no rows"),
+        (lambda: solve([[1, 2]], [1], 3), "ncols disagrees with matrix width"),
+        (lambda: inverse([[1, 2]]), "inverse needs a square matrix"),
+        (lambda: inverse([[1, 2], [3]]), "inverse needs a square matrix"),
+    ],
+)
+def test_value_errors_unchanged(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_tuple_and_qmatrix_rows_agree_with_lists():
+    rng = random.Random(2253)
+    rows = rand_sparse_rows(rng, 30, 40, 0.05)
+    as_tuples = tuple(tuple(row) for row in rows)
+    full, _, _ = rref(as_tuples)
+    assert full == rref(rows)[0]
+    assert kernel_basis(as_tuples, 40) == kernel_basis(rows, 40)
+    m = QMatrix(rows)
+    assert m.rank() == rank(rows)
+    assert m.kernel() == kernel_basis(rows, 40)
+    assert m.to_rows() == rows
