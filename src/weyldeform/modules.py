@@ -449,19 +449,23 @@ def image_witness(m: PresentedModule, vec: tuple, window: int):
 
 
 def divide_left(r: WeylElement, q: WeylElement) -> WeylElement | None:
-    """The unique s with s*q = r, or None when q does not divide r."""
+    """The unique s with s*q = r, or None when q does not divide r.
+
+    Divides by leading terms: the term order is graded, so {q} is already
+    a Groebner basis of Dq.
+    """
     if q.is_zero():
         raise ValueError("division by the zero element")
-    if r.is_zero():
-        return _ZERO
-    ds = _deg(r) - _deg(q)
-    if ds < 0:
-        return None
-    sys = WeylLinearSystem()
-    sys.unknown("s", ds)
-    sys.equate([(_ONE, "s", q, 1)], rhs=r)
-    sol = sys.solve()
-    return None if sol is None else sol["s"]
+    (k, l), lead_q = q.items()[-1]
+    s = _ZERO
+    while not r.is_zero():
+        (i, j), lead_r = r.items()[-1]
+        if i < k or j < l:
+            return None
+        term = WeylElement.monomial(i - k, j - l, lead_r / lead_q)
+        s = s + term
+        r = r - term * q
+    return s
 
 
 # -- hom spaces between cyclic modules ------------------------------------
@@ -605,11 +609,11 @@ class IsoWitness:
         )
 
 
-def _identity_witness(m, max_degree: int) -> IsoWitness:
-    n = as_presented(m).n
+def _identity_witness(source, target, max_degree: int) -> IsoWitness:
+    n = as_presented(source).n
     ident = wmat_identity(n)
     zero = wmat_zero(n, n)
-    return IsoWitness(m, m, ident, ident, ident, ident, zero, zero, max_degree)
+    return IsoWitness(source, target, ident, ident, ident, ident, zero, zero, max_degree)
 
 
 def compose_iso(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
@@ -687,7 +691,7 @@ def _finish_cyclic_iso(a: CyclicModule, b: CyclicModule, r: WeylElement,
 
 def _cyclic_iso(a: CyclicModule, b: CyclicModule, max_degree: int) -> IsoWitness | None:
     if a.p == b.p:
-        return _identity_witness(a, max_degree)
+        return _identity_witness(a, b, max_degree)
     hab = hom_search(a, b, max_degree)
     if hab.dim == 0:
         return None
@@ -814,62 +818,70 @@ def _certify_generator(a: CyclicModule, b: PresentedModule, g: tuple, u_row: tup
     return out
 
 
-def _cyclic_to_presented_iso(a: CyclicModule, b: PresentedModule, max_degree: int,
-                             generators: list[tuple] | None = None) -> IsoWitness | None:
-    p = a.p
+def _generator_witness(a: CyclicModule, b: PresentedModule, g: tuple,
+                       s_degrees: Iterable[int], max_degree: int) -> IsoWitness | None:
+    """Certify D/Dp = b through the generator g, once p*g lies in the image."""
     window = max_degree + WINDOW_MARGIN
-    span = module_image_span(b, window)
-    gens = generators if generators is not None else _generator_candidates(b)
-    for g in gens:
-        pg = tuple(p * e for e in g)
-        if not span.contains(pg):
-            continue
-        u_row = image_witness(b, pg, window)
-        if u_row is None:
-            continue
-        for sd in _s_rungs(max_degree):
-            w = _certify_generator(a, b, g, u_row, sd, max_degree)
-            if w is not None:
-                return w
+    pg = tuple(a.p * e for e in g)
+    if not module_image_span(b, window).contains(pg):
+        return None
+    u_row = image_witness(b, pg, window)
+    if u_row is None:
+        return None
+    for sd in s_degrees:
+        w = _certify_generator(a, b, g, u_row, sd, max_degree)
+        if w is not None:
+            return w
+    return None
+
+
+def _cyclic_to_presented_iso(a: CyclicModule, b: PresentedModule,
+                             max_degree: int) -> IsoWitness | None:
+    for g in _generator_candidates(b):
+        w = _generator_witness(a, b, g, _s_rungs(max_degree), max_degree)
+        if w is not None:
+            return w
     return None
 
 
 def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitness | None:
     """Search for a certified isomorphism between two modules.
 
-    Dispatches on the presentation shapes; every returned witness passes
-    verify().  None means no witness was found within the degree bound,
-    which is a bounded negative, not a proof of non-isomorphism.
+    The one isomorphism planner.  Equal presentations get the identity.
+    Otherwise each side is brought to a cyclic form D/Dp plus a witness
+    (a CyclicModule is its own form, a PresentedModule uses cyclic_form);
+    the cyclic search runs between the two forms and is composed with
+    their witnesses.  When one side has no form, the other side's form is
+    mapped by a generator straight into that presentation.  Every
+    returned witness passes verify().  None means no witness was found
+    within the degree bound, a bounded negative, not a proof of
+    non-isomorphism.
     """
     n_cap = _check_degree(max_degree)
     source = _coerce_module(source)
     target = _coerce_module(target)
-    s_cyc = isinstance(source, CyclicModule)
-    t_cyc = isinstance(target, CyclicModule)
-    if s_cyc and t_cyc:
-        return _cyclic_iso(source, target, n_cap)
-    if s_cyc and not t_cyc:
-        return _cyclic_to_presented_iso(source, target, n_cap)
-    if not s_cyc and t_cyc:
-        w = _cyclic_to_presented_iso(target, source, n_cap)
+    if as_presented(source).delta == as_presented(target).delta:
+        return _identity_witness(source, target, n_cap)
+    side_a, side_b = (
+        (m, None) if isinstance(m, CyclicModule) else cyclic_form(m, n_cap)
+        for m in (source, target)
+    )
+    if side_a is None:
+        if side_b is None:
+            return None
+        w = iso_witness(target, source, n_cap)
         return None if w is None else w.reversed()
-    if source.delta == target.delta:
-        return _identity_witness(source, n_cap)
-    ca = cyclic_form(source, n_cap)
-    if ca is None:
-        return None
-    cyc_a, w_a = ca
-    w_direct = _cyclic_to_presented_iso(cyc_a, target, n_cap)
-    if w_direct is not None:
-        return compose_iso(w_a.reversed(), w_direct)
-    cb = cyclic_form(target, n_cap)
-    if cb is None:
-        return None
-    cyc_b, w_b = cb
-    w_mid = _cyclic_iso(cyc_a, cyc_b, n_cap)
-    if w_mid is None:
-        return None
-    return compose_iso(w_a.reversed(), compose_iso(w_mid, w_b))
+    cyc_a, w_a = side_a
+    if side_b is None:
+        w = _cyclic_to_presented_iso(cyc_a, target, n_cap)
+    else:
+        cyc_b, w_b = side_b
+        w = _cyclic_iso(cyc_a, cyc_b, n_cap)
+        if w is not None and w_b is not None:
+            w = compose_iso(w, w_b)
+    if w is None or w_a is None:
+        return w
+    return compose_iso(w_a.reversed(), w)
 
 
 # -- recovering a cyclic presentation --------------------------------------
@@ -939,15 +951,7 @@ def _cyclic_form_search(m: PresentedModule, n_cap: int):
                     return None
                 attempts += 1
                 cyc = CyclicModule(p_cand)
-                window = n_cap + WINDOW_MARGIN
-                pg = tuple(cyc.p * e for e in g)
-                span = module_image_span(m, window)
-                if not span.contains(pg):
-                    continue
-                u_row = image_witness(m, pg, window)
-                if u_row is None:
-                    continue
-                w = _certify_generator(cyc, m, g, u_row, sd, n_cap)
+                w = _generator_witness(cyc, m, g, (sd,), n_cap)
                 if w is not None:
                     return cyc, w
     return None

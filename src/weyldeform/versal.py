@@ -26,11 +26,9 @@ from .modules import (
     IsoWitness,
     PresentedModule,
     _check_degree,
-    _cyclic_iso,
-    _cyclic_to_presented_iso,
     block_decompose,
     compose_iso,
-    cyclic_form,
+    iso_witness,
 )
 from .reps import Representation, validate
 from .weyl import WeylElement, print_weyl
@@ -196,14 +194,8 @@ def _identify_presented(delta: PresentedModule, max_degree: int,
             continue
         seen.add(cand.p)
         unique.append((alias, cand, m))
-    found = cyclic_form(delta, max_degree)
     for alias, cand, m in unique:
-        if found is not None:
-            cyc, w_delta = found
-            w_mid = _cyclic_iso(cand, cyc, max_degree)
-            witness = None if w_mid is None else compose_iso(w_mid, w_delta)
-        else:
-            witness = _cyclic_to_presented_iso(cand, delta, max_degree)
+        witness = iso_witness(cand, delta, max_degree)
         if witness is not None:
             name = f"D/D({print_weyl(cand.p)})"
             if alias:
@@ -259,8 +251,7 @@ def cross_certify(rep: Representation, point,
     """Certified isomorphism between the two specializations, or None.
 
     Both recognitions must land on cyclic targets; the witnesses are
-    then composed through the targets (with one more cyclic hop when the
-    targets differ as presentations).
+    then composed through iso_witness between the two targets.
     """
     r1 = identify_specialization(rep, max_degree)
     r2 = commutative_specialize(point, max_degree)
@@ -268,10 +259,7 @@ def cross_certify(rep: Representation, point,
         return None
     if r1.target_kind != "cyclic" or r2.target_kind != "cyclic":
         return None
-    left = r1.witness.reversed()
-    if r1.target == r2.target:
-        return compose_iso(left, r2.witness)
-    w_mid = _cyclic_iso(r1.target, r2.target, max_degree)
+    w_mid = iso_witness(r1.target, r2.target, max_degree)
     if w_mid is None:
         return None
-    return compose_iso(left, compose_iso(w_mid, r2.witness))
+    return compose_iso(r1.witness.reversed(), compose_iso(w_mid, r2.witness))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from weyldeform import QMatrix, WeylElement, inverse
+from weyldeform import QMatrix, WeylElement, WeylLinearSystem, inverse
 
 
 def apply_to_poly(w: WeylElement, coeffs):
@@ -115,6 +115,26 @@ def dense_rref_rows(rows):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def solve_divide_left(r: WeylElement, q: WeylElement):
+    """The unique s with s*q = r, or None, by one exact linear solve.
+
+    The package's division before it divided by leading terms, kept
+    verbatim (its module constants inlined) as a reference.
+    """
+    if q.is_zero():
+        raise ValueError("division by the zero element")
+    if r.is_zero():
+        return WeylElement.zero()
+    ds = r.degree() - q.degree()
+    if ds < 0:
+        return None
+    sys = WeylLinearSystem()
+    sys.unknown("s", ds)
+    sys.equate([(WeylElement.one(), "s", q, 1)], rhs=r)
+    sol = sys.solve()
+    return None if sol is None else sol["s"]
 
 
 def path_count_dims(arrow_counts, order):

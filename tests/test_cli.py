@@ -90,6 +90,13 @@ def test_iso_accepts_module_json(capsys):
     assert code == 0
     assert data["found"] is True
 
+    # the a = -2 specialization, reached only through its cyclic form
+    presented = json.dumps({"type": "presented", "delta": [["d", "2"], ["-1", "t"]]})
+    code, data = run_json(capsys, "iso", "t*d + 1", presented)
+    assert code == 0
+    assert data["found"] is True
+    assert data["target"]["type"] == "presented"
+
 
 def test_hom_output(capsys):
     code, data = run_json(capsys, "hom", "d", "d")

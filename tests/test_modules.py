@@ -20,6 +20,8 @@ from weyldeform import (
     hom_search,
     iso_witness,
     parse_weyl,
+    representative,
+    specialize,
 )
 from weyldeform.modules import (
     TruncatedSpan,
@@ -29,7 +31,7 @@ from weyldeform.modules import (
     truncated_monomials,
 )
 
-from conftest import rand_weyl
+from conftest import rand_weyl, solve_divide_left
 
 t = WeylElement.t()
 d = WeylElement.d()
@@ -100,6 +102,35 @@ def test_divide_left_fuzz():
         assert divide_left(c * q, q) == c
 
 
+def test_divide_left_matches_solve_oracle():
+    rng = random.Random(4417)
+    pairs = [
+        (WeylElement.zero(), t * d - one),
+        (t * d * 3 - one, WeylElement.constant(Fraction(2, 3))),
+        (d * t * t, t * 3 - d * Fraction(1, 2)),
+        ((t + d) * (t * d * Fraction(-5, 2) + t), t * d * Fraction(-5, 2) + t),
+    ]
+    for _ in range(80):
+        q = rand_weyl(rng, max_deg=2)
+        if q.is_zero():
+            continue
+        c = rand_weyl(rng, max_deg=2)
+        pairs.append((c * q, q))
+        pairs.append((c * q + rand_weyl(rng, max_deg=1, terms=1), q))
+        pairs.append((rand_weyl(rng, max_deg=3), q))
+    found = 0
+    for r, q in pairs:
+        s = divide_left(r, q)
+        assert s == solve_divide_left(r, q)
+        found += s is not None
+    assert 0 < found < len(pairs)
+    for r in (t, WeylElement.zero()):
+        with pytest.raises(ValueError):
+            solve_divide_left(r, WeylElement.zero())
+        with pytest.raises(ValueError):
+            divide_left(r, WeylElement.zero())
+
+
 def test_hom_endomorphisms_of_m1():
     basis = hom_search(CyclicModule("d"), CyclicModule("d"), 6)
     assert basis.dims == (1,) * 7
@@ -139,6 +170,10 @@ def test_iso_identity():
     assert w is not None
     assert w.verify()
     assert w.r == ((one,),)
+    presented = PresentedModule((("d",),))
+    w = iso_witness(CyclicModule("d"), presented, 6)
+    assert w.verify()
+    assert w.target is presented
 
 
 def test_iso_half_integer_shift():
@@ -257,3 +292,14 @@ def test_iso_presented_to_presented():
     w = iso_witness(a, b, 8)
     assert w is not None
     assert w.verify()
+
+
+@pytest.mark.parametrize("cap", [8, 10, 12])
+def test_iso_reaches_presentations_through_their_cyclic_form(cap):
+    # the a = -2 specialization is D/D(t*d + 1), but no short generator
+    # maps t*d + 1 straight into it: the witness goes via its cyclic form
+    delta = specialize(representative("T_2_6", {"a": Fraction(-2)}))
+    w = iso_witness("t*d + 1", delta, cap)
+    assert w is not None and w.verify()
+    back = iso_witness(delta, "t*d + 1", cap)
+    assert back is not None and back.verify()

@@ -18,6 +18,7 @@ from weyldeform import (
     commutative_specialize,
     cross_certify,
     identify_specialization,
+    iso_witness,
     representative,
     specialize,
 )
@@ -125,6 +126,12 @@ def test_identify_direct_sum_blockwise():
     assert sub_targets == [t * d - one * 2, t]
     assert [s.alias for s in report.target] == [None, "M2"]
 
+    report = identify_specialization(representative("T_2_3"))
+    assert report.target_kind == "direct_sum"
+    for block in report.target:
+        assert block.witness.verify()
+        assert isinstance(block.witness.target, PresentedModule)
+
 
 def test_report_messages():
     report = identify_specialization(representative("T_1_1"))
@@ -191,3 +198,56 @@ def test_unidentified_reports_bounded_message():
     assert report.witness is None and report.target is None
     # one more degree is already enough
     assert commutative_specialize((1, 1), max_degree=1).identified
+
+
+# A fixed grid for the isomorphism planner: specializations of T_2_6 and
+# commutative points against the basic modules and a few shifts t*d - c.
+_GRID_A = (Fraction(1), Fraction(2), Fraction(-2), Fraction(1, 2))
+_GRID_POINTS = ((Fraction(2), Fraction(3)), (Fraction(1, 2), Fraction(1)))
+_GRID_SHIFTS = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(3, 2))
+# pairs (presentation key, c) that the earlier shape-dispatching search
+# already certified at degree 8; none may be lost
+_GRID_EARLIER_POSITIVES = {
+    (("a", Fraction(1)), 0), (("a", Fraction(1)), 1),
+    (("a", Fraction(2)), 1), (("a", Fraction(2)), 2),
+    (("a", Fraction(-2)), -2), (("a", Fraction(1, 2)), Fraction(1, 2)),
+    (("point", (Fraction(1, 2), Fraction(1))), Fraction(1, 2)),
+}
+
+
+def _grid_presentations():
+    out = {("a", a): specialize(representative("T_2_6", {"a": a})) for a in _GRID_A}
+    for point in _GRID_POINTS:
+        out[("point", point)] = commutative_specialize(point).presentation
+    return out
+
+
+@pytest.fixture(scope="module")
+def planner_grid():
+    candidates = [CyclicModule(p) for p in ("d", "t", "d*t")]
+    candidates += [CyclicModule(t * d - c) for c in _GRID_SHIFTS]
+    table = {}
+    for key, delta in _grid_presentations().items():
+        for cand in candidates:
+            table[key, cand.p] = (iso_witness(cand, delta, 8), iso_witness(delta, cand, 8))
+    return table
+
+
+def test_planner_is_symmetric_and_verified(planner_grid):
+    for forward, backward in planner_grid.values():
+        assert (forward is None) == (backward is None)
+        for w in (forward, backward):
+            assert w is None or w.verify()
+    found = {pair for pair, (w, _) in planner_grid.items() if w is not None}
+    assert {(key, t * d - c) for key, c in _GRID_EARLIER_POSITIVES} <= found
+    # the a = -2 point is D/D(t*d + 1) = D/D(d*t)
+    assert (("a", Fraction(-2)), t * d + one) in found
+
+
+def test_planner_agrees_with_identification():
+    reports = [identify_specialization(representative("T_2_6", {"a": a})) for a in _GRID_A]
+    reports += [commutative_specialize(point) for point in _GRID_POINTS]
+    for report in reports:
+        assert report.target_kind == "cyclic"
+        w = iso_witness(report.target, report.presentation, 8)
+        assert w is not None and w.verify()
