@@ -24,6 +24,7 @@ from .modules import (
     _check_degree,
     _coerce_module,
     _deg,
+    _memo,
     _stabilized_at,
     monomial_count,
     truncated_monomials,
@@ -88,9 +89,6 @@ class ObstructionError(RuntimeError):
     pass
 
 
-_ext_cache: dict = {}
-
-
 def ext1_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext1Result:
     """Compute Ext^1(D/Dp, D/Dq) = D/(pD + Dq) up to a degree bound.
 
@@ -101,12 +99,11 @@ def ext1_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext1Result
     target = _coerce_module(target)
     if not isinstance(source, CyclicModule) or not isinstance(target, CyclicModule):
         raise TypeError("ext1_dim expects cyclic modules")
-    n_cap = _check_degree(max_degree)
-    p, q = source.p, target.p
-    key = (p, q, n_cap)
-    cached = _ext_cache.get(key)
-    if cached is not None:
-        return cached
+    return _ext1(source.p, target.p, _check_degree(max_degree))
+
+
+@_memo
+def _ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
     window = n_cap + WINDOW_MARGIN
     dp, dq = _deg(p), _deg(q)
     vectors = []
@@ -119,9 +116,7 @@ def ext1_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext1Result
     reps = tuple(
         WeylElement.monomial(*ij) for _, ij in span.standard_monomials(n_cap)
     )
-    result = Ext1Result(dims[-1], reps, dims, _stabilized_at(dims))
-    _ext_cache[key] = result
-    return result
+    return Ext1Result(dims[-1], reps, dims, _stabilized_at(dims))
 
 
 def ext2_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext2Result:

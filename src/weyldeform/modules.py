@@ -18,6 +18,7 @@ negative answers always mean "no witness up to the degree bound".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
@@ -36,6 +37,16 @@ _ZERO = WeylElement.zero()
 _ONE = WeylElement.one()
 
 Wmat = Tuple[Tuple[WeylElement, ...], ...]
+
+
+_MEMOS: list = []
+
+
+def _memo(fn):
+    """Memoize fn for the life of the process; clear_caches() empties it."""
+    cached = functools.cache(fn)
+    _MEMOS.append(cached)
+    return cached
 
 
 def _deg(w: WeylElement) -> int:
@@ -410,25 +421,23 @@ class WeylLinearSystem:
 
 # -- membership in presentation images ------------------------------------
 
-_image_cache: dict = {}
-
 
 def module_image_span(m: PresentedModule, window: int) -> TruncatedSpan:
     """Truncated span of {mono * row_i : all rows, mono within the window}."""
-    key = (m.delta, window)
-    span = _image_cache.get(key)
-    if span is None:
-        vectors = []
-        for i in range(m.n):
-            rd = m.row_degree(i)
-            if rd < 0:
-                continue
-            for a, b in truncated_monomials(window - rd):
-                mono = WeylElement.monomial(a, b)
-                vectors.append(tuple(mono * e for e in m.delta[i]))
-        span = TruncatedSpan(vectors, m.n, window)
-        _image_cache[key] = span
-    return span
+    return _image_span(m, window)
+
+
+@_memo
+def _image_span(m: PresentedModule, window: int) -> TruncatedSpan:
+    vectors = []
+    for i in range(m.n):
+        rd = m.row_degree(i)
+        if rd < 0:
+            continue
+        for a, b in truncated_monomials(window - rd):
+            mono = WeylElement.monomial(a, b)
+            vectors.append(tuple(mono * e for e in m.delta[i]))
+    return TruncatedSpan(vectors, m.n, window)
 
 
 def image_witness(m: PresentedModule, vec: tuple, window: int):
@@ -503,9 +512,6 @@ def _stabilized_at(dims: tuple[int, ...]) -> int | None:
     return None
 
 
-_hom_cache: dict = {}
-
-
 def hom_search(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> HomBasis:
     """Hom classes between cyclic modules, with the degree profile.
 
@@ -518,11 +524,11 @@ def hom_search(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> HomBasis
     target = _coerce_module(target)
     if not isinstance(source, CyclicModule) or not isinstance(target, CyclicModule):
         raise TypeError("hom_search expects cyclic modules")
-    n_cap = _check_degree(max_degree)
-    key = (source.p, target.p, n_cap)
-    cached = _hom_cache.get(key)
-    if cached is not None:
-        return cached
+    return _hom_basis(source, target, _check_degree(max_degree))
+
+
+@_memo
+def _hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBasis:
     p, q = source.p, target.p
     dp, dq = _deg(p), _deg(q)
     sys = WeylLinearSystem()
@@ -548,9 +554,7 @@ def hom_search(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> HomBasis
     for r in basis:
         if divide_left(p * r, q) is None:
             raise RuntimeError("hom basis element failed the exact recheck")
-    result = HomBasis(source, target, n_cap, dims, basis)
-    _hom_cache[key] = result
-    return result
+    return HomBasis(source, target, n_cap, dims, basis)
 
 
 # -- isomorphism certificates ----------------------------------------------
@@ -886,8 +890,6 @@ def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitn
 
 # -- recovering a cyclic presentation --------------------------------------
 
-_cform_cache: dict = {}
-
 _CFORM_ATTEMPT_CAP = 60
 
 
@@ -900,13 +902,7 @@ def cyclic_form(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE):
     the smallest degrees.  The attempt budget is bounded, so None is a
     bounded negative.
     """
-    n_cap = _check_degree(max_degree)
-    key = (m.delta, n_cap)
-    if key in _cform_cache:
-        return _cform_cache[key]
-    result = _cyclic_form_search(m, n_cap)
-    _cform_cache[key] = result
-    return result
+    return _cyclic_form_search(m, _check_degree(max_degree))
 
 
 def _scaling_witness(m: PresentedModule, max_degree: int):
@@ -927,6 +923,7 @@ def _scaling_witness(m: PresentedModule, max_degree: int):
     return cyc, w
 
 
+@_memo
 def _cyclic_form_search(m: PresentedModule, n_cap: int):
     if m.n == 1:
         if m.delta[0][0].is_zero():
@@ -934,15 +931,13 @@ def _cyclic_form_search(m: PresentedModule, n_cap: int):
         return _scaling_witness(m, n_cap)
     attempts = 0
     gens = _generator_candidates(m)
-    ann_cache: dict[int, list[WeylElement]] = {}
+    annihilators = functools.cache(
+        lambda gi: _annihilator_candidates(m, gens[gi], _s_rungs(n_cap))
+    )
     tried_cert: set = set()
     for sd in _s_rungs(n_cap):
         for gi, g in enumerate(gens):
-            candidates = ann_cache.get(gi)
-            if candidates is None:
-                candidates = _annihilator_candidates(m, g, _s_rungs(n_cap))
-                ann_cache[gi] = candidates
-            for p_cand in candidates:
+            for p_cand in annihilators(gi):
                 cert_key = (gi, p_cand, sd)
                 if cert_key in tried_cert:
                     continue
@@ -1009,9 +1004,6 @@ def cyclic_identify(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE) ->
 
 
 def clear_caches() -> None:
-    from .ext import _ext_cache  # ext imports this module
-
-    _image_cache.clear()
-    _hom_cache.clear()
-    _cform_cache.clear()
-    _ext_cache.clear()
+    """Empty the cache of every function registered by ``_memo``."""
+    for memo in _MEMOS:
+        memo.cache_clear()

@@ -25,8 +25,6 @@ from .linalg import solve as solve_linear
 
 _PARAMETER_SAMPLES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
 
-_RNG = random.Random(174)
-
 
 class UnsupportedDimensionError(ValueError):
     pass
@@ -62,6 +60,8 @@ class Representation:
         self.s12 = _qmat(s12)
         self.s21 = _qmat(s21)
         n = self.e1.nrows
+        if n == 0:
+            raise ValueError("a representation needs dimension at least 1")
         for m in (self.e1, self.s12, self.s21):
             if m.shape != (n, n):
                 raise ValueError("the three matrices must be square, same size")
@@ -182,7 +182,7 @@ def quiver_form(rep: Representation) -> QuiverForm:
     p, q = len(ones), len(zeros)
     if p + q != n:
         raise RelationViolation([("E1^2 = E1", rep.e1 * rep.e1 - rep.e1)])
-    basis = QMatrix(list(zip(*(ones + zeros)))) if n else QMatrix([])
+    basis = QMatrix(list(zip(*(ones + zeros))))
     binv = basis.inverse()
     if binv is None:
         raise RelationViolation([("E1^2 = E1", rep.e1 * rep.e1 - rep.e1)])
@@ -479,8 +479,9 @@ def are_conjugate(rep1: Representation, rep2: Representation) -> QMatrix | None:
         if got is not None:
             return got
     d = len(basis)
+    rng = random.Random(174)
     for _ in range(32):
-        coeffs = [_RNG.randint(-2, 2) for _ in range(d)]
+        coeffs = [rng.randint(-2, 2) for _ in range(d)]
         g = _combo(basis, coeffs, n)
         got = check(g)
         if got is not None:

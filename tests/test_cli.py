@@ -1,8 +1,10 @@
 """Command line behavior: JSON shapes, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +203,10 @@ def test_validation_errors_exit_one(capsys):
     assert code == 1
     assert "s12" in data["error"]
 
+    code, data = run_json(capsys, "simple", '{"e1": [], "s12": [], "s21": []}')
+    assert code == 1
+    assert "dimension" in data["error"]
+
     code, data = run_json(capsys, "hom", '{"type": "presented", "delta": [["d"]]}', "d")
     assert code == 1
     assert "cyclic" in data["error"]
@@ -233,9 +239,11 @@ def test_text_format_smoke(capsys):
 
 
 def test_module_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "weyldeform.cli", "ext"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     data = json.loads(proc.stdout)

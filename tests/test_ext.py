@@ -7,11 +7,15 @@ from weyldeform import (
     CyclicModule,
     Ext2Result,
     FreeResolution,
+    PresentedModule,
     WeylElement,
+    cyclic_form,
     ext1_dim,
     ext2_dim,
     ext_table,
+    hom_search,
 )
+from weyldeform.modules import module_image_span
 
 one = WeylElement.one()
 
@@ -34,13 +38,23 @@ def test_self_extensions_vanish():
     assert ext1_dim("d", "d", 8).representatives == ()
 
 
-def test_clear_caches_empties_the_ext_cache():
-    first = ext1_dim("t*d", "t", 6)
-    assert ext1_dim("t*d", "t", 6) is first
+PAIR = PresentedModule((("d", "-1"), ("-1", "t")))
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(lambda: ext1_dim("t*d", "t", 6), lambda r: r, id="ext1_dim"),
+    pytest.param(lambda: hom_search("t*d", "t*d", 6), lambda r: r, id="hom_search"),
+    pytest.param(lambda: cyclic_form(PAIR, 6), lambda r: r, id="cyclic_form"),
+    pytest.param(lambda: module_image_span(PAIR, 6),
+                 lambda span: span.basis_vectors(), id="module_image_span"),
+])
+def test_clear_caches_empties_every_memo(call, value):
+    first = call()
+    assert call() is first
     weyldeform.clear_caches()
-    again = ext1_dim("t*d", "t", 6)
+    again = call()
     assert again is not first
-    assert again == first
+    assert value(again) == value(first)
 
 
 def test_stabilization_of_crossing_entry():

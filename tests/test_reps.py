@@ -144,6 +144,16 @@ def test_conjugacy_orbit_invariance():
             assert witness * rep.s21 * ginv == conj.s21
 
 
+def test_conjugator_is_deterministic():
+    rep = rep_for("T_3_3")
+    conj = rep.conjugate(QMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 2]]))
+    first = are_conjugate(rep, conj)
+    second = are_conjugate(rep, conj)
+    assert first is not None
+    assert first == second
+    assert rep.conjugate(first).triple() == conj.triple()
+
+
 def test_distinct_families_not_conjugate():
     reps = {label: rep_for(label) for label in ALL_LABELS_3}
     labels = list(reps)
@@ -295,6 +305,11 @@ def test_conjugate_requires_invertible():
     rep = rep_for("T_2_6")
     with pytest.raises(ValueError):
         rep.conjugate(QMatrix([[1, 2], [2, 4]]))
+
+
+def test_zero_dimension_rejected():
+    with pytest.raises(ValueError):
+        Representation([], [], [])
 
 
 def test_direct_sum_builder():
