@@ -223,7 +223,8 @@ class QMatrix:
                 raise ValueError("shape mismatch in product")
             cols = list(zip(*other._rows)) if other._rows else []
             return QMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows]
+                [[sum((a * b for a, b in zip(row, col) if a and b), _ZERO) for col in cols]
+                 for row in self._rows]
             )
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
@@ -243,7 +244,7 @@ class QMatrix:
         v = [Fraction(x) for x in vec]
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return [sum(a * b for a, b in zip(row, v)) for row in self._rows]
+        return [sum((a * b for a, b in zip(row, v) if a and b), _ZERO) for row in self._rows]
 
     def rank(self) -> int:
         return rank(self._rows)

@@ -238,10 +238,6 @@ def wmat_sub(a: Wmat, b: Wmat) -> Wmat:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def wmat_is_zero(a: Wmat) -> bool:
-    return all(e.is_zero() for row in a for e in row)
-
-
 def wmat_deg(a: Wmat) -> int:
     degs = [_deg(e) for row in a for e in row]
     return max(degs) if degs else -1

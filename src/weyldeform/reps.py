@@ -8,20 +8,29 @@ into the two eigenblocks of e1, with s12 and s21 carried by a pair of
 blocks A and B; classification is the orbit problem for (A, B) under
 basis changes of the two eigenspaces.
 
-Everything here is exact Fraction arithmetic.  Dimensions up to 3 are
-classified completely; dimension 4 is a documented best effort and
-anything larger is refused rather than approximated.
+These pairs are representations of the oriented 2-cycle, classified in
+every dimension by strings (the nilpotent part) and the invariant
+factors of AB (the part where A and B are invertible).  normal_form
+computes both with an explicit change of basis, so are_conjugate is
+exact and polynomial in every dimension, and is_indecomposable is exact
+up to dimension 4 (beyond, one invariant factor would need factoring
+over the rationals).  The family tables, match_label and
+find_proper_submodule are complete up to dimension 3; classify(4) is a
+documented best effort, and anything larger is refused rather than
+approximated.  Everything here is exact Fraction arithmetic.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Iterable, Sequence
 
-from .linalg import QMatrix, kernel_basis, rank, reduce_row
+from .linalg import QMatrix, kernel_basis, rank, reduce_row, rref_rows
 from .linalg import solve as solve_linear
+
+_ZERO = Fraction(0)
 
 _PARAMETER_SAMPLES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
 
@@ -174,26 +183,30 @@ class QuiverForm:
 
 
 def quiver_form(rep: Representation) -> QuiverForm:
-    validate(rep)
+    """Block coordinates, checking the relations on the way.
+
+    e1 is idempotent exactly when its eigenvectors for 1 and 0 span the
+    space, and then the other six relations say that s12 sits in the
+    upper right block and s21 in the lower left.  So the relations are
+    checked by block shape; a broken one raises validate()'s full
+    RelationViolation.
+    """
     n = rep.n
-    eye = QMatrix.identity(n)
-    ones = (rep.e1 - eye).kernel()
+    ones = (rep.e1 - QMatrix.identity(n)).kernel()
     zeros = rep.e1.kernel()
     p, q = len(ones), len(zeros)
-    if p + q != n:
-        raise RelationViolation([("E1^2 = E1", rep.e1 * rep.e1 - rep.e1)])
-    basis = QMatrix(list(zip(*(ones + zeros))))
-    binv = basis.inverse()
-    if binv is None:
-        raise RelationViolation([("E1^2 = E1", rep.e1 * rep.e1 - rep.e1)])
-    s12c = binv * rep.s12 * basis
-    s21c = binv * rep.s21 * basis
-    a = QMatrix([[s12c[i, p + j] for j in range(q)] for i in range(p)])
-    b = QMatrix([[s21c[p + i, j] for j in range(p)] for i in range(q)])
-    rebuilt = _rep_from_blocks(p, q, a.to_rows(), b.to_rows())
-    if rebuilt.triple() != (binv * rep.e1 * basis, s12c, s21c):
-        raise RuntimeError("block reconstruction failed")
-    return QuiverForm((p, q), a, b, basis)
+    if p + q == n:
+        basis = QMatrix.from_columns(ones + zeros, n)
+        binv = basis.inverse()
+        s12c = binv * rep.s12 * basis
+        s21c = binv * rep.s21 * basis
+        if all(s12c[i, j] == 0 == s21c[j, i]
+               for i in range(n) for j in range(n) if not i < p <= j):
+            a = QMatrix([[s12c[i, p + j] for j in range(q)] for i in range(p)])
+            b = QMatrix([[s21c[p + i, j] for j in range(p)] for i in range(q)])
+            return QuiverForm((p, q), a, b, basis)
+    validate(rep)
+    raise AssertionError("the relations hold but the blocks are out of shape")
 
 
 def _rep_from_blocks(p: int, q: int, a_rows, b_rows,
@@ -448,64 +461,148 @@ def intertwiners(rep1: Representation, rep2: Representation) -> list[QMatrix]:
     return basis
 
 
+@dataclass(frozen=True)
+class NormalForm:
+    """The conjugation invariants of a representation, and a basis.
+
+    dims is (p, q); strings lists the nilpotent summands as (start
+    vertex, length), vertex 1 being e1's eigenvalue-1 side, sorted;
+    factors are the invariant factors of AB on im (AB)^n, monic with the
+    constant term first, each divisible by the next.  Together they
+    classify the representation.  The columns of basis are a change of
+    basis g for which g^-1 rep g is the block normal form the invariants
+    determine: a T-chain x, Tx, T^2 x, ... per summand, T = s12 + s21,
+    its vertex-1 vectors first.  Forms compare by their invariants only.
+    """
+
+    dims: tuple[int, int]
+    strings: tuple[tuple[int, int], ...]
+    factors: tuple[tuple[Fraction, ...], ...]
+    basis: QMatrix = field(compare=False)
+
+
+def _extend(rows: list, pivots: list, vectors: list) -> list[int]:
+    """Indices of the vectors that enlarge the span of echelon rows.
+
+    Each such vector joins rows and pivots, reduced and scaled so that
+    every row stays zero at the pivots before it, as reduce_row needs.
+    """
+    kept = []
+    for k, vec in enumerate(vectors):
+        rest = reduce_row({i: x for i, x in enumerate(vec) if x}, rows, pivots)
+        if rest:
+            piv = min(rest)
+            rows.append({c: x / rest[piv] for c, x in rest.items()})
+            pivots.append(piv)
+            kept.append(k)
+    return kept
+
+
+def _chain(t: QMatrix, vec: list, length: int) -> list:
+    """vec, t vec, t^2 vec, ..., length vectors in all."""
+    out = [list(vec)]
+    while len(out) < length:
+        out.append(t.apply(out[-1]))
+    return out
+
+
+def normal_form(rep: Representation) -> NormalForm:
+    """Invariants and a change of basis to the block normal form.
+
+    T = s12 + s21 is graded, so ker T^l splits over the two vertices.
+    The nilpotent summands are graded Jordan chains of T: a string of
+    length l starting at a vertex has its top in a complement of
+    ker T^(l-1) + T ker T^(l+1) inside ker T^l at that vertex.  On
+    im (AB)^n, where A and B are invertible, M = T^2 acts as AB and is
+    split into cyclic chains.  Each chain starts at a maximal vector (its
+    Krylov space as large as the minimal polynomial allows), taken from
+    the moment curve sum c^i w_i at c = 0, 1, ..., k^2: each of the at
+    most k proper subspaces of non-maximal vectors meets that curve in
+    at most k - 1 points.  A dual vector f with f(M^i v) = [i = d - 1]
+    cuts out an invariant complement for the next chain.  Exact and
+    polynomial in n; nothing is factored and nothing is random.
+    """
+    form = quiver_form(rep)
+    p, q = form.dims
+    n = p + q
+    blocks = _rep_from_blocks(p, q, form.a.to_rows(), form.b.to_rows())
+    t = blocks.s12 + blocks.s21
+    # flag[l][v] spans ker T^l inside vertex v (0 for e1's 1-eigenspace),
+    # up to the Fitting index, where the kernels stop growing
+    flag = [[[], []]]
+    power = QMatrix.identity(n)
+    while True:
+        power = power * t
+        rows = power.to_rows()
+        level = [
+            [[_ZERO] * lo + v + [_ZERO] * (n - hi)
+             for v in kernel_basis([r[lo:hi] for r in rows], hi - lo)]
+            for lo, hi in ((0, p), (p, n))
+        ]
+        if sum(map(len, level)) == sum(map(len, flag[-1])):
+            break
+        flag.append(level)
+    flag.append(level)
+    strings, chains = [], []
+    for v in (0, 1):
+        for length in range(1, len(flag) - 1):
+            below = flag[length - 1][v] + [t.apply(x) for x in flag[length + 1][1 - v]]
+            for k in _extend(*rref_rows(below), flag[length][v]):
+                strings.append((v + 1, length))
+                chains.append((v, _chain(t, flag[length][v][k], length)))
+    # im T^l past the Fitting index, inside vertex 1, where M = T^2 is AB
+    image = [c for c in zip(*power.to_rows()) if not any(c[p:])]
+    w = [image[k] for k in _extend([], [], image)]
+    tt = t.transpose()
+    factors = []
+    while w:
+        k = len(w)
+        # d: the degree of M's minimal polynomial on span w
+        powers = [_chain(t, x, 2 * k + 1)[::2] for x in w]
+        d = rank([sum(col, []) for col in zip(*powers)])
+        for c in range(k * k + 1):
+            top = [sum(c ** i * x[j] for i, x in enumerate(w)) for j in range(n)]
+            chain = _chain(t, top, 2 * d + 1)
+            krylov = chain[::2]
+            if rank(krylov[:d]) == d:
+                break
+        coeffs = solve_linear([list(col) for col in zip(*krylov[:d])], krylov[d])
+        factors.append(tuple(-x for x in coeffs) + (Fraction(1),))
+        chains.append((0, chain[:2 * d]))
+        dual = _chain(tt, solve_linear(krylov[:d], [0] * (d - 1) + [1]), 2 * d - 1)
+        # the invariant complement: x in span w with f(M^i x) = 0 for i < d
+        cut = [[sum(a * b for a, b in zip(f, x)) for x in w] for f in dual[::2]]
+        w = [[sum(y[i] * x[j] for i, x in enumerate(w)) for j in range(n)]
+             for y in kernel_basis(cut, k)]
+    cols = [x for side in (0, 1) for v, chain in chains
+            for i, x in enumerate(chain) if (v + i) % 2 == side]
+    return NormalForm(
+        (p, q), tuple(strings), tuple(factors),
+        form.basis * QMatrix.from_columns(cols, n),
+    )
+
+
 def are_conjugate(rep1: Representation, rep2: Representation) -> QMatrix | None:
     """An invertible g with g rep1 g^-1 = rep2, or None.
 
-    The search space is the intertwiner kernel; invertibility is decided
-    by scanning basis elements, a batch of seeded random combinations,
-    and finally a full grid whose per-variable range exceeds the degree
-    of the determinant, so a None from the grid is a proof.
+    Both sides are brought to their normal form.  Its invariants are
+    complete, so different forms prove None in every dimension; equal
+    forms give g = g2 g1^-1, which is checked before it is returned.
+    Exact and polynomial in the dimension: no search, no grid, no random
+    draw.  A triple that breaks the relations raises RelationViolation.
     """
     if rep1.n != rep2.n:
         raise ValueError("representations of different dimensions")
-    n = rep1.n
-    if rep1.triple() == rep2.triple():
-        return QMatrix.identity(n)
-    basis = intertwiners(rep1, rep2)
-    if not basis:
+    form1, form2 = normal_form(rep1), normal_form(rep2)
+    if form1 != form2:
         return None
-
-    def check(g: QMatrix) -> QMatrix | None:
-        ginv = g.inverse()
-        if ginv is None:
-            return None
-        for x, xp in zip(rep1.triple(), rep2.triple()):
-            if g * x * ginv != xp:
-                return None
-        return g
-
-    for g in basis:
-        got = check(g)
-        if got is not None:
-            return got
-    d = len(basis)
-    rng = random.Random(174)
-    for _ in range(32):
-        coeffs = [rng.randint(-2, 2) for _ in range(d)]
-        g = _combo(basis, coeffs, n)
-        got = check(g)
-        if got is not None:
-            return got
-    # determinant has degree <= n in each coordinate, so the grid below
-    # finds a nonvanishing point whenever one exists
-    grid = range(n + 1)
-    stack = [()]
-    for _ in range(d):
-        stack = [s + (c,) for s in stack for c in grid]
-    for coeffs in stack:
-        g = _combo(basis, list(coeffs), n)
-        got = check(g)
-        if got is not None:
-            return got
-    return None
-
-
-def _combo(basis: list[QMatrix], coeffs: list, n: int) -> QMatrix:
-    out = QMatrix.zeros(n, n)
-    for c, b in zip(coeffs, basis):
-        if c:
-            out = out + b * Fraction(c)
-    return out
+    g = form2.basis * form1.basis.inverse()
+    ginv = g.inverse()
+    if ginv is None or any(
+        g * x * ginv != xp for x, xp in zip(rep1.triple(), rep2.triple())
+    ):
+        raise AssertionError("equal normal forms gave a failing conjugator")
+    return g
 
 
 def is_simple(rep: Representation) -> bool:
@@ -527,15 +624,8 @@ def is_simple(rep: Representation) -> bool:
     pivots: list[int] = []
     candidates = [QMatrix.identity(n)]
     while candidates:
-        frontier = []
-        for mat in candidates:
-            flat = {i * n + j: x for i in range(n) for j, x in enumerate(mat.row(i)) if x}
-            vec = reduce_row(flat, reduced, pivots)
-            if vec:
-                piv = min(vec)
-                reduced.append({c: x / vec[piv] for c, x in vec.items()})
-                pivots.append(piv)
-                frontier.append(mat)
+        flat = [[x for i in range(n) for x in mat.row(i)] for mat in candidates]
+        frontier = [candidates[k] for k in _extend(reduced, pivots, flat)]
         if len(reduced) == target:
             break
         candidates = [m for w in frontier for g in gens for m in (g * w, w * g)]
@@ -594,146 +684,38 @@ def _invariant(rep: Representation, basis: tuple) -> bool:
     return True
 
 
-def _dim1_summand_exists(rep: Representation) -> bool:
-    """Whether some invariant line splits off as a direct summand.
+def _is_primary(factor: tuple) -> bool:
+    """Whether a monic factor of degree at most 2 is a power of an irreducible.
 
-    Pair each eigenvalue's invariant lines against the same eigenvalue's
-    invariant hyperplanes; a nonzero pairing gives a line plus a
-    complement, both invariant.
+    A quadratic is one unless it has two distinct rational roots, that
+    is unless its discriminant is a nonzero rational square.
     """
-    k0, k1 = _eigen_kernels(rep.e1, rep.s12, rep.s21)
-    l0, l1 = _eigen_kernels(
-        rep.e1.transpose(), rep.s12.transpose(), rep.s21.transpose()
-    )
-    for lines, covectors in ((k0, l0), (k1, l1), (k0, l1), (k1, l0)):
-        for v in lines:
-            for w in covectors:
-                if sum(x * y for x, y in zip(v, w)) != 0:
-                    return True
-    return False
-
-
-def _min_poly(m: QMatrix) -> list[Fraction]:
-    """Monic minimal polynomial coefficients, constant term first."""
-    n = m.nrows
-
-    def flat(mat: QMatrix) -> list[Fraction]:
-        return [mat[i, j] for i in range(n) for j in range(n)]
-
-    powers = [QMatrix.identity(n)]
-    while True:
-        nxt = powers[-1] * m
-        rows = [list(r) for r in zip(*(flat(p) for p in powers))]
-        sol = solve_linear(rows, flat(nxt), len(powers))
-        if sol is not None:
-            return [-c for c in sol] + [Fraction(1)]
-        powers.append(nxt)
-
-
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of the monic polynomial, with the leading
-    coefficient cleared to integers first."""
-    from math import gcd
-
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return []
-    lead = ints[-1]
-    const = next((c for c in ints if c != 0), 0)
-    shift = next(i for i, c in enumerate(ints) if c != 0)
-    roots = set()
-    if shift > 0:
-        roots.add(Fraction(0))
-
-    def divisors(x):
-        x = abs(x)
-        out = []
-        d = 1
-        while d * d <= x:
-            if x % d == 0:
-                out.append(d)
-                out.append(x // d)
-            d += 1
-        return out
-
-    for num in divisors(const):
-        for den in divisors(lead):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if sum(c * cand**i for i, c in enumerate(coeffs)) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def _poly_div_out_root(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Divide out (x - root) once, constant-first coefficients."""
-    deg = len(coeffs) - 1
-    out = [Fraction(0)] * deg
-    carry = Fraction(0)
-    for i in range(deg - 1, -1, -1):
-        carry = coeffs[i + 1] + root * carry
-        out[i] = carry
-    return out
+    if len(factor) < 3:
+        return True
+    disc = factor[1] ** 2 - 4 * factor[0]
+    if disc <= 0:
+        return True
+    return any(isqrt(x) ** 2 != x for x in (disc.numerator, disc.denominator))
 
 
 def is_indecomposable(rep: Representation) -> bool:
     """Whether the representation admits no nontrivial direct splitting.
 
-    Complete through dimension 3: scalar endomorphisms prove it, and a
-    missing dimension-1 summand refutes decomposability there.  In
-    dimension 4 a splitting can avoid dimension-1 summands, so after the
-    cheap checks a bounded search for a splitting endomorphism runs and
-    an unrefuted representation is reported indecomposable.
+    Exact: the normal form must have one block, a string or a single
+    invariant factor that is a power of an irreducible polynomial.  The
+    dimension stays capped at 4 because up to there that factor has
+    degree at most 2 and a discriminant decides it; beyond, it could
+    have degree 3 or more, and deciding it would need factoring over
+    the rationals.
     """
-    validate(rep)
-    n = rep.n
-    if n > 4:
+    form = normal_form(rep)
+    if rep.n > 4:
         raise UnsupportedDimensionError(
             "indecomposability is decided only up to dimension 4"
         )
-    if n == 1:
-        return True
-    endos = intertwiners(rep, rep)
-    if len(endos) == 1:
-        return True
-    if _dim1_summand_exists(rep):
+    if len(form.strings) + len(form.factors) != 1:
         return False
-    if n <= 3:
-        return True
-    form = quiver_form(rep)
-    comps = _coupling_components(form.dims[0], form.dims[1], form.a, form.b)
-    if len(comps) > 1:
-        return False
-    d = min(len(endos), 6)
-    grid = [Fraction(c) for c in (-1, 0, 1, 2)]
-    stack = [()]
-    for _ in range(d):
-        stack = [s + (c,) for s in stack for c in grid]
-        if len(stack) > 4096:
-            stack = stack[:4096]
-    for coeffs in stack:
-        u = _combo(endos[:d], list(coeffs), n)
-        if u.is_zero():
-            continue
-        mp = _min_poly(u)
-        roots = _rational_roots(mp)
-        if len(roots) >= 2:
-            return False
-        if len(roots) == 1:
-            rest = mp
-            while True:
-                quo = _poly_div_out_root(rest, roots[0])
-                if sum(c * roots[0] ** i for i, c in enumerate(quo)) != 0:
-                    rest = quo
-                    break
-                rest = quo
-            if len(rest) > 1:
-                return False
-    return True
+    return not form.factors or _is_primary(form.factors[0])
 
 
 # -- classification ----------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from weyldeform import QMatrix, WeylElement, WeylLinearSystem, inverse
+from weyldeform import QMatrix, WeylElement, WeylLinearSystem, intertwiners, inverse
 
 
 def apply_to_poly(w: WeylElement, coeffs):
@@ -135,6 +135,67 @@ def solve_divide_left(r: WeylElement, q: WeylElement):
     sys.equate([(WeylElement.one(), "s", q, 1)], rhs=r)
     sol = sys.solve()
     return None if sol is None else sol["s"]
+
+
+def grid_are_conjugate(rep1, rep2):
+    """An invertible g with g rep1 g^-1 = rep2, or None, by a grid search.
+
+    The package's conjugacy test before it compared normal forms, kept
+    verbatim as a reference for dimensions up to 3 (the grid has
+    (n+1)^d points, d the intertwiner dimension): basis elements of the
+    intertwiner kernel, a seeded random batch, then a grid whose
+    per-variable range exceeds the degree of the determinant.
+    """
+    if rep1.n != rep2.n:
+        raise ValueError("representations of different dimensions")
+    n = rep1.n
+    if rep1.triple() == rep2.triple():
+        return QMatrix.identity(n)
+    basis = intertwiners(rep1, rep2)
+    if not basis:
+        return None
+
+    def check(g: QMatrix):
+        ginv = g.inverse()
+        if ginv is None:
+            return None
+        for x, xp in zip(rep1.triple(), rep2.triple()):
+            if g * x * ginv != xp:
+                return None
+        return g
+
+    for g in basis:
+        got = check(g)
+        if got is not None:
+            return got
+    d = len(basis)
+    rng = random.Random(174)
+    for _ in range(32):
+        coeffs = [rng.randint(-2, 2) for _ in range(d)]
+        g = _combo(basis, coeffs, n)
+        got = check(g)
+        if got is not None:
+            return got
+    # determinant has degree <= n in each coordinate, so the grid below
+    # finds a nonvanishing point whenever one exists
+    grid = range(n + 1)
+    stack = [()]
+    for _ in range(d):
+        stack = [s + (c,) for s in stack for c in grid]
+    for coeffs in stack:
+        g = _combo(basis, list(coeffs), n)
+        got = check(g)
+        if got is not None:
+            return got
+    return None
+
+
+def _combo(basis, coeffs, n):
+    out = QMatrix.zeros(n, n)
+    for c, b in zip(coeffs, basis):
+        if c:
+            out = out + b * Fraction(c)
+    return out
 
 
 def path_count_dims(arrow_counts, order):

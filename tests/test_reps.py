@@ -1,6 +1,7 @@
 """Classification of modules over the pointed algebra, with orbit fuzz."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,13 @@ from weyldeform import (
     is_indecomposable,
     is_simple,
     match_label,
+    normal_form,
     quiver_form,
     representative,
     validate,
 )
 
-from conftest import frozen_family, rand_invertible
+from conftest import frozen_family, grid_are_conjugate, rand_invertible
 
 ALL_LABELS_3 = [
     "T_1_1", "T_1_2",
@@ -31,14 +33,54 @@ ALL_LABELS_3 = [
     "T_3_8", "T_3_9", "T_3_10", "T_3_11", "T_3_12",
 ]
 
-PARAM_NAMES = {"T_2_6": "a", "T_3_7": "b", "T_3_12": "c"}
+LABELS_4 = [f"T_4_{k}" for k in range(1, 27)]
+
+PARAM_NAMES = {"T_2_6": "a", "T_3_7": "b", "T_3_12": "c",
+               **{f"T_4_{k}": "e" for k in (7, 12, 21, 22, 25, 26)}}
 
 SAMPLES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
+
+G4 = QMatrix([[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 1, 1], [0, 0, 1, 2]])
 
 
 def rep_for(label, value=Fraction(1)):
     name = PARAM_NAMES.get(label)
     return representative(label, {name: value} if name else None)
+
+
+def listed_reps(labels):
+    """Every listed representative, parametric ones at every sample."""
+    for label in labels:
+        for value in SAMPLES if label in PARAM_NAMES else (None,):
+            yield rep_for(label, value)
+
+
+def block_rep(p, q, a_rows, b_rows):
+    """The triple with e1 = diag(1^p, 0^q), A in s12's upper right, B in s21's lower left."""
+    n = p + q
+    return Representation(
+        [[int(i == j and i < p) for j in range(n)] for i in range(n)],
+        [[a_rows[i][j - p] if i < p <= j else 0 for j in range(n)] for i in range(n)],
+        [[b_rows[i - p][j] if j < p <= i else 0 for j in range(n)] for i in range(n)],
+    )
+
+
+def random_block_rep(rng, p, q, entries=(-2, -1, 0, 0, 1, 2)):
+    return block_rep(
+        p, q,
+        [[rng.choice(entries) for _ in range(q)] for _ in range(p)],
+        [[rng.choice(entries) for _ in range(p)] for _ in range(q)],
+    )
+
+
+def assert_same_violations(rep):
+    with pytest.raises(RelationViolation) as want:
+        validate(rep)
+    with pytest.raises(RelationViolation) as got:
+        quiver_form(rep)
+    assert got.value.violations == want.value.violations
+    with pytest.raises(RelationViolation):
+        are_conjugate(rep, rep)
 
 
 def test_validate_accepts_table():
@@ -54,6 +96,10 @@ def test_validate_reports_violations():
         validate(Representation(one, one, zero))
     names = [name for name, _ in info.value.violations]
     assert names == ["S12^2 = 0", "S12*E1 = 0"]
+    assert_same_violations(Representation(one, one, zero))
+    # an idempotent e1 with s12 in s21's block
+    assert_same_violations(
+        Representation([[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]))
 
 
 def test_validate_rejects_non_idempotent():
@@ -61,6 +107,7 @@ def test_validate_rejects_non_idempotent():
     with pytest.raises(RelationViolation) as info:
         validate(bad)
     assert any(name == "E1^2 = E1" for name, _ in info.value.violations)
+    assert_same_violations(bad)
 
 
 def test_table_matches_frozen_matrices():
@@ -325,3 +372,108 @@ def test_representation_equality_and_repr():
     assert a == b
     assert hash(a) == hash(b)
     assert "T_2_6" in repr(a)
+
+
+def test_normal_forms_separate_listed_representatives():
+    reps = list(listed_reps(ALL_LABELS_3 + LABELS_4))
+    assert len(reps) == 73
+    assert len({normal_form(rep) for rep in reps}) == 73
+
+
+def test_normal_form_basis_reaches_the_block_normal_form():
+    rng = random.Random(822)
+    for rep in listed_reps(ALL_LABELS_3 + LABELS_4):
+        form = normal_form(rep)
+        base = rep.conjugate(form.basis.inverse())
+        p = form.dims[0]
+        assert base.e1 == QMatrix([[int(i == j < p) for j in range(rep.n)] for i in range(rep.n)])
+        validate(base)
+        for _ in range(3):
+            conj = rep.conjugate(rand_invertible(rng, rep.n))
+            other = normal_form(conj)
+            assert other == form
+            assert conj.conjugate(other.basis.inverse()) == base
+
+
+def test_conjugacy_agrees_with_grid_oracle_on_listed_pairs():
+    reps = list(listed_reps(ALL_LABELS_3))
+    for i, rep1 in enumerate(reps):
+        for rep2 in reps[i:]:
+            if rep1.n == rep2.n:
+                got = are_conjugate(rep1, rep2)
+                assert (got is None) == (grid_are_conjugate(rep1, rep2) is None), (rep1, rep2)
+
+
+def test_conjugacy_agrees_with_grid_oracle_on_random_block_reps():
+    rng = random.Random(823)
+    found = 0
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        p = rng.randint(0, n)
+        rep1 = random_block_rep(rng, p, n - p)
+        rep2 = rep1 if rng.random() < 0.5 else random_block_rep(rng, p, n - p)
+        rep2 = rep2.conjugate(rand_invertible(rng, n))
+        got = are_conjugate(rep1, rep2)
+        assert (got is None) == (grid_are_conjugate(rep1, rep2) is None), (rep1.triple(), rep2.triple())
+        if got is not None:
+            assert rep1.conjugate(got) == rep2
+            found += 1
+    assert 100 <= found < 200
+
+
+@pytest.mark.parametrize("first, second", [
+    ("T_4_3", "T_4_5"), ("T_4_3", "T_4_14"), ("T_4_8", "T_4_9"),
+    ("T_4_8", "T_4_16"), ("T_4_3", "T_4_13"), ("T_4_3", "T_4_4"),
+    ("T_4_1", "T_4_3"),
+])
+def test_dimension_four_negatives_are_fast(first, second):
+    rep1, rep2 = representative(first), representative(second).conjugate(G4)
+    start = time.perf_counter()
+    assert are_conjugate(rep1, rep2) is None
+    assert are_conjugate(rep2, rep1) is None
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_conjugacy_beyond_dimension_four(n):
+    rng = random.Random(824 + n)
+    for p in range(n + 1):
+        for entries in ((-2, -1, 0, 0, 1, 2), (0, 0, 0, 1)):
+            rep = random_block_rep(rng, p, n - p, entries)
+            conj = rep.conjugate(rand_invertible(rng, n))
+            g = are_conjugate(rep, conj)
+            assert g is not None and rep.conjugate(g) == conj
+    # B = 0 and A equal but for one row, so the ranks of A differ
+    p = n // 2
+    a_rows = [[rng.randint(-2, 2) for _ in range(n - p)] for _ in range(p)]
+    low = [[0] * (n - p)] + a_rows[1:]
+    assert QMatrix(a_rows).rank() != QMatrix(low).rank()
+    zero = [[0] * p] * (n - p)
+    conj = block_rep(p, n - p, low, zero).conjugate(rand_invertible(rng, n))
+    assert are_conjugate(block_rep(p, n - p, a_rows, zero), conj) is None
+
+
+def test_invariant_factors_separate_equal_characteristic_polynomials():
+    # A = I, AB = diag(1, 1, 2) against a Jordan block at 1 plus 2
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    split = block_rep(3, 3, eye, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    jordan = block_rep(3, 3, eye, [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    assert normal_form(split).factors == (
+        (Fraction(2), Fraction(-3), Fraction(1)), (Fraction(-1), Fraction(1)))
+    assert normal_form(jordan).factors == (
+        (Fraction(-2), Fraction(5), Fraction(-4), Fraction(1)),)
+    assert are_conjugate(split, jordan) is None
+    g = QMatrix([[1 if j <= i else 0 for j in range(6)] for i in range(6)])
+    assert are_conjugate(split, split.conjugate(g)) is not None
+
+
+@pytest.mark.parametrize("b_rows, indecomposable", [
+    ([[0, 2], [1, 0]], True),   # AB has the irreducible x^2 - 2
+    ([[1, 1], [0, 1]], True),   # one Jordan block
+    ([[1, 0], [0, 2]], False),
+    ([[1, 0], [0, 1]], False),
+])
+def test_indecomposable_unlisted_dimension_four(b_rows, indecomposable):
+    rep = block_rep(2, 2, [[1, 0], [0, 1]], b_rows)
+    assert is_indecomposable(rep) is indecomposable
+    assert is_indecomposable(rep.conjugate(G4)) is indecomposable
