@@ -1,19 +1,27 @@
 """Exact linear algebra over the rationals.
 
-The systems built from truncated monomial coordinates are a few percent
-dense, so the one elimination kernel, ``rref_rows``, eliminates on
-sparse rows (``{column: Fraction}`` dicts) while the public functions
-(rref, rank, kernel_basis, solve, inverse) keep taking and returning
-dense lists.  Each pivot is the leftmost nonzero column of its reduced
-row, so the result is the unique reduced row echelon form, and every
-basis and solution is the one a dense Gauss-Jordan gives.
-``reduce_row`` reduces a sparse vector by echelon rows.  QMatrix is an
-immutable wrapper used by the representation-theory code.
+``rref_rows`` is the one elimination kernel.  It takes dense rows or
+sparse ``{column: value}`` dicts (the monomial systems are a few percent
+dense and arrive as dicts), scales each row once to a primitive integer
+row, and runs Gauss-Jordan fraction-free on those (after Bareiss, Math.
+Comp. 22, 1968): a combination cross-multiplies by the pivot entries
+over their gcd and divides the content out, so a stored row is always
+the primitive multiple of an echelon row of the rows seen so far.  Rows
+are divided by their pivot entry only on output.  Each pivot is the
+leftmost nonzero column of its row, so the result is the unique reduced
+row echelon form in ``Fraction``s, and every basis and solution is the
+one a dense Gauss-Jordan gives.  ``echelon_solution`` and
+``echelon_kernel`` read a solution and a kernel basis off it, sparse;
+the public functions (rref, rank, kernel_basis, solve, inverse) keep
+taking and returning dense lists.  ``reduce_row`` reduces a sparse
+vector by echelon rows.  QMatrix is an immutable wrapper used by the
+representation-theory code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = list
@@ -21,6 +29,7 @@ Mat = list
 Row = dict
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def reduce_row(vec: Row, rows: Sequence[Row], pivots: Sequence[int]) -> Row:
@@ -42,35 +51,99 @@ def reduce_row(vec: Row, rows: Sequence[Row], pivots: Sequence[int]) -> Row:
     return out
 
 
-def rref_rows(rows: Iterable[Sequence]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form of dense rows, eliminated sparse.
+def _integer_row(items) -> dict[int, int]:
+    """The primitive integer row proportional to ``(column, value)`` pairs."""
+    row = {}
+    for c, x in items:
+        # entries are converted before the zero test: "0" is truthy
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        if x:
+            row[c] = x
+    if not row:
+        return row
+    den = lcm(*(x.denominator for x in row.values()))
+    return _primitive({c: x.numerator * (den // x.denominator) for c, x in row.items()})
 
-    Returns (nonzero reduced rows as ``{column: Fraction}`` dicts, pivot
-    column indices), both in ascending pivot order.  Input is not
-    modified.
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
+def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> dict[int, int]:
+    """The primitive integer combination of ``vec`` and ``row`` that is zero at ``p``."""
+    g = gcd(row[p], vec[p])
+    a, b = row[p] // g, vec[p] // g
+    out = dict(vec) if a == 1 else {c: a * x for c, x in vec.items()}
+    for c, x in row.items():
+        y = out.get(c, 0) - b * x
+        if y:
+            out[c] = y
+        else:
+            del out[c]
+    return _primitive(out) if out else out
+
+
+def rref_rows(rows: Iterable[Sequence | Row]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of dense or sparse rows, eliminated fraction-free.
+
+    Each row is a dense sequence or a ``{column: value}`` dict.  Returns
+    (nonzero reduced rows as ``{column: Fraction}`` dicts, pivot column
+    indices), both in ascending pivot order.  Input is not modified.
     """
     rows = list(rows)
-    if rows and any(len(row) != len(rows[0]) for row in rows):
+    dense = [row for row in rows if not isinstance(row, dict)]
+    if dense and any(len(row) != len(dense[0]) for row in dense):
         raise ValueError("ragged matrix")
-    red: list[Row] = []
+    red: list[dict[int, int]] = []
     pivots: list[int] = []
+    where: dict[int, int] = {}
     for row in rows:
-        # entries are converted before the zero test: "0" is truthy
-        vec = reduce_row(
-            {c: f for c, x in enumerate(row) if x and (f := Fraction(x))}, red, pivots
-        )
+        vec = _integer_row(row.items() if isinstance(row, dict) else enumerate(row))
+        # an echelon row is zero at every other pivot, so eliminating one
+        # pivot of vec never brings back another
+        for p in [c for c in vec if c in where]:
+            vec = _eliminate(vec, red[where[p]], p)
         if not vec:
             continue
         c = min(vec)
-        inv = 1 / vec[c]
-        vec = {k: x * inv for k, x in vec.items()}
         for k, other in enumerate(red):
             if c in other:
-                red[k] = reduce_row(other, (vec,), (c,))
+                red[k] = _eliminate(other, vec, c)
+        where[c] = len(red)
         red.append(vec)
         pivots.append(c)
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [red[k] for k in order], [pivots[k] for k in order]
+    return [_scaled(red[k], pivots[k]) for k in order], [pivots[k] for k in order]
+
+
+def _scaled(row: dict[int, int], p: int) -> Row:
+    """An integer echelon row divided by its pivot entry."""
+    piv = row[p]
+    return {c: _ONE if c == p else Fraction(x, piv) for c, x in row.items()}
+
+
+def echelon_solution(red: Sequence[Row], pivots: Sequence[int], n: int) -> Row | None:
+    """The solution of A x = b with free variables 0, read sparse from the
+    reduced rows of [A | b] (b in column n), or None if they are inconsistent."""
+    if pivots and pivots[-1] == n:
+        return None
+    return {pc: x for row, pc in zip(red, pivots) if (x := row.get(n))}
+
+
+def echelon_kernel(red: Sequence[Row], pivots: Sequence[int], ncols: int) -> list[Row]:
+    """Sparse basis of {v : A v = 0} read from the reduced rows of A, one
+    vector per free column, in ascending column order."""
+    pivot_set = set(pivots)
+    basis = {fc: {fc: _ONE} for fc in range(ncols) if fc not in pivot_set}
+    # a reduced row is zero at every other pivot, so its off-pivot
+    # entries all sit in free columns
+    for row, pc in zip(red, pivots):
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = -x
+    return list(basis.values())
 
 
 def rref(a) -> tuple:
@@ -100,20 +173,7 @@ def kernel_basis(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
     rows = list(rows)
     if any(len(row) != ncols for row in rows):
         raise ValueError("row length disagrees with ncols")
-    red, pivots = rref_rows(rows)
-    pivot_set = set(pivots)
-    basis: dict[int, Vec] = {}
-    for fc in range(ncols):
-        if fc not in pivot_set:
-            basis[fc] = [_ZERO] * ncols
-            basis[fc][fc] = Fraction(1)
-    # a reduced row is zero at every other pivot, so its off-pivot
-    # entries all sit in free columns
-    for row, pc in zip(red, pivots):
-        for c, x in row.items():
-            if c != pc:
-                basis[c][pc] = -x
-    return list(basis.values())
+    return [_dense(v, ncols) for v in echelon_kernel(*rref_rows(rows), ncols)]
 
 
 def solve(rows: Iterable[Sequence], rhs: Sequence, ncols: int | None = None) -> Vec | None:
@@ -129,13 +189,12 @@ def solve(rows: Iterable[Sequence], rhs: Sequence, ncols: int | None = None) -> 
     n = len(rows[0])
     if ncols is not None and ncols != n:
         raise ValueError("ncols disagrees with matrix width")
-    red, pivots = rref_rows([*row, bi] for row, bi in zip(rows, b))
-    if pivots and pivots[-1] == n:
-        return None
-    x = [_ZERO] * n
-    for row, pc in zip(red, pivots):
-        x[pc] = row.get(n, _ZERO)
-    return x
+    x = echelon_solution(*rref_rows([*row, bi] for row, bi in zip(rows, b)), n)
+    return None if x is None else _dense(x, n)
+
+
+def _dense(vec: Row, n: int) -> Vec:
+    return [vec.get(c, _ZERO) for c in range(n)]
 
 
 def inverse(rows: Iterable[Sequence]) -> Mat | None:
@@ -165,12 +224,21 @@ class QMatrix:
         self.ncols = len(data[0]) if data else 0
 
     @classmethod
+    def _of(cls, data: tuple) -> "QMatrix":
+        """Wrap equal-length tuples of Fractions as they are, unconverted."""
+        m = object.__new__(cls)
+        m._rows = data
+        m.nrows = len(data)
+        m.ncols = len(data[0]) if data else 0
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "QMatrix":
-        return cls([[0] * n for _ in range(m)])
+        return cls._of(tuple((_ZERO,) * n for _ in range(m)))
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence["QMatrix"]]) -> "QMatrix":
@@ -181,8 +249,10 @@ class QMatrix:
             if any(b.nrows != height for b in brow):
                 raise ValueError("inconsistent block heights")
             for i in range(height):
-                rows.append([x for b in brow for x in b._rows[i]])
-        return cls(rows)
+                rows.append(tuple(x for b in brow for x in b._rows[i]))
+        if rows and any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("ragged matrix")
+        return cls._of(tuple(rows))
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: int) -> "QMatrix":
@@ -207,28 +277,34 @@ class QMatrix:
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return QMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
-        )
+        return QMatrix._of(tuple(
+            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._rows, other._rows)
+        ))
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self + (-other)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix([[-x for x in row] for row in self._rows])
+        return QMatrix._of(tuple(tuple(-x for x in row) for row in self._rows))
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in product")
-            cols = list(zip(*other._rows)) if other._rows else []
-            return QMatrix(
-                [[sum((a * b for a, b in zip(row, col) if a and b), _ZERO) for col in cols]
-                 for row in self._rows]
-            )
+            right = [[(j, b) for j, b in enumerate(row) if b] for row in other._rows]
+            out = []
+            for row in self._rows:
+                acc: dict[int, Fraction] = {}
+                for a, nonzeros in zip(row, right):
+                    if a:
+                        for j, b in nonzeros:
+                            s = acc.get(j)
+                            acc[j] = a * b if s is None else s + a * b
+                out.append(tuple(acc.get(j, _ZERO) for j in range(other.ncols)))
+            return QMatrix._of(tuple(out))
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return QMatrix([[c * x for x in row] for row in self._rows])
+            return QMatrix._of(tuple(tuple(c * x for x in row) for row in self._rows))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -237,7 +313,7 @@ class QMatrix:
         return NotImplemented
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(list(zip(*self._rows)) if self._rows else [])
+        return QMatrix._of(tuple(zip(*self._rows)))
 
     def apply(self, vec: Sequence) -> list:
         """Matrix-vector product."""
@@ -254,7 +330,7 @@ class QMatrix:
 
     def inverse(self) -> "QMatrix | None":
         inv = inverse(self._rows)
-        return None if inv is None else QMatrix(inv)
+        return None if inv is None else QMatrix._of(tuple(map(tuple, inv)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._rows for x in row)

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-from .linalg import kernel_basis, reduce_row, rref_rows
-from .linalg import solve as solve_linear
+from .linalg import echelon_kernel, echelon_solution, reduce_row, rref_rows
 from .weyl import WeylElement, parse_weyl, print_weyl
 
 DEFAULT_MAX_DEGREE = 8
@@ -266,11 +265,8 @@ class TruncatedSpan:
         )
         self._cols = cols
         self._pos = {c: k for k, c in enumerate(cols)}
-        dense = [
-            [row.get(k, 0) for k in range(len(cols))]
-            for row in map(self._coords, vectors)
-        ]
-        self._rows, self._pivots = rref_rows(dense) if dense else ([], [])
+        coords = [self._coords(vec) for vec in vectors]
+        self._rows, self._pivots = rref_rows(coords) if coords else ([], [])
         self._pivot_degree = [
             cols[p][1][0] + cols[p][1][1] for p in self._pivots
         ]
@@ -359,60 +355,60 @@ class WeylLinearSystem:
         self._eqs.append((terms, _ZERO if rhs is None else rhs))
 
     def _assemble(self):
+        """Sparse rows, one per monomial, with the right-hand side in
+        column ``total``; returns (rows, offset of each unknown, total)."""
         offset: dict[str, int] = {}
         total = 0
         for name in self._names:
             offset[name] = total
             total += len(self._monos[name])
-        rows: list[list[Fraction]] = []
-        rhs_vals: list[Fraction] = []
+        rows: list[dict[int, Fraction]] = []
         for terms, rhs in self._eqs:
-            rowmap: dict[tuple[int, int], list[Fraction]] = {}
-
-            def row_for(key):
-                row = rowmap.get(key)
-                if row is None:
-                    row = [Fraction(0)] * total
-                    rowmap[key] = row
-                return row
-
+            rowmap: dict[tuple[int, int], dict[int, Fraction]] = {}
             for left, name, right, coef in terms:
-                base = offset[name]
                 cf = Fraction(coef)
-                for k, (a, b) in enumerate(self._monos[name]):
+                scaled = cf != 1
+                for k, (a, b) in enumerate(self._monos[name], offset[name]):
                     w = left * WeylElement.monomial(a, b) * right
                     for ij, c in w.items():
-                        row_for(ij)[base + k] += cf * c
-            for ij, _ in rhs.items():
-                row_for(ij)
-            for key in sorted(rowmap):
-                rows.append(rowmap[key])
-                rhs_vals.append(rhs.coeff(*key))
-        return rows, rhs_vals, offset, total
+                        if scaled:
+                            c *= cf
+                        row = rowmap.setdefault(ij, {})
+                        y = row.get(k)
+                        if y is None:
+                            row[k] = c
+                        elif y := y + c:
+                            row[k] = y
+                        else:
+                            del row[k]
+            for ij, c in rhs.items():
+                rowmap.setdefault(ij, {})[total] = c
+            rows.extend(rowmap[key] for key in sorted(rowmap))
+        return rows, offset, total
 
-    def _unpack(self, x: Sequence[Fraction], offset: dict) -> dict[str, WeylElement]:
+    def _unpack(self, x: dict[int, Fraction], offset: dict) -> dict[str, WeylElement]:
         out = {}
         for name in self._names:
             base = offset[name]
             terms = {
                 mono: x[base + k]
                 for k, mono in enumerate(self._monos[name])
-                if x[base + k]
+                if base + k in x
             }
             out[name] = WeylElement(terms)
         return out
 
     def solve(self) -> dict[str, WeylElement] | None:
-        rows, rhs_vals, offset, total = self._assemble()
-        x = solve_linear(rows, rhs_vals, total)
+        rows, offset, total = self._assemble()
+        x = echelon_solution(*rref_rows(rows), total) if rows else {}
         return None if x is None else self._unpack(x, offset)
 
     def kernel(self) -> list[dict[str, WeylElement]]:
         for _, rhs in self._eqs:
             if not rhs.is_zero():
                 raise ValueError("kernel of an inhomogeneous system")
-        rows, _, offset, total = self._assemble()
-        return [self._unpack(v, offset) for v in kernel_basis(rows, total)]
+        rows, offset, total = self._assemble()
+        return [self._unpack(v, offset) for v in echelon_kernel(*rref_rows(rows), total)]
 
 
 # -- membership in presentation images ------------------------------------

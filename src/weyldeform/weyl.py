@@ -22,6 +22,8 @@ from typing import Iterable, Iterator, Tuple
 
 Monomial = Tuple[int, int]
 
+_ZERO = Fraction(0)
+
 __all__ = [
     "WeylElement",
     "WeylSyntaxError",
@@ -34,13 +36,13 @@ __all__ = [
 ]
 
 
-def _mono_mul(i: int, j: int, k: int, l: int) -> dict[Monomial, int]:
+def _mono_mul(i: int, j: int, k: int, l: int) -> list[tuple[Monomial, int]]:
     # (t^i d^j)(t^k d^l) = sum_m  C(j,m) * k!/(k-m)! * t^(i+k-m) d^(j+l-m)
     # from moving each of the j d's across the k t's.
-    out: dict[Monomial, int] = {}
-    for m in range(min(j, k) + 1):
-        out[(i + k - m, j + l - m)] = math.comb(j, m) * math.perm(k, m)
-    return out
+    return [
+        ((i + k - m, j + l - m), math.comb(j, m) * math.perm(k, m))
+        for m in range(min(j, k) + 1)
+    ]
 
 
 class WeylElement:
@@ -60,10 +62,18 @@ class WeylElement:
             for (i, j), c in terms.items():
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in monomial {(i, j)}")
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     clean[(i, j)] = c
         self._terms = clean
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, Fraction]) -> "WeylElement":
+        """Wrap nonzero Fraction coefficients as they are, unconverted."""
+        w = object.__new__(cls)
+        w._terms = terms
+        return w
 
     # -- constructors ------------------------------------------------
 
@@ -98,7 +108,7 @@ class WeylElement:
         return sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+        return self._terms.get((i, j), _ZERO)
 
     def degree(self) -> int | None:
         """Total degree (max of i+j); None for the zero element."""
@@ -131,8 +141,14 @@ class WeylElement:
             return NotImplemented
         terms = dict(self._terms)
         for key, c in w._terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return WeylElement(terms)
+            s = terms.get(key)
+            if s is None:
+                terms[key] = c
+            elif s := s + c:
+                terms[key] = s
+            else:
+                del terms[key]
+        return WeylElement._of(terms)
 
     __radd__ = __add__
 
@@ -149,7 +165,7 @@ class WeylElement:
         return w + (-self)
 
     def __neg__(self) -> "WeylElement":
-        return WeylElement({key: -c for key, c in self._terms.items()})
+        return WeylElement._of({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other) -> "WeylElement":
         w = self._coerce(other)
@@ -159,9 +175,11 @@ class WeylElement:
         for (i, j), a in self._terms.items():
             for (k, l), b in w._terms.items():
                 ab = a * b
-                for key, n in _mono_mul(i, j, k, l).items():
-                    terms[key] = terms.get(key, Fraction(0)) + ab * n
-        return WeylElement(terms)
+                for key, n in _mono_mul(i, j, k, l):
+                    c = ab if n == 1 else ab * n
+                    s = terms.get(key)
+                    terms[key] = c if s is None else s + c
+        return WeylElement._of({key: c for key, c in terms.items() if c})
 
     def __rmul__(self, other) -> "WeylElement":
         # Only scalars reach here, and scalars commute with everything.

@@ -7,12 +7,14 @@ quiver.  Tests compare library output against these, never against the
 library itself.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from weyldeform import QMatrix, WeylElement, WeylLinearSystem, intertwiners, inverse
+from weyldeform.weyl import Monomial
 
 
 def apply_to_poly(w: WeylElement, coeffs):
@@ -115,6 +117,35 @@ def dense_rref_rows(rows):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def _mono_mul(i: int, j: int, k: int, l: int) -> dict[Monomial, int]:
+    # (t^i d^j)(t^k d^l) = sum_m  C(j,m) * k!/(k-m)! * t^(i+k-m) d^(j+l-m)
+    # from moving each of the j d's across the k t's.
+    out: dict[Monomial, int] = {}
+    for m in range(min(j, k) + 1):
+        out[(i + k - m, j + l - m)] = math.comb(j, m) * math.perm(k, m)
+    return out
+
+
+def weyl_mul(self, other) -> "WeylElement":
+    """Product of two elements, in normal form.
+
+    ``WeylElement.__mul__`` before it summed into a plain dict and built
+    its result unconverted, kept verbatim (with its monomial rule above)
+    as a reference: every coefficient goes through ``Fraction`` and the
+    public constructor drops the zeros.
+    """
+    w = self._coerce(other)
+    if w is None:
+        return NotImplemented
+    terms: dict[Monomial, Fraction] = {}
+    for (i, j), a in self._terms.items():
+        for (k, l), b in w._terms.items():
+            ab = a * b
+            for key, n in _mono_mul(i, j, k, l).items():
+                terms[key] = terms.get(key, Fraction(0)) + ab * n
+    return WeylElement(terms)
 
 
 def solve_divide_left(r: WeylElement, q: WeylElement):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from weyldeform import QMatrix, inverse, kernel_basis, rank, rref, solve
+from weyldeform import QMatrix, WeylElement, inverse, kernel_basis, parse_weyl, rank, rref, solve
+from weyldeform.linalg import rref_rows
 
 from conftest import bareiss_rank, dense_rref_rows
 
@@ -163,16 +164,20 @@ def rand_entry(rng):
     return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 1, 2, 3)))
 
 
-def rand_sparse_rows(rng, nrows, ncols, density):
+def big_entry(rng):
+    return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+
+
+def rand_sparse_rows(rng, nrows, ncols, density, entry=rand_entry):
     """Sparse rows; about a third are combinations of two earlier rows."""
     rows = [
-        [rand_entry(rng) if rng.random() < density else Fraction(0) for _ in range(ncols)]
+        [entry(rng) if rng.random() < density else Fraction(0) for _ in range(ncols)]
         for _ in range(nrows)
     ]
     for k in range(2, nrows):
         if rng.random() < 0.3:
             i, j = rng.sample(range(k), 2)
-            ci, cj = rand_entry(rng), rand_entry(rng)
+            ci, cj = entry(rng), entry(rng)
             rows[k] = [ci * a + cj * b for a, b in zip(rows[i], rows[j])]
     return rows
 
@@ -218,6 +223,11 @@ def check_against_oracle(rng, rows):
     before = copy.deepcopy(rows)
     nrows, ncols = len(rows), len(rows[0])
     red, pivots = dense_rref_rows(rows)
+    for given in (rows, [{c: x for c, x in enumerate(row) if x} for row in rows]):
+        got, piv = rref_rows(given)
+        assert piv == pivots
+        assert [[row.get(c, 0) for c in range(ncols)] for row in got] == red
+        assert all(type(x) is Fraction and x for row in got for x in row.values())
     full, rk, piv = rref(rows)
     assert (full, rk, piv) == (
         red + [[0] * ncols for _ in range(nrows - len(red))],
@@ -243,12 +253,31 @@ def check_against_oracle(rng, rows):
     assert rows == before
 
 
+DENSE_COEFFS = ("3/4", "-2/5", "5/7", "-7/3", "4/9", "-5/6", "7/4", "-3/8")
+
+
+def dense_relation_rows(rng, window):
+    """Coordinates of the left and right multiples spanning D/(pD + Dd) in
+    degree <= window, for p = t*d^2 plus four fractional lower terms."""
+    a, b, c, e = rng.sample(DENSE_COEFFS, 4)
+    p = parse_weyl(f"t*d^2 + ({a})*d^2 + ({b})*t*d + ({c})*d + ({e})")
+    q = parse_weyl("d")
+    vectors = [p * WeylElement.monomial(i, n - 3 - i)
+               for n in range(3, window + 1) for i in range(n - 2)]
+    vectors += [WeylElement.monomial(i, n - 1 - i) * q
+                for n in range(1, window + 1) for i in range(n)]
+    cols = [(i, n - i) for n in range(window, -1, -1) for i in range(n + 1)]
+    return [[w.coeff(*ij) for ij in cols] for w in vectors]
+
+
 def test_sparse_systems_match_dense_oracle():
     rng = random.Random(2250)
     shapes = [(150, 180)] + [(rng.randint(60, 150), rng.randint(80, 180)) for _ in range(3)]
     for nrows, ncols in shapes:
         rows = rand_sparse_rows(rng, nrows, ncols, rng.uniform(0.008, 0.025))
         check_against_oracle(rng, rows)
+    for window in (4, 6, 7):
+        check_against_oracle(rng, dense_relation_rows(rng, window))
 
 
 def test_sparse_square_systems_match_dense_oracle():
@@ -270,6 +299,11 @@ def test_small_dense_systems_match_dense_oracle():
             rows = rand_int_rows(rng, nrows, ncols, bound=2)
         else:
             rows = [[rand_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        check_against_oracle(rng, rows)
+    # entries of height up to 10^12
+    for k in range(8):
+        nrows, ncols = rng.randint(3, 12), rng.randint(3, 12)
+        rows = rand_sparse_rows(rng, nrows, nrows if k % 2 else ncols, 0.6, entry=big_entry)
         check_against_oracle(rng, rows)
 
 

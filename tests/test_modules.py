@@ -23,6 +23,7 @@ from weyldeform import (
     representative,
     specialize,
 )
+from weyldeform import modules
 from weyldeform.modules import (
     TruncatedSpan,
     image_witness,
@@ -277,6 +278,45 @@ def test_weyl_linear_system_solve_and_kernel():
     bad.equate([(one, "z", one, 1)], rhs=one)
     with pytest.raises(ValueError):
         bad.kernel()
+
+    # no unknown reaches the monomial t of the right-hand side
+    unreached = WeylLinearSystem()
+    unreached.unknown("z", 0)
+    unreached.equate([(one, "z", one, 1)], rhs=t)
+    assert unreached.solve() is None
+
+    # x - x = 0: every term cancels, so no column may become a pivot
+    free = WeylLinearSystem()
+    free.unknown("x", 2)
+    free.equate([(one, "x", one, 1), (one, "x", one, -1)])
+    assert [v["x"] for v in free.kernel()] == [
+        WeylElement.monomial(i, j) for i, j in truncated_monomials(2)
+    ]
+    assert free.solve() == {"x": WeylElement.zero()}
+
+
+def test_systems_and_spans_eliminate_through_rref_rows(monkeypatch):
+    calls = []
+    kernel = modules.rref_rows
+
+    def counted(rows):
+        calls.append(len(rows))
+        return kernel(rows)
+
+    monkeypatch.setattr(modules, "rref_rows", counted)
+    sys = WeylLinearSystem()
+    sys.unknown("x", 2)
+    sys.equate([(d, "x", one, 1), (one, "x", d, -1)], rhs=t)
+    assert sys.solve() is not None
+    assert len(calls) == 1
+    hom = WeylLinearSystem()
+    hom.unknown("y", 1)
+    hom.equate([(one, "y", d, 1)])
+    assert hom.kernel() == []
+    assert len(calls) == 2
+    span = TruncatedSpan([(t,), (t * d,)], 1, 3)
+    assert span.dim == 2 and len(calls) == 3
+    assert span.contains((t * 2,)) and len(calls) == 3
 
 
 def test_degree_bound_validation():

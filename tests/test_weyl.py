@@ -7,7 +7,7 @@ import pytest
 
 from weyldeform import WeylElement, bernstein_degree, nf_mul, parse_weyl
 
-from conftest import apply_to_poly, poly_eq, rand_poly, rand_weyl
+from conftest import _mono_mul, apply_to_poly, poly_eq, rand_poly, rand_weyl, weyl_mul
 
 t = WeylElement.t()
 d = WeylElement.d()
@@ -92,7 +92,7 @@ def test_scalar_and_fraction_coefficients():
     w = t * Fraction(1, 2) + d * 3
     assert w.coeff(1, 0) == Fraction(1, 2)
     assert w.coeff(0, 1) == 3
-    assert w.coeff(2, 2) == 0
+    assert w.coeff(2, 2) == 0 and type(w.coeff(2, 2)) is Fraction
 
 
 def test_hash_and_equality():
@@ -118,3 +118,36 @@ def test_commutator_powers_oracle():
         assert comm == (t ** (k - 1)) * k
         f = rand_poly(rng)
         assert poly_eq(apply_to_poly(comm, f), apply_to_poly(t ** (k - 1) * k, f))
+
+
+def assert_normal(w):
+    assert all(type(c) is Fraction and c != 0 for c in w._terms.values())
+
+
+def test_arithmetic_matches_old_product_oracle():
+    rng = random.Random(415)
+    zero = WeylElement.zero()
+    pairs = [(t + d, t - d), (d, zero), (zero, t), (t * d - 3, zero)]
+    for _ in range(300):
+        a = rand_weyl(rng)
+        b = rand_weyl(rng)
+        # (a + b)(a - b) = a^2 - b^2 + [b, a]: the commuting parts of the
+        # cross terms cancel inside one product
+        pairs += [(a, b), (a + b, a - b), (a, b - b)]
+    cancelled = 0
+    for a, b in pairs:
+        got, want = a * b, weyl_mul(a, b)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert_normal(got)
+        for w in (a + b, a - b, -a, a + (-a), a + 1, 2 - a):
+            assert_normal(w)
+        reached = {
+            key
+            for i, j in a._terms
+            for k, l in b._terms
+            for key in _mono_mul(i, j, k, l)
+        }
+        cancelled += len(got._terms) < len(reached)
+    assert (t + d) * (t - d) == t * t - d * d + one
+    assert cancelled >= 100
