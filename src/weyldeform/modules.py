@@ -205,12 +205,6 @@ def block_decompose(m: PresentedModule) -> list[tuple[tuple[int, ...], Presented
 # -- matrices over the algebra ------------------------------------------
 
 
-def wmat(rows: Iterable[Iterable]) -> Wmat:
-    return tuple(
-        tuple(parse_weyl(e) if isinstance(e, str) else e for e in row) for row in rows
-    )
-
-
 def wmat_identity(n: int) -> Wmat:
     return tuple(
         tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
@@ -926,14 +920,9 @@ def _cyclic_form_search(m: PresentedModule, n_cap: int):
     annihilators = functools.cache(
         lambda gi: _annihilator_candidates(m, gens[gi], _s_rungs(n_cap))
     )
-    tried_cert: set = set()
     for sd in _s_rungs(n_cap):
         for gi, g in enumerate(gens):
             for p_cand in annihilators(gi):
-                cert_key = (gi, p_cand, sd)
-                if cert_key in tried_cert:
-                    continue
-                tried_cert.add(cert_key)
                 if attempts >= _CFORM_ATTEMPT_CAP:
                     return None
                 attempts += 1

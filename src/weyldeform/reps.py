@@ -12,17 +12,19 @@ These pairs are representations of the oriented 2-cycle, classified in
 every dimension by strings (the nilpotent part) and the invariant
 factors of AB (the part where A and B are invertible).  normal_form
 computes both with an explicit change of basis, so are_conjugate is
-exact and polynomial in every dimension, and is_indecomposable is exact
-up to dimension 4 (beyond, one invariant factor would need factoring
-over the rationals).  The family tables, match_label and
-find_proper_submodule are complete up to dimension 3; classify(4) is a
-documented best effort, and anything larger is refused rather than
+exact and polynomial in every dimension, is_simple is exact in every
+dimension, and is_indecomposable is exact up to dimension 4 (beyond,
+one invariant factor would need factoring over the rationals).
+match_label reads the family off the normal form; it, the family tables
+and find_proper_submodule are complete up to dimension 3, classify(4)
+is a documented best effort, and anything larger is refused rather than
 approximated.  Everything here is exact Fraction arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, Iterable, Sequence
@@ -31,6 +33,7 @@ from .linalg import QMatrix, kernel_basis, rank, reduce_row, rref_rows
 from .linalg import solve as solve_linear
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 _PARAMETER_SAMPLES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
 
@@ -196,14 +199,14 @@ def quiver_form(rep: Representation) -> QuiverForm:
     zeros = rep.e1.kernel()
     p, q = len(ones), len(zeros)
     if p + q == n:
-        basis = QMatrix.from_columns(ones + zeros, n)
+        basis = QMatrix._of(tuple(zip(*ones, *zeros)))
         binv = basis.inverse()
         s12c = binv * rep.s12 * basis
         s21c = binv * rep.s21 * basis
         if all(s12c[i, j] == 0 == s21c[j, i]
                for i in range(n) for j in range(n) if not i < p <= j):
-            a = QMatrix([[s12c[i, p + j] for j in range(q)] for i in range(p)])
-            b = QMatrix([[s21c[p + i, j] for j in range(p)] for i in range(q)])
+            a = QMatrix._of(tuple(tuple(s12c[i, p + j] for j in range(q)) for i in range(p)))
+            b = QMatrix._of(tuple(tuple(s21c[p + i, j] for j in range(p)) for i in range(q)))
             return QuiverForm((p, q), a, b, basis)
     validate(rep)
     raise AssertionError("the relations hold but the blocks are out of shape")
@@ -213,16 +216,16 @@ def _rep_from_blocks(p: int, q: int, a_rows, b_rows,
                      label: str | None = None,
                      params: dict | None = None) -> Representation:
     n = p + q
-    e1 = [[1 if (i == j and i < p) else 0 for j in range(n)] for i in range(n)]
-    s12 = [[Fraction(0)] * n for _ in range(n)]
-    s21 = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(p):
-        for j in range(q):
-            s12[i][p + j] = Fraction(a_rows[i][j])
-    for i in range(q):
-        for j in range(p):
-            s21[p + i][j] = Fraction(b_rows[i][j])
-    return Representation(e1, s12, s21, label=label, params=params)
+
+    def block(entry) -> QMatrix:
+        return QMatrix._of(tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
+
+    return Representation(
+        block(lambda i, j: _ONE if i == j < p else _ZERO),
+        block(lambda i, j: Fraction(a_rows[i][j - p]) if i < p <= j else _ZERO),
+        block(lambda i, j: Fraction(b_rows[i - p][j]) if j < p <= i else _ZERO),
+        label=label, params=params,
+    )
 
 
 # -- the canonical families -------------------------------------------------
@@ -349,60 +352,6 @@ def representative(label: str, params: dict | None = None) -> Representation:
     return rep
 
 
-def _match_quiver(p: int, q: int, a: QMatrix, b: QMatrix):
-    """Identify block data of total dimension <= 3 as (label, parameter)."""
-    n = p + q
-    if n == 1:
-        return ("T_1_1", None) if p == 1 else ("T_1_2", None)
-    if n == 2:
-        if (p, q) == (0, 2):
-            return ("T_2_1", None)
-        if (p, q) == (2, 0):
-            return ("T_2_2", None)
-        av, bv = a[0, 0], b[0, 0]
-        if av == 0 and bv == 0:
-            return ("T_2_3", None)
-        if av == 0:
-            return ("T_2_4", None)
-        if bv == 0:
-            return ("T_2_5", None)
-        return ("T_2_6", av * bv)
-    if n == 3:
-        if (p, q) == (0, 3):
-            return ("T_3_1", None)
-        if (p, q) == (3, 0):
-            return ("T_3_2", None)
-        if (p, q) == (1, 2):
-            ab = sum(a[0, k] * b[k, 0] for k in range(2))
-            if a.is_zero() and b.is_zero():
-                return ("T_3_3", None)
-            if a.is_zero():
-                return ("T_3_4", None)
-            if b.is_zero():
-                return ("T_3_5", None)
-            return ("T_3_7", ab) if ab != 0 else ("T_3_6", None)
-        if (p, q) == (2, 1):
-            ba = sum(b[0, k] * a[k, 0] for k in range(2))
-            if a.is_zero() and b.is_zero():
-                return ("T_3_8", None)
-            if b.is_zero():
-                return ("T_3_10", None)
-            if a.is_zero():
-                return ("T_3_9", None)
-            return ("T_3_12", ba) if ba != 0 else ("T_3_11", None)
-    raise UnsupportedDimensionError(
-        f"no family matching for dimension {n}"
-    )
-
-
-def match_label(rep: Representation):
-    """(label, parameter) of a representation of dimension at most 3."""
-    if rep.n > 3:
-        raise UnsupportedDimensionError("matching is exact only up to dimension 3")
-    form = quiver_form(rep)
-    return _match_quiver(form.dims[0], form.dims[1], form.a, form.b)
-
-
 def _coupling_components(p: int, q: int, a: QMatrix, b: QMatrix):
     """Connected components of the block-coupling graph.
 
@@ -432,8 +381,8 @@ def _coupling_components(p: int, q: int, a: QMatrix, b: QMatrix):
 def _component_blocks(comp, a: QMatrix, b: QMatrix):
     ps = [i for side, i in comp if side == 0]
     qs = [j for side, j in comp if side == 1]
-    sub_a = QMatrix([[a[i, j] for j in qs] for i in ps])
-    sub_b = QMatrix([[b[j, i] for i in ps] for j in qs])
+    sub_a = QMatrix._of(tuple(tuple(a[i, j] for j in qs) for i in ps))
+    sub_b = QMatrix._of(tuple(tuple(b[j, i] for i in ps) for j in qs))
     return len(ps), len(qs), sub_a, sub_b
 
 
@@ -507,7 +456,15 @@ def _chain(t: QMatrix, vec: list, length: int) -> list:
 
 
 def normal_form(rep: Representation) -> NormalForm:
-    """Invariants and a change of basis to the block normal form.
+    """Invariants and a change of basis to the block normal form of the
+    quiver form's blocks (see _block_normal_form)."""
+    form = quiver_form(rep)
+    nf = _block_normal_form(form.dims[0], form.dims[1], form.a, form.b)
+    return replace(nf, basis=form.basis * nf.basis)
+
+
+def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
+    """The normal form of block data, its basis in block coordinates.
 
     T = s12 + s21 is graded, so ker T^l splits over the two vertices.
     The nilpotent summands are graded Jordan chains of T: a string of
@@ -522,11 +479,10 @@ def normal_form(rep: Representation) -> NormalForm:
     cuts out an invariant complement for the next chain.  Exact and
     polynomial in n; nothing is factored and nothing is random.
     """
-    form = quiver_form(rep)
-    p, q = form.dims
     n = p + q
-    blocks = _rep_from_blocks(p, q, form.a.to_rows(), form.b.to_rows())
-    t = blocks.s12 + blocks.s21
+    t = QMatrix._of(tuple(tuple(
+        a[i, j - p] if i < p <= j else b[i - p, j] if j < p <= i else _ZERO
+        for j in range(n)) for i in range(n)))
     # flag[l][v] spans ker T^l inside vertex v (0 for e1's 1-eigenspace),
     # up to the Fitting index, where the kernels stop growing
     flag = [[[], []]]
@@ -576,10 +532,39 @@ def normal_form(rep: Representation) -> NormalForm:
              for y in kernel_basis(cut, k)]
     cols = [x for side in (0, 1) for v, chain in chains
             for i, x in enumerate(chain) if (v + i) % 2 == side]
-    return NormalForm(
-        (p, q), tuple(strings), tuple(factors),
-        form.basis * QMatrix.from_columns(cols, n),
-    )
+    return NormalForm((p, q), tuple(strings), tuple(factors), QMatrix._of(tuple(zip(*cols))))
+
+
+def _family_key(form: NormalForm) -> tuple:
+    return form.dims, form.strings, tuple(len(f) - 1 for f in form.factors)
+
+
+@functools.cache
+def _families_by_key() -> dict:
+    """The families of dimension at most 3 by their _family_key."""
+    return {_family_key(normal_form(representative(s.label, {s.parameter: 1}))): s
+            for s in FAMILIES.values() if sum(s.dims) <= 3}
+
+
+def _match_blocks(p: int, q: int, a: QMatrix, b: QMatrix):
+    """(label, parameter) of block data of dimension at most 3.
+
+    Up to dimension 3 there is at most one invariant factor, and it is
+    linear; a parametric family's parameter is its root.
+    """
+    form = _block_normal_form(p, q, a, b)
+    spec = _families_by_key().get(_family_key(form))
+    if spec is None:
+        raise UnsupportedDimensionError(f"no family matching for dimension {p + q}")
+    return spec.label, None if spec.parameter is None else -form.factors[0][0]
+
+
+def match_label(rep: Representation):
+    """(label, parameter) of a representation of dimension at most 3."""
+    if rep.n > 3:
+        raise UnsupportedDimensionError("matching is exact only up to dimension 3")
+    form = quiver_form(rep)
+    return _match_blocks(form.dims[0], form.dims[1], form.a, form.b)
 
 
 def are_conjugate(rep1: Representation, rep2: Representation) -> QMatrix | None:
@@ -608,28 +593,16 @@ def are_conjugate(rep1: Representation, rep2: Representation) -> QMatrix | None:
 def is_simple(rep: Representation) -> bool:
     """Whether the three matrices generate the full matrix algebra.
 
-    This is the Burnside criterion: over the rationals it certifies
-    simplicity with scalar endomorphisms.  A simple module whose
-    endomorphisms form a larger field would report False; no family in
-    the tables here does that.
+    By Burnside's theorem that is absolute simplicity, decided here in
+    every dimension.  T = s12 + s21 is graded, so a kernel vector of T
+    has vertex parts that span invariant lines.  With no kernel, A and B
+    are injective, so p = q, and an eigenvector v of AB over the
+    algebraic closure spans with Bv a submodule of dimension 2.  So only
+    dimension 1 and blocks (1, 1) with A, B nonzero are simple; A = I
+    with B = [[0, 2], [1, 0]] is simple over Q only and reports False.
     """
-    validate(rep)
-    n = rep.n
-    gens = [rep.e1, rep.s12, rep.s21]
-    target = n * n
-
-    # echelon basis of the span of words in the generators, grown one
-    # word length at a time; a word enters the frontier when it is new
-    reduced: list[dict] = []
-    pivots: list[int] = []
-    candidates = [QMatrix.identity(n)]
-    while candidates:
-        flat = [[x for i in range(n) for x in mat.row(i)] for mat in candidates]
-        frontier = [candidates[k] for k in _extend(reduced, pivots, flat)]
-        if len(reduced) == target:
-            break
-        candidates = [m for w in frontier for g in gens for m in (g * w, w * g)]
-    return len(reduced) == target
+    form = quiver_form(rep)
+    return rep.n == 1 or (form.dims == (1, 1) and form.a[0, 0] != 0 != form.b[0, 0])
 
 
 def _eigen_kernels(e1: QMatrix, s12: QMatrix, s21: QMatrix) -> tuple[list, list]:
@@ -648,8 +621,9 @@ def _eigen_kernels(e1: QMatrix, s12: QMatrix, s21: QMatrix) -> tuple[list, list]
 def find_proper_submodule(rep: Representation):
     """A basis of a proper nonzero invariant subspace, or None.
 
-    Lines and hyperplanes are checked, which is a complete search in
-    dimension at most 3.  Larger dimensions are refused.
+    Only vertex lines are checked: by is_simple's argument every
+    representation of dimension at most 3 that is not simple has one.
+    Larger dimensions are refused.
     """
     validate(rep)
     n = rep.n
@@ -663,15 +637,6 @@ def find_proper_submodule(rep: Representation):
     for vec in k0 + k1:
         sub = (tuple(vec),)
         if _invariant(rep, sub):
-            return sub
-    l0, l1 = _eigen_kernels(
-        rep.e1.transpose(), rep.s12.transpose(), rep.s21.transpose()
-    )
-    for w in l0 + l1:
-        rows = [list(w)]
-        comp = kernel_basis(rows, n)
-        sub = tuple(tuple(v) for v in comp)
-        if sub and len(sub) < n and _invariant(rep, sub):
             return sub
     return None
 
@@ -816,17 +781,14 @@ def _decomposition_labels(spec: FamilySpec, reps: list[Representation],
     for rep in reps:
         form = quiver_form(rep)
         comps = _coupling_components(form.dims[0], form.dims[1], form.a, form.b)
-        labels = [
-            _match_quiver(*_component_blocks(c, form.a, form.b)) for c in comps
-        ]
-        per_sample.append(labels)
+        per_sample.append([_match_blocks(*_component_blocks(c, form.a, form.b)) for c in comps])
     rendered = []
     for idx, (label, param) in enumerate(per_sample[0]):
         if param is None:
             rendered.append(label)
             continue
         values = [ls[idx][1] for ls in per_sample]
-        if spec.parameter is not None and values == list(samples[: len(values)]) and len(values) == len(per_sample):
+        if spec.parameter is not None and values == list(samples[: len(values)]):
             rendered.append(f"{label}({spec.parameter})")
         else:
             rendered.append(f"{label}({param})")

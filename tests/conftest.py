@@ -13,7 +13,16 @@ from fractions import Fraction
 
 import pytest
 
-from weyldeform import QMatrix, WeylElement, WeylLinearSystem, intertwiners, inverse
+from weyldeform import (
+    QMatrix,
+    UnsupportedDimensionError,
+    WeylElement,
+    WeylLinearSystem,
+    intertwiners,
+    inverse,
+    validate,
+)
+from weyldeform.linalg import reduce_row
 from weyldeform.weyl import Monomial
 
 
@@ -229,6 +238,99 @@ def _combo(basis, coeffs, n):
     return out
 
 
+def table_match_quiver(p: int, q: int, a: QMatrix, b: QMatrix):
+    """Identify block data of total dimension <= 3 as (label, parameter).
+
+    The package's hand-written branch table before match_label read the
+    normal form, kept verbatim as a reference.
+    """
+    n = p + q
+    if n == 1:
+        return ("T_1_1", None) if p == 1 else ("T_1_2", None)
+    if n == 2:
+        if (p, q) == (0, 2):
+            return ("T_2_1", None)
+        if (p, q) == (2, 0):
+            return ("T_2_2", None)
+        av, bv = a[0, 0], b[0, 0]
+        if av == 0 and bv == 0:
+            return ("T_2_3", None)
+        if av == 0:
+            return ("T_2_4", None)
+        if bv == 0:
+            return ("T_2_5", None)
+        return ("T_2_6", av * bv)
+    if n == 3:
+        if (p, q) == (0, 3):
+            return ("T_3_1", None)
+        if (p, q) == (3, 0):
+            return ("T_3_2", None)
+        if (p, q) == (1, 2):
+            ab = sum(a[0, k] * b[k, 0] for k in range(2))
+            if a.is_zero() and b.is_zero():
+                return ("T_3_3", None)
+            if a.is_zero():
+                return ("T_3_4", None)
+            if b.is_zero():
+                return ("T_3_5", None)
+            return ("T_3_7", ab) if ab != 0 else ("T_3_6", None)
+        if (p, q) == (2, 1):
+            ba = sum(b[0, k] * a[k, 0] for k in range(2))
+            if a.is_zero() and b.is_zero():
+                return ("T_3_8", None)
+            if b.is_zero():
+                return ("T_3_10", None)
+            if a.is_zero():
+                return ("T_3_9", None)
+            return ("T_3_12", ba) if ba != 0 else ("T_3_11", None)
+    raise UnsupportedDimensionError(
+        f"no family matching for dimension {n}"
+    )
+
+
+def _extend(rows: list, pivots: list, vectors: list) -> list[int]:
+    """Indices of the vectors that enlarge the span of echelon rows.
+
+    Each such vector joins rows and pivots, reduced and scaled so that
+    every row stays zero at the pivots before it, as reduce_row needs.
+    """
+    kept = []
+    for k, vec in enumerate(vectors):
+        rest = reduce_row({i: x for i, x in enumerate(vec) if x}, rows, pivots)
+        if rest:
+            piv = min(rest)
+            rows.append({c: x / rest[piv] for c, x in rest.items()})
+            pivots.append(piv)
+            kept.append(k)
+    return kept
+
+
+def burnside_is_simple(rep) -> bool:
+    """Whether the three matrices generate the full matrix algebra.
+
+    The package's simplicity test before it became a rule on the block
+    shape, kept verbatim as a reference: the span of words in the
+    generators is grown one word length at a time.
+    """
+    validate(rep)
+    n = rep.n
+    gens = [rep.e1, rep.s12, rep.s21]
+    target = n * n
+
+    # echelon basis of the span of words in the generators, grown one
+    # word length at a time; a word enters the frontier when it is new
+    reduced: list[dict] = []
+    pivots: list[int] = []
+    candidates = [QMatrix.identity(n)]
+    while candidates:
+        flat = [[x for i in range(n) for x in mat.row(i)] for mat in candidates]
+        frontier = [candidates[k] for k in _extend(reduced, pivots, flat)]
+        if len(reduced) == target:
+            break
+        candidates = [m for w in frontier for g in gens for m in (g * w, w * g)]
+    return len(reduced) == target
+
+
 def path_count_dims(arrow_counts, order):
     """dim of (paths of length < order) in a quiver, by direct walking.
 
@@ -270,6 +372,16 @@ def rand_invertible(rng: random.Random, n: int) -> QMatrix:
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         if inverse(rows) is not None:
             return QMatrix(rows)
+
+
+def rand_unimodular(rng: random.Random, n: int) -> QMatrix:
+    """A random integer matrix of determinant +-1: a row permutation of
+    lower times upper unitriangular, off-diagonal entries in -2..2."""
+    def tri(below: bool):
+        return [[1 if i == j else rng.randint(-2, 2) if (j < i) == below else 0
+                 for j in range(n)] for i in range(n)]
+    order = rng.sample(range(n), n)
+    return QMatrix([QMatrix(tri(True)).row(i) for i in order]) * QMatrix(tri(False))
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Command line behavior: JSON shapes, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -225,6 +226,31 @@ def test_bad_param_syntax(capsys):
     code, data = run_json(capsys, "specialize", "T_2_6", "--param", "a")
     assert code == 1
     assert "key=value" in data["error"]
+
+
+# sha256 of the output bytes, pinned from the branch-table match_label and
+# the Burnside is_simple (conftest's oracles), so any route prints the same
+GOLDEN_SHA256 = {
+    ("classify", "1"): "bf062866eb3ef7b318ea8bab2b1719da92b6ad344d92b64ee3bc3d24f6604c71",
+    ("classify", "1", "--format", "text"): "f94ac9ec82a794edb7828a8992dc0770f1b83ef2d3dd7056d486f6553b35703a",
+    ("classify", "2"): "ae74c092860348da43182d302092a40e6876660f023689771380226eda10d4b9",
+    ("classify", "2", "--format", "text"): "28e730848dd5866fd07deeae27623fba7993e01f8d95fe2aac19863f2cf14aa5",
+    ("classify", "3"): "b981586d1eb2d5d35d88e4dbf2732c40fcfb8c6d8f1a7519449b0ff3856d29f2",
+    ("classify", "3", "--format", "text"): "19e436bcf524f36deadce097c14be5bb813d8a900c3476f9c14fe86d421b3191",
+    ("classify", "4"): "f06d9ad5fce9014b460d0e5d89f866e1e99e17493626ef00ade30721eddcae1c",
+    ("classify", "4", "--format", "text"): "1a3a7b9cdb960b54bcd12b352d06876ce0ef201f65d3719db964e9f7525f6501",
+    ("simple", "T_2_6", "--param", "a=1"): "f1a40233b820f1a8811ba4baf972e343a67aa39f1f524a9d0f1dccb1ebd0a6c7",
+    ("simple", "T_3_7", "--param", "b=2"): "dbe608f961e199313a1c975a4ee85382ee2f814e36a791462547cf34f30e45c6",
+    ("simple", "T_2_4"): "095272300d9f302f19c794fcdfb6a11a6c8603e6eed4ef695596546ed7e4d2b4",
+    ("simple", "T_4_20"): "85a962ab78beabed864151bf3c43dc38c9bc5ff50b01b6b59c6316726f6dd506",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)
+def test_reps_output_bytes_pinned(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
 
 
 def test_text_format_smoke(capsys):

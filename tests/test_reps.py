@@ -24,7 +24,14 @@ from weyldeform import (
     validate,
 )
 
-from conftest import frozen_family, grid_are_conjugate, rand_invertible
+from conftest import (
+    burnside_is_simple,
+    frozen_family,
+    grid_are_conjugate,
+    rand_invertible,
+    rand_unimodular,
+    table_match_quiver,
+)
 
 ALL_LABELS_3 = [
     "T_1_1", "T_1_2",
@@ -97,6 +104,8 @@ def test_validate_reports_violations():
     names = [name for name, _ in info.value.violations]
     assert names == ["S12^2 = 0", "S12*E1 = 0"]
     assert_same_violations(Representation(one, one, zero))
+    with pytest.raises(RelationViolation):
+        is_simple(Representation(one, one, zero))
     # an idempotent e1 with s12 in s21's block
     assert_same_violations(
         Representation([[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]))
@@ -477,3 +486,68 @@ def test_indecomposable_unlisted_dimension_four(b_rows, indecomposable):
     rep = block_rep(2, 2, [[1, 0], [0, 1]], b_rows)
     assert is_indecomposable(rep) is indecomposable
     assert is_indecomposable(rep.conjugate(G4)) is indecomposable
+
+
+def random_blocks(rng, n):
+    p = rng.randint(0, n)
+    entries = (-2, -1, 0, 0, 1, 2)
+    a_rows = [[rng.choice(entries) for _ in range(n - p)] for _ in range(p)]
+    b_rows = [[rng.choice(entries) for _ in range(p)] for _ in range(n - p)]
+    return p, n - p, a_rows, b_rows
+
+
+def test_simple_and_match_agree_with_oracles_on_listed_reps():
+    for rep in listed_reps(ALL_LABELS_3 + LABELS_4):
+        assert is_simple(rep) == burnside_is_simple(rep), rep
+        if rep.n <= 3:
+            form = quiver_form(rep)
+            assert match_label(rep) == table_match_quiver(*form.dims, form.a, form.b), rep
+
+
+def test_is_simple_agrees_with_burnside_on_random_block_reps():
+    rng = random.Random(826)
+    simple = 0
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        p, q, a_rows, b_rows = random_blocks(rng, n)
+        rep = block_rep(p, q, a_rows, b_rows)
+        want = burnside_is_simple(rep)
+        assert is_simple(rep.conjugate(rand_unimodular(rng, n))) == want, (p, a_rows, b_rows)
+        simple += want
+    assert 50 <= simple < 500
+
+
+def test_match_label_agrees_with_table_on_random_block_reps():
+    rng = random.Random(827)
+    for _ in range(1000):
+        n = rng.randint(1, 3)
+        p, q, a_rows, b_rows = random_blocks(rng, n)
+        conj = block_rep(p, q, a_rows, b_rows).conjugate(rand_unimodular(rng, n))
+        want = table_match_quiver(p, q, QMatrix(a_rows), QMatrix(b_rows))
+        assert match_label(conj) == want, (p, a_rows, b_rows)
+
+
+def test_simple_over_q_but_not_absolutely_simple():
+    # AB has the irreducible x^2 - 2: no rational submodule, but the
+    # endomorphisms are Q(sqrt 2), so the words span only half of M_4(Q)
+    rep = block_rep(2, 2, [[1, 0], [0, 1]], [[0, 2], [1, 0]])
+    assert burnside_is_simple(rep) is False
+    assert is_simple(rep) is False
+    assert is_simple(rep.conjugate(G4)) is False
+
+
+def test_every_non_simple_rep_up_to_dimension_three_has_a_line():
+    rng = random.Random(828)
+    for _ in range(500):
+        n = rng.randint(1, 3)
+        rep = block_rep(*random_blocks(rng, n)).conjugate(rand_unimodular(rng, n))
+        sub = find_proper_submodule(rep)
+        if is_simple(rep):
+            assert sub is None
+            continue
+        assert sub is not None and len(sub) == 1
+        (v,) = sub
+        assert any(v)
+        for m in rep.triple():
+            w = m.apply(v)
+            assert all(v[i] * w[j] == v[j] * w[i] for i in range(n) for j in range(n))
