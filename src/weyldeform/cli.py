@@ -65,23 +65,19 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _degree_arg(text: str) -> int:
+def _dimension_arg(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _degree_arg(text: str) -> int:
+    value = _dimension_arg(text)
     if not 0 <= value <= HARD_CAP:
         raise argparse.ArgumentTypeError(
             f"max degree must be between 0 and {HARD_CAP}"
         )
-    return value
-
-
-def _dimension_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return value
 
 
@@ -397,86 +393,68 @@ def _add_common(sub) -> None:
     )
 
 
+_REP = ("rep", None, "family label or inline JSON")
+
+# name, help, positional arguments as (name, type, help), handler
+_COMMANDS = (
+    ("ext", "extension dimension table", (), _cmd_ext),
+    ("hull", "quiver, relations, and truncations", (), _cmd_hull),
+    ("classify", "classify n-dimensional modules",
+     (("n", _dimension_arg, "dimension to classify"),), _cmd_classify),
+    ("simple", "test a representation for simplicity", (_REP,), _cmd_simple),
+    ("specialize", "specialize and identify", (_REP,), _cmd_specialize),
+    ("commutative", "specialize a commutative point",
+     (("alpha", _fraction_arg, None), ("beta", _fraction_arg, None)), _cmd_commutative),
+    ("hom", "hom space between two cyclic modules",
+     (("p", None, "element string or cyclic module JSON"),
+      ("q", None, "element string or cyclic module JSON")), _cmd_hom),
+    ("iso", "search for an isomorphism witness",
+     (("p", None, "element string or module JSON"),
+      ("q", None, "element string or module JSON")), _cmd_iso),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="weyldeform",
         description="Exact deformation computations over the first Weyl algebra.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("ext", help="extension dimension table")
-    sub.set_defaults(handler=_cmd_ext)
-    _add_common(sub)
-
-    sub = commands.add_parser("hull", help="quiver, relations, and truncations")
-    sub.set_defaults(handler=_cmd_hull)
-    _add_common(sub)
-
-    sub = commands.add_parser("classify", help="classify n-dimensional modules")
-    sub.add_argument("n", type=_dimension_arg, help="dimension to classify")
-    sub.set_defaults(handler=_cmd_classify)
-    _add_common(sub)
-
-    sub = commands.add_parser("simple", help="test a representation for simplicity")
-    sub.add_argument("rep", help="family label or inline JSON")
-    sub.set_defaults(handler=_cmd_simple)
-    _add_common(sub)
-
-    sub = commands.add_parser("specialize", help="specialize and identify")
-    sub.add_argument("rep", help="family label or inline JSON")
-    sub.set_defaults(handler=_cmd_specialize)
-    _add_common(sub)
-
-    sub = commands.add_parser("commutative", help="specialize a commutative point")
-    sub.add_argument("alpha", type=_fraction_arg)
-    sub.add_argument("beta", type=_fraction_arg)
-    sub.set_defaults(handler=_cmd_commutative)
-    _add_common(sub)
-
-    sub = commands.add_parser("hom", help="hom space between two cyclic modules")
-    sub.add_argument("p", help="element string or cyclic module JSON")
-    sub.add_argument("q", help="element string or cyclic module JSON")
-    sub.set_defaults(handler=_cmd_hom)
-    _add_common(sub)
-
-    sub = commands.add_parser("iso", help="search for an isomorphism witness")
-    sub.add_argument("p", help="element string or module JSON")
-    sub.add_argument("q", help="element string or module JSON")
-    sub.set_defaults(handler=_cmd_iso)
-    _add_common(sub)
-
+    for name, help_text, positionals, handler in _COMMANDS:
+        sub = commands.add_parser(name, help=help_text)
+        for arg, kind, arg_help in positionals:
+            sub.add_argument(arg, type=kind, help=arg_help)
+        sub.set_defaults(handler=handler)
+        _add_common(sub)
     return parser
 
 
+# built once: every parse starts a fresh namespace, and the append action
+# copies the --param default before it appends
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     fmt = "json"
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
         fmt = ns.format
         ns.params = _collect_params(ns.param)
         payload, ok = ns.handler(ns)
-    except CliError as exc:
-        _emit({"error": str(exc)}, fmt)
-        return 1
     except WeylSyntaxError as exc:
         _emit({"error": exc.message, "position": exc.pos}, fmt)
-        return 1
     except RelationViolation as exc:
         _emit({
             "error": str(exc),
             "violations": [name for name, _ in exc.violations],
         }, fmt)
-        return 1
-    except (ObstructionError, UnsupportedDimensionError) as exc:
-        _emit({"error": str(exc)}, fmt)
-        return 1
-    except (ValueError, KeyError, TypeError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        _emit({"error": str(message)}, fmt)
-        return 1
-    _emit(payload, fmt)
-    return 0 if ok else 2
+    except (CliError, ObstructionError, ValueError, KeyError, TypeError) as exc:
+        # every one is raised with a single message; KeyError's str() would quote it
+        _emit({"error": str(exc.args[0] if exc.args else exc)}, fmt)
+    else:
+        _emit(payload, fmt)
+        return 0 if ok else 2
+    return 1
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .linalg import QMatrix, kernel_basis, rank, reduce_row, rref_rows
 from .linalg import solve as solve_linear
@@ -601,8 +601,12 @@ def is_simple(rep: Representation) -> bool:
     dimension 1 and blocks (1, 1) with A, B nonzero are simple; A = I
     with B = [[0, 2], [1, 0]] is simple over Q only and reports False.
     """
-    form = quiver_form(rep)
-    return rep.n == 1 or (form.dims == (1, 1) and form.a[0, 0] != 0 != form.b[0, 0])
+    return _form_is_simple(quiver_form(rep))
+
+
+def _form_is_simple(form: QuiverForm) -> bool:
+    return sum(form.dims) == 1 or (
+        form.dims == (1, 1) and form.a[0, 0] != 0 != form.b[0, 0])
 
 
 def _eigen_kernels(e1: QMatrix, s12: QMatrix, s21: QMatrix) -> tuple[list, list]:
@@ -673,14 +677,19 @@ def is_indecomposable(rep: Representation) -> bool:
     have degree 3 or more, and deciding it would need factoring over
     the rationals.
     """
-    form = normal_form(rep)
+    form = quiver_form(rep)
     if rep.n > 4:
         raise UnsupportedDimensionError(
             "indecomposability is decided only up to dimension 4"
         )
-    if len(form.strings) + len(form.factors) != 1:
+    return _form_is_indecomposable(form)
+
+
+def _form_is_indecomposable(form: QuiverForm) -> bool:
+    nf = _block_normal_form(*form.dims, form.a, form.b)
+    if len(nf.strings) + len(nf.factors) != 1:
         return False
-    return not form.factors or _is_primary(form.factors[0])
+    return not nf.factors or _is_primary(nf.factors[0])
 
 
 # -- classification ----------------------------------------------------------
@@ -716,7 +725,7 @@ class ClassificationResult:
         return tuple(f.label for f in self.families if f.parameter is not None)
 
 
-def classify(n: int, parameter_samples: Iterable = _PARAMETER_SAMPLES) -> ClassificationResult:
+def classify(n: int) -> ClassificationResult:
     """Classify n-dimensional representations up to conjugation.
 
     Dimensions 1 to 3 list every orbit: finitely many discrete ones plus
@@ -730,18 +739,12 @@ def classify(n: int, parameter_samples: Iterable = _PARAMETER_SAMPLES) -> Classi
         raise UnsupportedDimensionError(
             "classification is available for dimensions 1 through 4"
         )
-    samples = tuple(dict.fromkeys(Fraction(s) for s in parameter_samples))
-    if any(s == 0 for s in samples):
-        raise ValueError("parameter samples must be nonzero")
-    if not samples:
-        raise ValueError("at least one parameter sample is needed")
     families = []
     notes: list[str] = []
     for spec in FAMILIES.values():
         if sum(spec.dims) != n:
             continue
-        fam = _build_family(spec, samples)
-        families.append(fam)
+        families.append(_build_family(spec))
     if n == 4:
         notes.append(
             "dimension 4 is a best-effort table: strata whose invariant "
@@ -753,42 +756,37 @@ def classify(n: int, parameter_samples: Iterable = _PARAMETER_SAMPLES) -> Classi
     return ClassificationResult(n, exact, tuple(families), tuple(notes))
 
 
-def _build_family(spec: FamilySpec, samples: tuple[Fraction, ...]) -> Family:
+def _build_family(spec: FamilySpec) -> Family:
+    """The family's flags from one quiver form per representative: the
+    representative alone, or one per parameter sample."""
     if spec.parameter is None:
-        rep = representative(spec.label)
-        reps = [rep]
-        fam_samples = None
+        samples = None
+        reps = [representative(spec.label)]
     else:
-        reps = [
-            representative(spec.label, {spec.parameter: s}) for s in samples
-        ]
-        rep = reps[0]
-        fam_samples = samples
-    simple = all(is_simple(r) for r in reps)
-    indec = all(is_indecomposable(r) for r in reps)
-    decomposition = None
-    if not indec:
-        decomposition = _decomposition_labels(spec, reps, samples)
+        samples = _PARAMETER_SAMPLES
+        reps = [representative(spec.label, {spec.parameter: s}) for s in samples]
+    forms = [quiver_form(r) for r in reps]
+    indec = all(_form_is_indecomposable(f) for f in forms)
     return Family(
-        spec.label, spec.dims, spec.parameter, fam_samples, rep,
-        simple, indec, decomposition,
+        spec.label, spec.dims, spec.parameter, samples, reps[0],
+        all(_form_is_simple(f) for f in forms), indec,
+        None if indec else _decomposition_labels(spec, forms),
     )
 
 
-def _decomposition_labels(spec: FamilySpec, reps: list[Representation],
-                          samples: tuple[Fraction, ...]) -> tuple[str, ...]:
-    per_sample: list[list[tuple[str, Fraction | None]]] = []
-    for rep in reps:
-        form = quiver_form(rep)
-        comps = _coupling_components(form.dims[0], form.dims[1], form.a, form.b)
-        per_sample.append([_match_blocks(*_component_blocks(c, form.a, form.b)) for c in comps])
+def _decomposition_labels(spec: FamilySpec, forms: list[QuiverForm]) -> tuple[str, ...]:
+    per_sample = [
+        [_match_blocks(*_component_blocks(c, f.a, f.b))
+         for c in _coupling_components(*f.dims, f.a, f.b)]
+        for f in forms
+    ]
     rendered = []
     for idx, (label, param) in enumerate(per_sample[0]):
         if param is None:
             rendered.append(label)
             continue
-        values = [ls[idx][1] for ls in per_sample]
-        if spec.parameter is not None and values == list(samples[: len(values)]):
+        # a summand whose parameter runs through the samples carries the family's
+        if [ls[idx][1] for ls in per_sample] == list(_PARAMETER_SAMPLES):
             rendered.append(f"{label}({spec.parameter})")
         else:
             rendered.append(f"{label}({param})")

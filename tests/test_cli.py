@@ -41,6 +41,12 @@ def test_output_byte_identical(capsys):
     _, c1 = run_cli(capsys, "classify", "2")
     _, c2 = run_cli(capsys, "classify", "2")
     assert c1 == c2
+    # the parser is built once per process: no --param may leak between calls
+    code, _ = run_json(capsys, "specialize", "T_2_6", "--param", "a=2")
+    assert code == 0
+    code, data = run_json(capsys, "specialize", "T_2_6")
+    assert code == 1
+    assert "parameter" in data["error"]
 
 
 def test_classify_two(capsys):
@@ -82,6 +88,12 @@ def test_iso_found_and_not_found(capsys):
         "max_degree": 8,
         "message": "no witness up to degree 8",
     }
+
+    # t^6 * g lies past the degree-0 window: a bounded negative, not an error
+    presented = '{"type":"presented","delta":[["d","-1"],["-1","t"]]}'
+    code, data = run_json(capsys, "iso", "t^6", presented, "--max-degree", "0")
+    assert code == 2
+    assert data["message"] == "no witness up to degree 0"
 
 
 def test_iso_accepts_module_json(capsys):

@@ -319,6 +319,25 @@ def test_systems_and_spans_eliminate_through_rref_rows(monkeypatch):
     assert span.contains((t * 2,)) and len(calls) == 3
 
 
+def test_image_witness_answers_span_membership():
+    # the generator search asks image_witness alone, so it must give the
+    # span's answer on images and on random vectors alike
+    rng = random.Random(11)
+    zero = WeylElement.zero()
+    for m in (PresentedModule((("d", "-1"), ("-1", "t"))),
+              PresentedModule((("d", "2"), ("0", "t^2")))):
+        span = module_image_span(m, 6)
+        for trial in range(30):
+            if trial % 2:
+                c = [rand_weyl(rng, max_deg=2) for _ in range(2)]
+                vec = tuple(sum((c[i] * m.delta[i][k] for i in range(2)), zero)
+                            for k in range(2))
+                assert span.contains(vec)
+            else:
+                vec = (rand_weyl(rng), rand_weyl(rng))
+            assert (image_witness(m, vec, 6) is not None) == span.contains(vec)
+
+
 def test_degree_bound_validation():
     with pytest.raises(ValueError):
         iso_witness(CyclicModule("d"), CyclicModule("d"), 17)

@@ -258,8 +258,6 @@ def test_classify_input_validation():
         classify(0)
     with pytest.raises(UnsupportedDimensionError):
         classify(5)
-    with pytest.raises(ValueError):
-        classify(2, parameter_samples=[0])
 
 
 def test_simplicity_sets():
