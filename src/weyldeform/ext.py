@@ -21,15 +21,15 @@ from .modules import (
     DEFAULT_MAX_DEGREE,
     TruncatedSpan,
     WINDOW_MARGIN,
+    _ONE,
     _check_degree,
     _coerce_module,
     _deg,
     _memo,
     _stabilized_at,
     monomial_count,
-    truncated_monomials,
 )
-from .weyl import WeylElement
+from .weyl import WeylElement, monomial_multiples
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,8 @@ def ext1_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext1Result
 def _ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
     window = n_cap + WINDOW_MARGIN
     dp, dq = _deg(p), _deg(q)
-    vectors = []
-    for a, b in truncated_monomials(window - dp):
-        vectors.append((p * WeylElement.monomial(a, b),))
-    for a, b in truncated_monomials(window - dq):
-        vectors.append((WeylElement.monomial(a, b) * q,))
-    span = TruncatedSpan(vectors, 1, window)
+    ws = monomial_multiples(p, window - dp, _ONE) + monomial_multiples(_ONE, window - dq, q)
+    span = TruncatedSpan([(w,) for w in ws], 1, window)
     dims = tuple(monomial_count(n) - span.dim_cap(n) for n in range(n_cap + 1))
     reps = tuple(
         WeylElement.monomial(*ij) for _, ij in span.standard_monomials(n_cap)

@@ -24,7 +24,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .linalg import echelon_kernel, echelon_solution, reduce_row, rref_rows
-from .weyl import WeylElement, parse_weyl, print_weyl
+from .weyl import (
+    WeylElement,
+    monomial_multiples,
+    parse_weyl,
+    print_weyl,
+    truncated_monomials,
+)
 
 DEFAULT_MAX_DEGREE = 8
 HARD_CAP = 16
@@ -57,11 +63,6 @@ def _check_degree(n: int) -> int:
     if not isinstance(n, int) or n < 0 or n > HARD_CAP:
         raise ValueError(f"degree bound must be an integer in [0, {HARD_CAP}]")
     return n
-
-
-def truncated_monomials(n: int) -> list[tuple[int, int]]:
-    """Exponent pairs (i, j) with i + j <= n, by total degree then j."""
-    return [(total - j, j) for total in range(n + 1) for j in range(total + 1)]
 
 
 def monomial_count(n: int) -> int:
@@ -326,25 +327,24 @@ class WeylLinearSystem:
 
     Each unknown has a degree bound; constraints have the form
     sum_k coef_k * left_k * X_{name_k} * right_k = rhs and expand over
-    the monomial coordinates of both sides.
+    the monomial coordinates of both sides.  The column of t^a d^b in
+    X_{name_k} is left_k * t^a d^b * right_k, from monomial_multiples.
     """
 
     def __init__(self):
-        self._monos: dict[str, list[tuple[int, int]]] = {}
-        self._names: list[str] = []
+        self._degree: dict[str, int] = {}
         self._eqs: list[tuple[list, WeylElement]] = []
 
     def unknown(self, name: str, degree: int) -> str:
-        if name in self._monos:
+        if name in self._degree:
             raise ValueError(f"duplicate unknown {name!r}")
-        self._monos[name] = truncated_monomials(degree) if degree >= 0 else []
-        self._names.append(name)
+        self._degree[name] = degree
         return name
 
     def equate(self, terms: Iterable[tuple], rhs: WeylElement | None = None) -> None:
         terms = list(terms)
         for _, name, _, _ in terms:
-            if name not in self._monos:
+            if name not in self._degree:
                 raise KeyError(f"unknown {name!r} is not declared")
         self._eqs.append((terms, _ZERO if rhs is None else rhs))
 
@@ -353,18 +353,18 @@ class WeylLinearSystem:
         column ``total``; returns (rows, offset of each unknown, total)."""
         offset: dict[str, int] = {}
         total = 0
-        for name in self._names:
+        for name in self._degree:
             offset[name] = total
-            total += len(self._monos[name])
+            total += monomial_count(self._degree[name])
         rows: list[dict[int, Fraction]] = []
         for terms, rhs in self._eqs:
             rowmap: dict[tuple[int, int], dict[int, Fraction]] = {}
             for left, name, right, coef in terms:
                 cf = Fraction(coef)
                 scaled = cf != 1
-                for k, (a, b) in enumerate(self._monos[name], offset[name]):
-                    w = left * WeylElement.monomial(a, b) * right
-                    for ij, c in w.items():
+                ws = monomial_multiples(left, self._degree[name], right)
+                for k, w in enumerate(ws, offset[name]):
+                    for ij, c in w:
                         if scaled:
                             c *= cf
                         row = rowmap.setdefault(ij, {})
@@ -382,11 +382,11 @@ class WeylLinearSystem:
 
     def _unpack(self, x: dict[int, Fraction], offset: dict) -> dict[str, WeylElement]:
         out = {}
-        for name in self._names:
+        for name in self._degree:
             base = offset[name]
             terms = {
                 mono: x[base + k]
-                for k, mono in enumerate(self._monos[name])
+                for k, mono in enumerate(truncated_monomials(self._degree[name]))
                 if base + k in x
             }
             out[name] = WeylElement(terms)
@@ -426,9 +426,8 @@ def _image_span(m: PresentedModule, window: int) -> TruncatedSpan:
         rd = m.row_degree(i)
         if rd < 0:
             continue
-        for a, b in truncated_monomials(window - rd):
-            mono = WeylElement.monomial(a, b)
-            vectors.append(tuple(mono * e for e in m.delta[i]))
+        columns = [monomial_multiples(_ONE, window - rd, e) for e in m.delta[i]]
+        vectors.extend(zip(*columns))
     return TruncatedSpan(vectors, m.n, window)
 
 
@@ -529,10 +528,7 @@ def _hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBas
     sys.equate([(p, "r", _ONE, 1), (_ONE, "u", q, -1)])
     sols = sys.kernel()
     rspan = TruncatedSpan([(s["r"],) for s in sols], 1, n_cap)
-    qvecs = [
-        (WeylElement.monomial(a, b) * q,)
-        for a, b in truncated_monomials(n_cap - dq)
-    ]
+    qvecs = [(w,) for w in monomial_multiples(_ONE, n_cap - dq, q)]
     qspan = TruncatedSpan(qvecs, 1, n_cap)
     dims = tuple(
         rspan.dim_cap(n) - qspan.dim_cap(n) for n in range(n_cap + 1)

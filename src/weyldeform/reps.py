@@ -702,7 +702,6 @@ class Family:
     label: str
     dims: tuple[int, int]
     parameter: str | None
-    samples: tuple[Fraction, ...] | None
     representative: Representation
     simple: bool
     indecomposable: bool
@@ -760,7 +759,6 @@ def _build_family(spec: FamilySpec) -> Family:
     """The family's flags from one quiver form per representative: the
     representative alone, or one per parameter sample."""
     if spec.parameter is None:
-        samples = None
         reps = [representative(spec.label)]
     else:
         samples = _PARAMETER_SAMPLES
@@ -768,7 +766,7 @@ def _build_family(spec: FamilySpec) -> Family:
     forms = [quiver_form(r) for r in reps]
     indec = all(_form_is_indecomposable(f) for f in forms)
     return Family(
-        spec.label, spec.dims, spec.parameter, samples, reps[0],
+        spec.label, spec.dims, spec.parameter, reps[0],
         all(_form_is_simple(f) for f in forms), indec,
         None if indec else _decomposition_labels(spec, forms),
     )

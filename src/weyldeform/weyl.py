@@ -29,10 +29,12 @@ __all__ = [
     "WeylSyntaxError",
     "add",
     "bernstein_degree",
+    "monomial_multiples",
     "nf_mul",
     "parse_weyl",
     "print_weyl",
     "scale",
+    "truncated_monomials",
 ]
 
 
@@ -123,7 +125,8 @@ class WeylElement:
         return bool(self._terms)
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self.items())
+        """Terms in storage order, unsorted; items() sorts them."""
+        return iter(self._terms.items())
 
     # -- arithmetic --------------------------------------------------
 
@@ -196,8 +199,9 @@ class WeylElement:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- comparison --------------------------------------------------
@@ -237,6 +241,42 @@ def scale(c: int | Fraction, p: WeylElement) -> WeylElement:
 def bernstein_degree(p: WeylElement) -> int | None:
     """Total degree of the normal form; None for the zero element."""
     return p.degree()
+
+
+def truncated_monomials(n: int) -> list[Monomial]:
+    """Exponent pairs (i, j) with i + j <= n, by total degree then j."""
+    return [(total - j, j) for total in range(n + 1) for j in range(total + 1)]
+
+
+def _shift(w: WeylElement, a: int, b: int) -> WeylElement:
+    """t^a * w * d^b, which only moves every exponent pair by (a, b)."""
+    return WeylElement._of({(i + a, j + b): c for (i, j), c in w._terms.items()})
+
+
+def monomial_multiples(left: WeylElement, n: int, right: WeylElement) -> list[WeylElement]:
+    """``left * t^a d^b * right`` for each (a, b) of truncated_monomials(n),
+    by normal-ordering recurrences instead of general products.
+
+    With ``right`` = 1, t^i d^j * t = t^(i+1) d^j + j t^i d^(j-1) builds
+    ``left * t^a`` and ``* d^b`` is a shift.  Otherwise d * t^i d^j =
+    t^i d^(j+1) + i t^(i-1) d^j builds ``d^b * right`` and ``t^a *`` is a
+    shift; unless ``left`` = 1, each entry then costs one product.
+    """
+    monos = truncated_monomials(n)
+    if right == 1:
+        steps = [left]
+        for _ in range(n):
+            w = steps[-1]
+            lower = {(i, j - 1): j * c for (i, j), c in w._terms.items() if j}
+            steps.append(_shift(w, 1, 0) + WeylElement._of(lower))
+        return [_shift(steps[a], 0, b) for a, b in monos]
+    steps = [right]
+    for _ in range(n):
+        w = steps[-1]
+        lower = {(i - 1, j): i * c for (i, j), c in w._terms.items() if i}
+        steps.append(_shift(w, 0, 1) + WeylElement._of(lower))
+    out = [_shift(steps[b], a, 0) for a, b in monos]
+    return out if left == 1 else [left * w for w in out]
 
 
 # -- printing ---------------------------------------------------------

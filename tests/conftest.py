@@ -23,7 +23,7 @@ from weyldeform import (
     validate,
 )
 from weyldeform.linalg import reduce_row
-from weyldeform.weyl import Monomial
+from weyldeform.weyl import Monomial, truncated_monomials
 
 
 def apply_to_poly(w: WeylElement, coeffs):
@@ -175,6 +175,45 @@ def solve_divide_left(r: WeylElement, q: WeylElement):
     sys.equate([(WeylElement.one(), "s", q, 1)], rhs=r)
     sol = sys.solve()
     return None if sol is None else sol["s"]
+
+
+def product_assemble(system: WeylLinearSystem):
+    """Rows, offsets and total of a ``WeylLinearSystem`` by general products.
+
+    ``WeylLinearSystem._assemble`` before it formed every coefficient as
+    ``left * t^a d^b * right`` with two products, kept verbatim (reading
+    the unknowns' degrees where it read their monomial lists) as a
+    reference.
+    """
+    monos = {name: truncated_monomials(deg) for name, deg in system._degree.items()}
+    offset: dict[str, int] = {}
+    total = 0
+    for name in monos:
+        offset[name] = total
+        total += len(monos[name])
+    rows: list[dict[int, Fraction]] = []
+    for terms, rhs in system._eqs:
+        rowmap: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for left, name, right, coef in terms:
+            cf = Fraction(coef)
+            scaled = cf != 1
+            for k, (a, b) in enumerate(monos[name], offset[name]):
+                w = left * WeylElement.monomial(a, b) * right
+                for ij, c in w.items():
+                    if scaled:
+                        c *= cf
+                    row = rowmap.setdefault(ij, {})
+                    y = row.get(k)
+                    if y is None:
+                        row[k] = c
+                    elif y := y + c:
+                        row[k] = y
+                    else:
+                        del row[k]
+        for ij, c in rhs.items():
+            rowmap.setdefault(ij, {})[total] = c
+        rows.extend(rowmap[key] for key in sorted(rowmap))
+    return rows, offset, total
 
 
 def grid_are_conjugate(rep1, rep2):

@@ -1,5 +1,6 @@
 """Presented modules, hom search, and isomorphism certificates."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -13,11 +14,13 @@ from weyldeform import (
     WeylLinearSystem,
     as_presented,
     block_decompose,
+    clear_caches,
     compose_iso,
     cyclic_form,
     cyclic_identify,
     divide_left,
     hom_search,
+    identify_specialization,
     iso_witness,
     parse_weyl,
     representative,
@@ -32,7 +35,7 @@ from weyldeform.modules import (
     truncated_monomials,
 )
 
-from conftest import rand_weyl, solve_divide_left
+from conftest import product_assemble, rand_weyl, solve_divide_left
 
 t = WeylElement.t()
 d = WeylElement.d()
@@ -317,6 +320,34 @@ def test_systems_and_spans_eliminate_through_rref_rows(monkeypatch):
     span = TruncatedSpan([(t,), (t * d,)], 1, 3)
     assert span.dim == 2 and len(calls) == 3
     assert span.contains((t * 2,)) and len(calls) == 3
+
+
+def test_assemble_matches_product_oracle(monkeypatch):
+    # every system the searches build assembles to the rows, offsets and
+    # total that two general products per coefficient give
+    builders = set()
+    assemble = WeylLinearSystem._assemble
+
+    def checked(system):
+        builders.add(inspect.currentframe().f_back.f_back.f_code.co_name)
+        rows, offset, total = assemble(system)
+        want_rows, want_offset, want_total = product_assemble(system)
+        assert (offset, total) == (want_offset, want_total)
+        assert len(rows) == len(want_rows)
+        for row, want in zip(rows, want_rows):
+            assert row == want
+        return rows, offset, total
+
+    monkeypatch.setattr(WeylLinearSystem, "_assemble", checked)
+    clear_caches()
+    for a in (Fraction(2), Fraction(-1, 2), Fraction(5, 3)):
+        identify_specialization(representative("T_2_6", {"a": a}))
+    for rel in ("t^2*d - 3", "t*d^2 + 3/4*d^2 - 2/5*t*d + 5/7*d - 7/3"):
+        hom_search(rel, "d", 8)
+        hom_search("d", rel, 8)
+    clear_caches()
+    assert builders >= {"_hom_basis", "image_witness", "_certify_generator",
+                        "_annihilator_candidates", "_finish_cyclic_iso"}
 
 
 def test_image_witness_answers_span_membership():

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weyldeform import WeylElement, bernstein_degree, nf_mul, parse_weyl
+from weyldeform.weyl import monomial_multiples, truncated_monomials
 
 from conftest import _mono_mul, apply_to_poly, poly_eq, rand_poly, rand_weyl, weyl_mul
 
@@ -76,12 +78,29 @@ def test_zero_degree_is_none():
     assert (t - t).degree() is None
 
 
-def test_pow_matches_repeated_product():
-    base = t + d
-    assert base ** 0 == one
-    assert base ** 3 == base * base * base
+def test_pow_matches_repeated_product(monkeypatch):
+    for base in (t + d, parse_weyl("t*d - 1/2")):
+        product = one
+        for k in range(10):
+            assert base ** k == product
+            product = product * base
     with pytest.raises(ValueError):
-        base ** -1
+        (t + d) ** -1
+    # the loop stops before squaring past the exponent: no product it
+    # forms has a higher degree than the power itself
+    degrees = []
+    mul = WeylElement.__mul__
+
+    def recorded(a, b):
+        out = mul(a, b)
+        degrees.append(out.degree())
+        return out
+
+    monkeypatch.setattr(WeylElement, "__mul__", recorded)
+    for k in (1, 3, 16):
+        degrees.clear()
+        (t + d) ** k
+        assert max(degrees) == k
 
 
 def test_nf_mul_wrapper():
@@ -118,6 +137,27 @@ def test_commutator_powers_oracle():
         assert comm == (t ** (k - 1)) * k
         f = rand_poly(rng)
         assert poly_eq(apply_to_poly(comm, f), apply_to_poly(t ** (k - 1) * k, f))
+
+
+_ELEMENTS = st.one_of(
+    st.sampled_from([WeylElement.zero(), one, t, d]),
+    st.fractions(max_denominator=5).map(WeylElement.constant),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.fractions(max_denominator=5)),
+        max_size=4,
+    ).map(lambda terms: sum((WeylElement.monomial(i, j, c) for i, j, c in terms),
+                            WeylElement.zero())),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(left=_ELEMENTS, right=_ELEMENTS, n=st.integers(-1, 5))
+def test_monomial_multiples_match_products(left, right, n):
+    got = monomial_multiples(left, n, right)
+    want = [left * WeylElement.monomial(a, b) * right for a, b in truncated_monomials(n)]
+    assert got == want
+    for w in got:
+        assert_normal(w)
 
 
 def assert_normal(w):
