@@ -2,9 +2,10 @@
 
 For cyclic left modules D/Dp and D/Dq the first extension space is the
 quotient D / (pD + Dq): pD collects right multiples of p, Dq left
-multiples of q.  Dimensions are read off a single truncated-span
-reduction whose window is wider than the reported range, because a
-membership witness can exceed the degree of the element it certifies.
+multiples of q.  Dimensions are read off one elimination of the normal
+forms modulo Dq of right multiples of p in a window wider than the
+reported range, because a membership witness can exceed the degree of
+the element it certifies.
 
 Both modules here have free resolutions of length one, so the second
 extension space vanishes for structural reasons; ext2_dim records that
@@ -16,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .linalg import rref_rows
 from .modules import (
     CyclicModule,
     DEFAULT_MAX_DEGREE,
-    TruncatedSpan,
     WINDOW_MARGIN,
     _ONE,
     _check_degree,
@@ -27,9 +28,9 @@ from .modules import (
     _deg,
     _memo,
     _stabilized_at,
-    monomial_count,
 )
-from .weyl import WeylElement, monomial_multiples
+from .weyl import (WeylElement, leading_term, monomial_multiples, normal_forms,
+                   term_order, truncated_monomials)
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,8 @@ class ObstructionError(RuntimeError):
 def ext1_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext1Result:
     """Compute Ext^1(D/Dp, D/Dq) = D/(pD + Dq) up to a degree bound.
 
-    Representatives are the standard monomials of the reduced span, in
-    ascending order, one per dimension of the reported quotient.
+    The representatives are the standard monomials modulo Dq that lead
+    no normal form of a p*m in the window, in ascending order.
     """
     source = _coerce_module(source)
     target = _coerce_module(target)
@@ -105,13 +106,20 @@ def ext1_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext1Result
 @_memo
 def _ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
     window = n_cap + WINDOW_MARGIN
-    dp, dq = _deg(p), _deg(q)
-    ws = monomial_multiples(p, window - dp, _ONE) + monomial_multiples(_ONE, window - dq, q)
-    span = TruncatedSpan([(w,) for w in ws], 1, window)
-    dims = tuple(monomial_count(n) - span.dim_cap(n) for n in range(n_cap + 1))
-    reps = tuple(
-        WeylElement.monomial(*ij) for _, ij in span.standard_monomials(n_cap)
-    )
+    span = window - _deg(p)
+    (k, l), _ = leading_term(q)
+    prods = [w for (i, j), w in zip(truncated_monomials(span), monomial_multiples(p, span, _ONE))
+             if i < k or j < l]
+    # columns in descending term_order (TruncatedSpan's), so a row's
+    # pivot is its leading monomial
+    cols = sorted(truncated_monomials(window), key=term_order, reverse=True)
+    pos = {m: c for c, m in enumerate(cols)}
+    _, pivots = rref_rows({pos[m]: c for m, c in w} for w in normal_forms(prods, q, window))
+    pivot_monos = {cols[c] for c in pivots}
+    free = [m for m in truncated_monomials(n_cap)
+            if (m[0] < k or m[1] < l) and m not in pivot_monos]
+    dims = tuple(sum(1 for i, j in free if i + j <= n) for n in range(n_cap + 1))
+    reps = tuple(WeylElement.monomial(*m) for m in free)
     return Ext1Result(dims[-1], reps, dims, _stabilized_at(dims))
 
 

@@ -26,9 +26,12 @@ from typing import Iterable, Sequence, Tuple
 from .linalg import echelon_kernel, echelon_solution, reduce_row, rref_rows
 from .weyl import (
     WeylElement,
+    leading_term,
     monomial_multiples,
+    normal_forms,
     parse_weyl,
     print_weyl,
+    term_order,
     truncated_monomials,
 )
 
@@ -245,9 +248,7 @@ class TruncatedSpan:
 
     Coordinates are ordered by descending total degree, so a reduced
     row's pivot is its highest-degree monomial and the whole row lies in
-    degree <= pivot degree.  Consequently the number of pivots of degree
-    <= n equals dim(span intersect V_n) for every n up to the window,
-    and one reduction serves the full degree profile.
+    degree <= pivot degree.
     """
 
     def __init__(self, vectors: Sequence[tuple], ngens: int, window: int):
@@ -289,12 +290,6 @@ class TruncatedSpan:
     def dim(self) -> int:
         return len(self._pivots)
 
-    def dim_cap(self, n: int) -> int:
-        return sum(1 for dd in self._pivot_degree if dd <= n)
-
-    def pivot_positions(self) -> list[int]:
-        return list(self._pivots)
-
     def pivot_degrees(self) -> list[int]:
         return list(self._pivot_degree)
 
@@ -306,17 +301,6 @@ class TruncatedSpan:
 
     def contains(self, vec: tuple) -> bool:
         return all(e.is_zero() for e in self.reduce(vec))
-
-    def standard_monomials(self, n: int) -> list[tuple[int, tuple[int, int]]]:
-        """Non-pivot coordinates of degree <= n, ascending canonical order."""
-        pivot_set = set(self._pivots)
-        out = [
-            (g, ij)
-            for k, (g, ij) in enumerate(self._cols)
-            if k not in pivot_set and ij[0] + ij[1] <= n
-        ]
-        out.sort(key=lambda c: (c[1][0] + c[1][1], c[1][1], c[0]))
-        return out
 
 
 # -- linear systems with algebra-element unknowns -------------------------
@@ -361,11 +345,14 @@ class WeylLinearSystem:
             rowmap: dict[tuple[int, int], dict[int, Fraction]] = {}
             for left, name, right, coef in terms:
                 cf = Fraction(coef)
-                scaled = cf != 1
+                # the slack unknowns carry -1: negating skips a gcd
+                negate, scaled = cf == -1, cf not in (1, -1)
                 ws = monomial_multiples(left, self._degree[name], right)
                 for k, w in enumerate(ws, offset[name]):
                     for ij, c in w:
-                        if scaled:
+                        if negate:
+                            c = -c
+                        elif scaled:
                             c *= cf
                         row = rowmap.setdefault(ij, {})
                         y = row.get(k)
@@ -506,10 +493,10 @@ def _stabilized_at(dims: tuple[int, ...]) -> int | None:
 def hom_search(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> HomBasis:
     """Hom classes between cyclic modules, with the degree profile.
 
-    Solves p*r = u*q for (r, u) with deg r <= max_degree (the bound on u
-    is then forced by degree additivity, so the profile is exact, not a
-    window estimate).  Every returned representative is rechecked by an
-    exact division before the basis is handed back.
+    A class has one representative r on the standard monomials modulo Dq,
+    a map when p*r has normal form 0; reduction never raises degree, so
+    the profile is exact, not a window estimate.  Every representative is
+    rechecked by an exact division before the basis is handed back.
     """
     source = _coerce_module(source)
     target = _coerce_module(target)
@@ -521,24 +508,20 @@ def hom_search(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> HomBasis
 @_memo
 def _hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBasis:
     p, q = source.p, target.p
-    dp, dq = _deg(p), _deg(q)
-    sys = WeylLinearSystem()
-    sys.unknown("r", n_cap)
-    sys.unknown("u", dp + n_cap - dq)
-    sys.equate([(p, "r", _ONE, 1), (_ONE, "u", q, -1)])
-    sols = sys.kernel()
-    rspan = TruncatedSpan([(s["r"],) for s in sols], 1, n_cap)
-    qvecs = [(w,) for w in monomial_multiples(_ONE, n_cap - dq, q)]
-    qspan = TruncatedSpan(qvecs, 1, n_cap)
-    dims = tuple(
-        rspan.dim_cap(n) - qspan.dim_cap(n) for n in range(n_cap + 1)
-    )
-    qpivots = set(qspan.pivot_positions())
-    basis = tuple(
-        vec[0]
-        for vec, pos in zip(rspan.basis_vectors(), rspan.pivot_positions())
-        if pos not in qpivots
-    )
+    (k, l), _ = leading_term(q)
+    # standard monomials in ascending term_order, so the kernel comes out
+    # as the reduced basis in TruncatedSpan's order
+    std = sorted((m for m in truncated_monomials(n_cap) if m[0] < k or m[1] < l),
+                 key=term_order)
+    prods = dict(zip(truncated_monomials(n_cap), monomial_multiples(p, n_cap, _ONE)))
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for col, w in enumerate(normal_forms((prods[m] for m in std), q, _deg(p) + n_cap)):
+        for mono, c in w:
+            rows.setdefault(mono, {})[col] = c
+    kernel = echelon_kernel(*rref_rows(rows.values()), len(std))
+    # a kernel vector's last column is its free one
+    dims = tuple(sum(1 for v in kernel if sum(std[max(v)]) <= n) for n in range(n_cap + 1))
+    basis = tuple(WeylElement({std[c]: x for c, x in v.items()}) for v in reversed(kernel))
     for r in basis:
         if divide_left(p * r, q) is None:
             raise RuntimeError("hom basis element failed the exact recheck")

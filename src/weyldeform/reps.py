@@ -724,8 +724,10 @@ class ClassificationResult:
         return tuple(f.label for f in self.families if f.parameter is not None)
 
 
+@functools.cache
 def classify(n: int) -> ClassificationResult:
-    """Classify n-dimensional representations up to conjugation.
+    """Classify n-dimensional representations up to conjugation, once per
+    dimension: the result is frozen.
 
     Dimensions 1 to 3 list every orbit: finitely many discrete ones plus
     one-parameter families whose parameter is the displayed invariant.

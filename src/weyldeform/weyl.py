@@ -29,11 +29,14 @@ __all__ = [
     "WeylSyntaxError",
     "add",
     "bernstein_degree",
+    "leading_term",
     "monomial_multiples",
     "nf_mul",
+    "normal_forms",
     "parse_weyl",
     "print_weyl",
     "scale",
+    "term_order",
     "truncated_monomials",
 ]
 
@@ -277,6 +280,51 @@ def monomial_multiples(left: WeylElement, n: int, right: WeylElement) -> list[We
         steps.append(_shift(w, 0, 1) + WeylElement._of(lower))
     out = [_shift(steps[b], a, 0) for a, b in monos]
     return out if left == 1 else [left * w for w in out]
+
+
+def term_order(m: Monomial) -> tuple[int, int]:
+    """Sort key by total degree, then t-power (items() prefers d); graded,
+    so lm(s*q) = lm(s)*lm(q) and {q} is a Groebner basis of Dq."""
+    return m[0] + m[1], m[0]
+
+
+def leading_term(w: WeylElement) -> tuple[Monomial, Fraction]:
+    """The top term of a nonzero w under term_order."""
+    return max(w._terms.items(), key=lambda kv: term_order(kv[0]))
+
+
+def normal_forms(xs: Iterable[WeylElement], q: WeylElement, n: int) -> list[WeylElement]:
+    """The normal form modulo Dq of each x of degree <= n: congruent to x,
+    on the standard monomials (those lm(q) does not divide), of degree at
+    most deg x.  Each monomial the xs reach is reduced once per call."""
+    (k, l), lead = leading_term(q)
+    reduced: dict[Monomial, dict[Monomial, Fraction]] = {}
+
+    def reduce(terms) -> dict[Monomial, Fraction]:
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in terms:
+            for key, x in reduced.get(mono, {mono: 1}).items():
+                out[key] = out.get(key, 0) + c * x
+        return {key: c for key, c in out.items() if c}
+
+    span = n - k - l
+    multiples = dict(zip(((a + k, b + l) for a, b in truncated_monomials(span)),
+                         monomial_multiples(WeylElement.one(), span, q)))
+    xs = list(xs)
+    if any((x.degree() or 0) > n for x in xs):
+        raise ValueError("element exceeds the degree of the normal forms")
+    # the non-standard monomials the xs reach, directly or through a multiple
+    needed: set[Monomial] = set()
+    todo = [mono for x in xs for mono in x._terms]
+    while todo:
+        mono = todo.pop()
+        if mono in multiples and mono not in needed:
+            needed.add(mono)
+            todo.extend(multiples[mono]._terms)
+    # every other term of t^a d^b * q is smaller, so it is reduced already
+    for mono in sorted(needed, key=term_order):
+        reduced[mono] = reduce((key, -c / lead) for key, c in multiples[mono] if key != mono)
+    return [WeylElement._of(reduce(x)) for x in xs]
 
 
 # -- printing ---------------------------------------------------------

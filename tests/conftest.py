@@ -22,8 +22,20 @@ from weyldeform import (
     inverse,
     validate,
 )
+from weyldeform.ext import Ext1Result
 from weyldeform.linalg import reduce_row
-from weyldeform.weyl import Monomial, truncated_monomials
+from weyldeform.modules import (
+    WINDOW_MARGIN,
+    _ONE,
+    CyclicModule,
+    HomBasis,
+    TruncatedSpan,
+    _deg,
+    _stabilized_at,
+    divide_left,
+    monomial_count,
+)
+from weyldeform.weyl import Monomial, monomial_multiples, truncated_monomials
 
 
 def apply_to_poly(w: WeylElement, coeffs):
@@ -214,6 +226,79 @@ def product_assemble(system: WeylLinearSystem):
             rowmap.setdefault(ij, {})[total] = c
         rows.extend(rowmap[key] for key in sorted(rowmap))
     return rows, offset, total
+
+
+class WindowedSpan(TruncatedSpan):
+    """TruncatedSpan with the degree-profile reads the windowed oracles use.
+
+    Coordinates run by descending total degree, so the pivots of degree
+    <= n count dim(span intersect V_n) for every n up to the window.
+    """
+
+    def dim_cap(self, n: int) -> int:
+        return sum(1 for dd in self.pivot_degrees() if dd <= n)
+
+    def pivot_positions(self) -> list[int]:
+        return list(self._pivots)
+
+    def standard_monomials(self, n: int) -> list[tuple[int, tuple[int, int]]]:
+        """Non-pivot coordinates of degree <= n, ascending canonical order."""
+        pivot_set = set(self._pivots)
+        out = [
+            (g, ij)
+            for k, (g, ij) in enumerate(self._cols)
+            if k not in pivot_set and ij[0] + ij[1] <= n
+        ]
+        out.sort(key=lambda c: (c[1][0] + c[1][1], c[1][1], c[0]))
+        return out
+
+
+def windowed_hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBasis:
+    """Hom classes by the (r, u) kernel of p*r = u*q and two truncated spans.
+
+    ``modules._hom_basis`` before it read the classes off normal forms
+    modulo Dq, kept verbatim (unmemoized, on WindowedSpan) as a reference.
+    """
+    p, q = source.p, target.p
+    dp, dq = _deg(p), _deg(q)
+    sys = WeylLinearSystem()
+    sys.unknown("r", n_cap)
+    sys.unknown("u", dp + n_cap - dq)
+    sys.equate([(p, "r", _ONE, 1), (_ONE, "u", q, -1)])
+    sols = sys.kernel()
+    rspan = WindowedSpan([(s["r"],) for s in sols], 1, n_cap)
+    qvecs = [(w,) for w in monomial_multiples(_ONE, n_cap - dq, q)]
+    qspan = WindowedSpan(qvecs, 1, n_cap)
+    dims = tuple(
+        rspan.dim_cap(n) - qspan.dim_cap(n) for n in range(n_cap + 1)
+    )
+    qpivots = set(qspan.pivot_positions())
+    basis = tuple(
+        vec[0]
+        for vec, pos in zip(rspan.basis_vectors(), rspan.pivot_positions())
+        if pos not in qpivots
+    )
+    for r in basis:
+        if divide_left(p * r, q) is None:
+            raise RuntimeError("hom basis element failed the exact recheck")
+    return HomBasis(source, target, n_cap, dims, basis)
+
+
+def windowed_ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
+    """Ext^1 by one truncated span over all p- and q-multiples in the window.
+
+    ``ext._ext1`` before it read the quotient off normal forms modulo Dq,
+    kept verbatim (unmemoized, on WindowedSpan) as a reference.
+    """
+    window = n_cap + WINDOW_MARGIN
+    dp, dq = _deg(p), _deg(q)
+    ws = monomial_multiples(p, window - dp, _ONE) + monomial_multiples(_ONE, window - dq, q)
+    span = WindowedSpan([(w,) for w in ws], 1, window)
+    dims = tuple(monomial_count(n) - span.dim_cap(n) for n in range(n_cap + 1))
+    reps = tuple(
+        WeylElement.monomial(*ij) for _, ij in span.standard_monomials(n_cap)
+    )
+    return Ext1Result(dims[-1], reps, dims, _stabilized_at(dims))
 
 
 def grid_are_conjugate(rep1, rep2):
