@@ -7,8 +7,10 @@ row vectors; a presentation matrix acts by right multiplication, so the
 submodule being quotiented out is spanned by ``m * row_i`` over all
 monomials m.
 
-All searches are exact linear algebra over degree-truncated monomial
-coordinates.  Degree caps default to ``DEFAULT_MAX_DEGREE`` and are never
+Hom spaces, witnesses and cyclic forms come from exact linear algebra
+over degree-truncated monomial coordinates; a cyclic form eliminates a
+generator at each constant entry and searches only what is left.
+Degree caps default to ``DEFAULT_MAX_DEGREE`` and are never
 allowed past ``HARD_CAP``.  Membership witnesses can have higher degree
 than the vector they certify (cancellation), so spans are built over a
 window ``WINDOW_MARGIN`` degrees wider than the range being reported.
@@ -865,10 +867,13 @@ def cyclic_form(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE):
     """(CyclicModule, witness cyclic -> m) when a single generator with a
     certifiable principal annihilator is found within the bounds, else None.
 
-    The search tries short generator combinations, collects low-degree
-    annihilator elements for each, and certifies candidates starting from
-    the smallest degrees.  The attempt budget is bounded, so None is a
-    bounded negative.
+    A nonzero constant c = delta[i][j] eliminates generator j by relation
+    i (see _pivot_step); the residual's form, composed with that step's
+    witness, is kept when its r and s have degree <= the cap.  One
+    generator is finished by scaling.  Otherwise the search tries short
+    generator combinations, collects low-degree annihilator elements for
+    each, and certifies candidates starting from the smallest degrees.
+    The attempt budget is bounded, so None is a bounded negative.
     """
     return _cyclic_form_search(m, _check_degree(max_degree))
 
@@ -891,12 +896,59 @@ def _scaling_witness(m: PresentedModule, max_degree: int):
     return cyc, w
 
 
+def _pivot_step(m: PresentedModule, n_cap: int) -> IsoWitness | None:
+    """Witness residual -> m, where the residual eliminates generator j by
+    relation i at the constant entry c = delta[i][j] (last column first,
+    then first row); None when m has no nonzero constant entry."""
+    dl = m.delta
+    n = m.n
+    i, j = next(((i, j) for j in reversed(range(n)) for i in range(n)
+                 if _deg(dl[i][j]) == 0), (None, None))
+    if i is None:
+        return None
+    inv = 1 / dl[i][j].coeff(0, 0)
+    rows = [l for l in range(n) if l != i]
+    cols = [k for k in range(n) if k != j]
+    # the Schur complement: row l minus delta[l][j] * c^-1 times row i
+    factor = {l: dl[l][j] * inv for l in rows}
+    residual = PresentedModule(tuple(
+        tuple(dl[l][k] - factor[l] * dl[i][k] for k in cols) for l in rows
+    ))
+    # e_j = -c^-1 * sum of delta[i][k] * e_k over k != j
+    s = tuple(
+        tuple(-inv * dl[i][k] if x == j else _ONE if x == k else _ZERO for k in cols)
+        for x in range(n)
+    )
+    u = tuple(
+        tuple(-factor[l] if x == i else _ONE if x == l else _ZERO for x in range(n))
+        for l in rows
+    )
+    return IsoWitness(
+        residual, m,
+        tuple(tuple(_ONE if x == k else _ZERO for x in range(n)) for k in cols),
+        s, u,
+        tuple(tuple(_ONE if x == l else _ZERO for l in rows) for x in range(n)),
+        wmat_zero(n - 1, n - 1),
+        tuple(tuple(WeylElement.constant(-inv) if (x, y) == (j, i) else _ZERO for y in range(n))
+              for x in range(n)),
+        n_cap,
+    )
+
+
 @_memo
 def _cyclic_form_search(m: PresentedModule, n_cap: int):
     if m.n == 1:
         if m.delta[0][0].is_zero():
             return None
         return _scaling_witness(m, n_cap)
+    step = _pivot_step(m, n_cap)
+    found = None if step is None else _cyclic_form_search(step.source, n_cap)
+    if found is not None:
+        w = compose_iso(found[1], step)
+        if max(wmat_deg(w.r), wmat_deg(w.s)) <= n_cap:
+            return found[0], w
+    # the residual's short generators are not m's and the step can raise
+    # the degree of s past the cap, so m itself is searched next
     attempts = 0
     gens = _generator_candidates(m)
     annihilators = functools.cache(

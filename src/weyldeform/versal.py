@@ -11,8 +11,10 @@ matrix over the Weyl algebra, which presents a left module.  This file
 computes that presentation and then tries to recognize the module, with
 every identification backed by a verified isomorphism certificate.
 
-Recognition is a bounded search: a report that is not identified says
-no certified match was found up to the degree cap, nothing stronger.
+Recognition compares a short list of targets with the presentation's
+cyclic form, which elimination at the constant coupling entries builds;
+a report that is not identified says no certified match was found up to
+the degree cap, nothing stronger.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ quiver.  Tests compare library output against these, never against the
 library itself.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -26,11 +27,18 @@ from weyldeform.ext import Ext1Result
 from weyldeform.linalg import reduce_row
 from weyldeform.modules import (
     WINDOW_MARGIN,
+    _CFORM_ATTEMPT_CAP,
     _ONE,
     CyclicModule,
     HomBasis,
+    PresentedModule,
     TruncatedSpan,
+    _annihilator_candidates,
     _deg,
+    _generator_candidates,
+    _generator_witness,
+    _s_rungs,
+    _scaling_witness,
     _stabilized_at,
     divide_left,
     monomial_count,
@@ -282,6 +290,34 @@ def windowed_hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -
         if divide_left(p * r, q) is None:
             raise RuntimeError("hom basis element failed the exact recheck")
     return HomBasis(source, target, n_cap, dims, basis)
+
+
+def search_cyclic_form(m: PresentedModule, n_cap: int):
+    """Cyclic form by the annihilator search on every presentation.
+
+    ``modules._cyclic_form_search`` before it eliminated generators at
+    constant pivots, kept verbatim (unmemoized) as a reference.
+    """
+    if m.n == 1:
+        if m.delta[0][0].is_zero():
+            return None
+        return _scaling_witness(m, n_cap)
+    attempts = 0
+    gens = _generator_candidates(m)
+    annihilators = functools.cache(
+        lambda gi: _annihilator_candidates(m, gens[gi], _s_rungs(n_cap))
+    )
+    for sd in _s_rungs(n_cap):
+        for gi, g in enumerate(gens):
+            for p_cand in annihilators(gi):
+                if attempts >= _CFORM_ATTEMPT_CAP:
+                    return None
+                attempts += 1
+                cyc = CyclicModule(p_cand)
+                w = _generator_witness(cyc, m, g, (sd,), n_cap)
+                if w is not None:
+                    return cyc, w
+    return None
 
 
 def windowed_ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:

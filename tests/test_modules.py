@@ -342,6 +342,9 @@ def test_assemble_matches_product_oracle(monkeypatch):
     clear_caches()
     for a in (Fraction(2), Fraction(-1, 2), Fraction(5, 3)):
         identify_specialization(representative("T_2_6", {"a": a}))
+    # no constant entry, so only the annihilator search can find its form
+    found = cyclic_form(PresentedModule((("t*d", "d"), ("t", "d*t"))), 8)
+    assert found[0].p == parse_weyl("t^2*d^2 + 2*t*d - 1")
     for rel in ("t^2*d - 3", "t*d^2 + 3/4*d^2 - 2/5*t*d + 5/7*d - 7/3"):
         hom_search(rel, "d", 8)
         hom_search("d", rel, 8)
