@@ -187,9 +187,10 @@ def _report_json(report: SpecializationReport) -> dict:
         "max_degree": report.max_degree,
         "message": report.message,
     }
+    if report.witness is not None:
+        out["witness"] = _witness_json(report.witness)
     if report.target_kind == "cyclic":
         out["target"] = _module_json(report.target)
-        out["witness"] = _witness_json(report.witness)
     elif report.target_kind == "direct_sum":
         out["blocks"] = [_report_json(sub) for sub in report.target]
     if report.point is not None:

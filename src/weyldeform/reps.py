@@ -429,6 +429,13 @@ class NormalForm:
     factors: tuple[tuple[Fraction, ...], ...]
     basis: QMatrix = field(compare=False)
 
+    def blocks(self) -> list[tuple[int, ...]]:
+        """Basis positions of each summand's chain, strings then factors; the
+        basis is sorted by (vertex, chain, step), as _block_normal_form has it."""
+        chains = [(v - 1, n) for v, n in self.strings] + [(0, 2 * len(f) - 2) for f in self.factors]
+        order = sorted(((v + i) % 2, c, i) for c, (v, n) in enumerate(chains) for i in range(n))
+        return [tuple(k for k, x in enumerate(order) if x[1] == c) for c in range(len(chains))]
+
 
 def _extend(rows: list, pivots: list, vectors: list) -> list[int]:
     """Indices of the vectors that enlarge the span of echelon rows.

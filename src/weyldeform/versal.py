@@ -8,18 +8,29 @@ whose algebra components multiply each hull generator from the right.
 Feeding a finite-dimensional representation of the hull relations into
 the right-hand tensor factors turns the differential into a square
 matrix over the Weyl algebra, which presents a left module.  This file
-computes that presentation and then tries to recognize the module, with
-every identification backed by a verified isomorphism certificate.
+computes that presentation and then recognizes the module, with every
+identification backed by a verified isomorphism certificate.
 
-Recognition compares a short list of targets with the presentation's
-cyclic form, which elimination at the constant coupling entries builds;
-a report that is not identified says no certified match was found up to
-the degree cap, nothing stronger.
+Recognition reads each target off the quiver normal form, searching
+nothing.  Delta = d*E1^T - S12^T - S21^T + t*E2^T, so conjugating the
+representation by the normal form's basis g gives Delta' = g^T Delta
+g^-T, certified by r = u = g^T, s = v = g^-T, c_a = c_b = 0.  In Delta'
+the row of a chain vector x_i of T = s12 + s21 says c_i*x_i = T x_i,
+with c_i = d at vertex 1 and t at vertex 2; all rows but the last give
+x_(i+1) = c_i*x_i, so eliminating x_1, x_2, ... leaves x_0 with one
+relation.  A string (v, l) ends in T x_(l-1) = 0, so it gives D/Dw for
+the alternating word w = c_(l-1)...c_0 (ending in d for v = 1, in t for
+v = 2: (1, 2) -> t*d, (2, 3) -> t*d*t).  An invariant factor f of AB of
+degree k has a chain of length 2k from vertex 1 ending in T x_(2k-1) =
+-sum f_i x_(2i); as x_(2i) = theta^i x_0, t*x_(2k-1) = theta^k x_0 for
+theta = t*d, it gives D/D(f(theta)).  cyclic_form's pivot chain makes these
+eliminations, so another form raises; its witness sends x_i to degree
+i < deg w, the multiplicity of D/Dw, so past the cap a block is a miss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .modules import (
@@ -28,16 +39,19 @@ from .modules import (
     IsoWitness,
     PresentedModule,
     _check_degree,
-    block_decompose,
+    _memo,
     compose_iso,
+    cyclic_form,
     iso_witness,
+    wmat_zero,
 )
-from .reps import Representation, validate
+from .reps import NormalForm, Representation, _rep_from_blocks, normal_form, validate
 from .weyl import WeylElement, print_weyl
 
 _D = WeylElement.d()
 _T = WeylElement.t()
 _ONE = WeylElement.one()
+_THETA = WeylElement.monomial(1, 1)  # t*d
 
 _STANDARD_TERMS = (
     (1, _D, "e1"),
@@ -129,12 +143,13 @@ class CommutativePoint:
 
 @dataclass(frozen=True)
 class SpecializationReport:
-    """Outcome of trying to recognize a specialized presentation.
+    """Outcome of recognizing a specialized presentation.
 
-    target_kind is "cyclic" (target a CyclicModule, witness present),
-    "direct_sum" (target a tuple of reports, one per diagonal block), or
-    None when nothing was certified.  shift, when set, says the target
-    relation is t*d - base + shift for the base value the input implied.
+    target_kind is "cyclic" (witness from the CyclicModule target onto the
+    presentation), "direct_sum" (target a cyclic report per normal-form
+    summand, each onto its block of Delta'; witness Delta' -> Delta), or
+    None when a block has no witness within the cap.  alias names M1 = D/Dd
+    and M2 = D/Dt; shift, when set, says the target is t*d - base + shift.
     """
 
     presentation: PresentedModule
@@ -149,103 +164,90 @@ class SpecializationReport:
     point: CommutativePoint | None = None
 
 
-def _base_candidates() -> list[tuple[str | None, CyclicModule, int | None]]:
-    return [
-        ("M1", CyclicModule("d"), None),
-        ("M2", CyclicModule("t"), None),
-        (None, CyclicModule("d*t"), None),
-    ]
+def _rule_target(form: NormalForm, k: int) -> CyclicModule:
+    """The k-th summand's target by the rule in the module docstring."""
+    if k < len(form.strings):
+        v, length = form.strings[k]
+        p = _ONE
+        for i in range(length):
+            p = (_D if (v + i) % 2 else _T) * p
+        return CyclicModule(p)
+    p = WeylElement.zero()
+    for c in reversed(form.factors[k - len(form.strings)]):
+        p = p * _THETA + WeylElement.constant(c)
+    return CyclicModule(p)
 
 
-def _shift_candidates(base: Fraction) -> list[tuple[str | None, CyclicModule, int | None]]:
-    out = []
-    for m in (0, 1, -1, 2, -2):
-        rel = _T * _D - WeylElement.constant(base - m)
-        out.append((None, CyclicModule(rel), m))
-    return out
+def _block_report(block: PresentedModule, want: CyclicModule, n_cap: int,
+                  base: Fraction | None) -> SpecializationReport:
+    found = cyclic_form(block, n_cap)
+    if found is None:
+        return SpecializationReport(block, False, None, None, None, None, None, n_cap,
+                                    f"no certified match up to degree {n_cap}")
+    cyc, witness = found
+    if cyc != want:
+        raise RuntimeError("normal-form target failed verification")
+    alias = {_D: "M1", _T: "M2"}.get(cyc.p)
+    rest = cyc.p - _THETA
+    shift = None if base is None or rest.degree() else base + rest.coeff(0, 0)
+    shift = int(shift) if shift is not None and shift.denominator == 1 else None
+    name = f"D/D({print_weyl(cyc.p)})" + (f" ({alias})" if alias else "")
+    return SpecializationReport(block, True, "cyclic", cyc, alias, shift, witness,
+                                n_cap, f"certified isomorphic to {name}")
 
 
-def _identify_presented(delta: PresentedModule, max_degree: int,
-                        shift_base: Fraction | None,
-                        point: CommutativePoint | None = None) -> SpecializationReport:
-    blocks = block_decompose(delta)
-    if len(blocks) > 1:
-        subs = tuple(
-            _identify_presented(sub, max_degree, shift_base) for _, sub in blocks
-        )
-        ok = all(s.identified for s in subs)
-        if ok:
-            parts = ", ".join(s.message for s in subs)
-            message = f"direct sum of {len(subs)} blocks: {parts}"
-        else:
-            message = (
-                f"direct sum of {len(subs)} blocks, not all certified "
-                f"up to degree {max_degree}"
-            )
-        return SpecializationReport(
-            delta, ok, "direct_sum" if ok else None,
-            subs, None, None, None, max_degree, message, point,
-        )
-    candidates = _base_candidates()
-    if shift_base is not None:
-        candidates.extend(_shift_candidates(shift_base))
-    seen = set()
-    unique = []
-    for alias, cand, m in candidates:
-        if cand.p in seen:
-            continue
-        seen.add(cand.p)
-        unique.append((alias, cand, m))
-    for alias, cand, m in unique:
-        witness = iso_witness(cand, delta, max_degree)
-        if witness is not None:
-            name = f"D/D({print_weyl(cand.p)})"
-            if alias:
-                name += f" ({alias})"
-            return SpecializationReport(
-                delta, True, "cyclic", cand, alias, m, witness,
-                max_degree, f"certified isomorphic to {name}", point,
-            )
-    return SpecializationReport(
-        delta, False, None, None, None, None, None, max_degree,
-        f"no certified match up to degree {max_degree}", point,
+@_memo
+def _identify_rep(rep: Representation, n_cap: int, base: Fraction | None,
+                  point: CommutativePoint | None = None) -> SpecializationReport:
+    delta = specialize(rep)
+    form = normal_form(rep)
+    ginv = form.basis.inverse()
+    nf = specialize(rep.conjugate(ginv))
+    gt, gti = (tuple(tuple(WeylElement.constant(x) for x in col) for col in zip(*m.to_rows()))
+               for m in (form.basis, ginv))
+    zero = wmat_zero(rep.n, rep.n)
+    conj = IsoWitness(nf, delta, gt, gti, gt, gti, zero, zero, n_cap)
+    subs = tuple(
+        _block_report(PresentedModule(tuple(tuple(nf.delta[i][j] for j in idx) for i in idx)),
+                      _rule_target(form, k), n_cap, base)
+        for k, idx in enumerate(form.blocks())
     )
+    if len(subs) == 1:
+        w = subs[0].witness
+        w = compose_iso(w, conj) if w is not None and nf != delta else w
+        return replace(subs[0], presentation=delta, witness=w, point=point)
+    if not conj.verify():  # a composite above is verified by compose_iso
+        raise RuntimeError("conjugation witness failed verification")
+    ok = all(s.identified for s in subs)
+    parts = ": " + ", ".join(s.message for s in subs) if ok else (
+        f", not all certified up to degree {n_cap}")
+    message = f"direct sum of {len(subs)} blocks{parts}"
+    return SpecializationReport(delta, ok, "direct_sum" if ok else None, subs,
+                                None, None, conj, n_cap, message, point)
 
 
 def identify_specialization(rep: Representation,
                             max_degree: int = DEFAULT_MAX_DEGREE) -> SpecializationReport:
     """Specialize at a representation and recognize the result.
 
-    Direct sums are recognized blockwise.  When the representation
-    carries a parameter, relations t*d - a + m for small integer m are
-    offered as candidates alongside the two basic modules and d*t.
+    Each normal-form summand is one block; the rule in the module docstring
+    reads its target and cyclic_form builds its witness by elimination.
+    shift is set against the representation's parameter, if it has one.
     """
-    n_cap = _check_degree(max_degree)
-    delta = specialize(rep)
-    base = None
-    for value in rep.params.values():
-        if value is not None:
-            base = Fraction(value)
-            break
-    return _identify_presented(delta, n_cap, base)
+    base = next((Fraction(v) for v in rep.params.values() if v is not None), None)
+    return _identify_rep(rep, _check_degree(max_degree), base)
 
 
 def commutative_specialize(point, max_degree: int = DEFAULT_MAX_DEGREE) -> SpecializationReport:
     """Specialize at a commutative point (alpha, beta) and recognize it.
 
-    The presentation is [[d, -beta], [-alpha, t]].  At the origin it
-    splits as the direct sum of the two basic modules; elsewhere the
-    candidates are d*t and the shifts of t*d - alpha*beta.
+    [[d, -beta], [-alpha, t]] specializes the (1, 1)-dimensional
+    representation with s12 = alpha, s21 = beta, identified as above with
+    shift set against alpha*beta; at the origin it splits as M1 + M2.
     """
-    if not isinstance(point, CommutativePoint):
-        alpha, beta = point
-        point = CommutativePoint(alpha, beta)
-    n_cap = _check_degree(max_degree)
-    delta = PresentedModule((
-        (_D, -WeylElement.constant(point.beta)),
-        (-WeylElement.constant(point.alpha), _T),
-    ))
-    return _identify_presented(delta, n_cap, point.alpha * point.beta, point)
+    point = point if isinstance(point, CommutativePoint) else CommutativePoint(*point)
+    rep = _rep_from_blocks(1, 1, [[point.alpha]], [[point.beta]])
+    return _identify_rep(rep, _check_degree(max_degree), point.alpha * point.beta, point)
 
 
 def cross_certify(rep: Representation, point,
@@ -253,7 +255,8 @@ def cross_certify(rep: Representation, point,
     """Certified isomorphism between the two specializations, or None.
 
     Both recognitions must land on cyclic targets; the witnesses are
-    then composed through iso_witness between the two targets.
+    then composed through iso_witness between the two targets, which is
+    the identity when they are equal and a bounded search otherwise.
     """
     r1 = identify_specialization(rep, max_degree)
     r2 = commutative_specialize(point, max_degree)

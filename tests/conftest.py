@@ -15,12 +15,17 @@ from fractions import Fraction
 import pytest
 
 from weyldeform import (
+    CommutativePoint,
     QMatrix,
+    SpecializationReport,
     UnsupportedDimensionError,
     WeylElement,
     WeylLinearSystem,
+    block_decompose,
     intertwiners,
     inverse,
+    iso_witness,
+    print_weyl,
     validate,
 )
 from weyldeform.ext import Ext1Result
@@ -318,6 +323,78 @@ def search_cyclic_form(m: PresentedModule, n_cap: int):
                 if w is not None:
                     return cyc, w
     return None
+
+
+_T = WeylElement.t()
+_D = WeylElement.d()
+
+
+def _base_candidates() -> list[tuple[str | None, CyclicModule, int | None]]:
+    return [
+        ("M1", CyclicModule("d"), None),
+        ("M2", CyclicModule("t"), None),
+        (None, CyclicModule("d*t"), None),
+    ]
+
+
+def _shift_candidates(base: Fraction) -> list[tuple[str | None, CyclicModule, int | None]]:
+    out = []
+    for m in (0, 1, -1, 2, -2):
+        rel = _T * _D - WeylElement.constant(base - m)
+        out.append((None, CyclicModule(rel), m))
+    return out
+
+
+def candidate_identify(delta: PresentedModule, max_degree: int,
+                       shift_base: Fraction | None,
+                       point: CommutativePoint | None = None) -> SpecializationReport:
+    """Identification by trying a fixed candidate list per coordinate block.
+
+    ``versal._identify_presented`` before it read targets off the normal
+    form, kept verbatim as a reference.
+    """
+    blocks = block_decompose(delta)
+    if len(blocks) > 1:
+        subs = tuple(
+            candidate_identify(sub, max_degree, shift_base) for _, sub in blocks
+        )
+        ok = all(s.identified for s in subs)
+        if ok:
+            parts = ", ".join(s.message for s in subs)
+            message = f"direct sum of {len(subs)} blocks: {parts}"
+        else:
+            message = (
+                f"direct sum of {len(subs)} blocks, not all certified "
+                f"up to degree {max_degree}"
+            )
+        return SpecializationReport(
+            delta, ok, "direct_sum" if ok else None,
+            subs, None, None, None, max_degree, message, point,
+        )
+    candidates = _base_candidates()
+    if shift_base is not None:
+        candidates.extend(_shift_candidates(shift_base))
+    seen = set()
+    unique = []
+    for alias, cand, m in candidates:
+        if cand.p in seen:
+            continue
+        seen.add(cand.p)
+        unique.append((alias, cand, m))
+    for alias, cand, m in unique:
+        witness = iso_witness(cand, delta, max_degree)
+        if witness is not None:
+            name = f"D/D({print_weyl(cand.p)})"
+            if alias:
+                name += f" ({alias})"
+            return SpecializationReport(
+                delta, True, "cyclic", cand, alias, m, witness,
+                max_degree, f"certified isomorphic to {name}", point,
+            )
+    return SpecializationReport(
+        delta, False, None, None, None, None, None, max_degree,
+        f"no certified match up to degree {max_degree}", point,
+    )
 
 
 def windowed_ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:

@@ -1,0 +1,209 @@
+"""Specializations identified from the quiver normal form, against oracles.
+
+The reference is ``conftest.candidate_identify``, the candidate-list
+route this one replaced; the rule from normal-form invariants to targets
+is recomputed here from the invariants alone.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import candidate_identify, rand_unimodular
+from weyldeform import (
+    CyclicModule,
+    PresentedModule,
+    QMatrix,
+    Representation,
+    WeylElement,
+    as_presented,
+    block_decompose,
+    commutative_specialize,
+    cyclic_form,
+    identify_specialization,
+    iso_witness,
+    normal_form,
+    representative,
+    specialize,
+)
+from weyldeform.reps import FAMILIES
+
+t = WeylElement.t()
+d = WeylElement.d()
+one = WeylElement.one()
+
+SAMPLES = tuple(Fraction(x) for x in ("1", "-1", "2", "-2", "1/2", "-1/2", "3", "1/3", "5/3"))
+GRID = tuple(Fraction(x) for x in ("0", "1", "-1", "2", "-2", "1/2", "-1/2", "3", "1/3"))
+
+
+def listed_inputs():
+    """(key, representation, parameter) for every listed representative at
+    every sample, dimensions 1 to 4."""
+    for label, spec in FAMILIES.items():
+        for v in SAMPLES if spec.parameter else (None,):
+            rep = representative(label, {spec.parameter: v} if spec.parameter else None)
+            yield f"{label} {v}", rep, v
+
+
+def rule_target(form, k: int) -> WeylElement:
+    """The alternating word of a string, or f(t*d) for an invariant factor."""
+    if k < len(form.strings):
+        v, length = form.strings[k]
+        word = [d if (v + i) % 2 else t for i in range(length)]
+        p = one
+        for letter in word:
+            p = letter * p
+        return CyclicModule(p).p
+    f = form.factors[k - len(form.strings)]
+    return CyclicModule(sum(((t * d) ** i * c for i, c in enumerate(f)), WeylElement.zero())).p
+
+
+def leaves(report) -> list:
+    """The cyclic sub-reports of a report, in order."""
+    if report.target_kind == "direct_sum":
+        return list(report.target)
+    return [report] if report.target_kind == "cyclic" else []
+
+
+def assert_chain(report):
+    """Every witness verifies and the chain ends at the presentation."""
+    assert report.identified, report.message
+    if report.target_kind == "cyclic":
+        w = report.witness
+        assert w.verify()
+        assert as_presented(w.source).delta == ((report.target.p,),)
+        assert as_presented(w.target).delta == report.presentation.delta
+        return
+    conj = report.witness
+    assert conj.verify()
+    assert as_presented(conj.target).delta == report.presentation.delta
+    blocks = [sub for _, sub in block_decompose(as_presented(conj.source))]
+    assert sorted(map(repr, blocks)) == sorted(repr(s.presentation) for s in report.target)
+    for sub in report.target:
+        assert sub.target_kind == "cyclic"
+        assert_chain(sub)
+
+
+def test_every_representative_is_identified_with_a_verified_chain():
+    for key, rep, _ in listed_inputs():
+        report = identify_specialization(rep, 8)
+        assert report.presentation == specialize(rep), key
+        assert_chain(report)
+
+
+def test_commutative_grid_is_identified_with_a_verified_chain():
+    for alpha in GRID:
+        for beta in GRID:
+            report = commutative_specialize((alpha, beta), 8)
+            assert_chain(report)
+
+
+def test_rule_target_equals_the_pivot_form_on_every_block():
+    for key, rep, _ in listed_inputs():
+        form = normal_form(rep)
+        delta_nf = specialize(rep.conjugate(form.basis.inverse())).delta
+        for k, idx in enumerate(form.blocks()):
+            block = PresentedModule([[delta_nf[i][j] for j in idx] for i in idx])
+            cyc, _ = cyclic_form(block, 8)
+            assert cyc.p == rule_target(form, k), (key, k)
+        targets = [leaf.target.p for leaf in leaves(identify_specialization(rep, 8))]
+        assert targets == [rule_target(form, k) for k in range(len(form.blocks()))], key
+
+
+def link(a: CyclicModule, b: CyclicModule) -> bool:
+    w = iso_witness(a, b, 8)
+    return w is not None and w.verify()
+
+
+# oracle targets that no cap-8 witness links to the normal form's target
+UNLINKED: set = set()
+
+
+def test_oracle_targets_link_to_the_normal_form_targets():
+    inputs = [(key, specialize(rep), v, identify_specialization(rep, 8))
+              for key, rep, v in listed_inputs()]
+    for alpha in GRID:
+        for beta in GRID:
+            report = commutative_specialize((alpha, beta), 8)
+            inputs.append((f"point {alpha},{beta}", report.presentation, alpha * beta, report))
+    unlinked = set()
+    for key, delta, base, report in inputs:
+        oracle = candidate_identify(delta, 8, base)
+        if not oracle.identified:
+            continue
+        new = [leaf.target for leaf in leaves(report)]
+        old = [leaf.target for leaf in leaves(oracle)]
+        assert len(new) == len(old), key
+        for target in old:
+            match = next((c for c in new if c == target), None)
+            if match is None:
+                match = next((c for c in new if link(target, c)), None)
+            if match is None:
+                unlinked.add((key, str(target.p)))
+                continue
+            new.remove(match)
+    assert unlinked == UNLINKED
+
+
+def conjugates(rep: Representation, rng: random.Random, count: int):
+    for _ in range(count):
+        yield rep.conjugate(rand_unimodular(rng, rep.n))
+
+
+def target_bytes(report) -> tuple:
+    """Targets and message; a direct sum adds its normal-form blocks."""
+    out = (report.target_kind, report.message, tuple(repr(leaf.target) for leaf in leaves(report)))
+    if report.target_kind == "direct_sum":
+        out += (repr(report.witness.source), tuple(repr(s.presentation) for s in report.target))
+    return out
+
+
+def test_unimodular_conjugates_get_the_same_target():
+    rng = random.Random(20261018)
+    for key, rep, v in listed_inputs():
+        if v not in (None, Fraction(2), Fraction(-1, 2)):
+            continue
+        want = target_bytes(identify_specialization(rep, 8))
+        for conj in conjugates(rep, rng, 3):
+            conj.params.update(rep.params)
+            report = identify_specialization(conj, 8)
+            assert target_bytes(report) == want, key
+            assert_chain(report)
+
+
+def test_commutative_presentation_is_the_rank_one_specialization():
+    for alpha in GRID:
+        for beta in GRID:
+            rep = Representation(
+                QMatrix([[1, 0], [0, 0]]),
+                QMatrix([[0, alpha], [0, 0]]),
+                QMatrix([[0, 0], [beta, 0]]),
+            )
+            report = commutative_specialize((alpha, beta))
+            assert report.presentation == specialize(rep)
+            assert report.presentation.delta == (
+                (d, -one * beta), (-one * alpha, t))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_low_caps_lose_no_positive_of_the_candidate_route(cap):
+    for key, rep, v in listed_inputs():
+        if rep.n > 3:
+            continue
+        if candidate_identify(specialize(rep), cap, v).identified:
+            assert identify_specialization(rep, cap).identified, (key, cap)
+    for alpha in GRID[:5]:
+        for beta in GRID[:5]:
+            delta = commutative_specialize((alpha, beta), cap).presentation
+            if candidate_identify(delta, cap, alpha * beta).identified:
+                assert commutative_specialize((alpha, beta), cap).identified
+
+
+def test_witness_past_the_cap_is_a_bounded_miss():
+    # the string (1, 4) needs s of degree 3
+    rep = representative("T_4_20")
+    assert not identify_specialization(rep, 2).identified
+    report = identify_specialization(rep, 3)
+    assert report.identified
+    assert report.target.p == CyclicModule(t * d * t * d).p

@@ -342,6 +342,8 @@ def test_assemble_matches_product_oracle(monkeypatch):
     clear_caches()
     for a in (Fraction(2), Fraction(-1, 2), Fraction(5, 3)):
         identify_specialization(representative("T_2_6", {"a": a}))
+        # identification builds no system; a cyclic search between shifts does
+        iso_witness(CyclicModule(t * d - a), CyclicModule(t * d - a + 1), 8)
     # no constant entry, so only the annihilator search can find its form
     found = cyclic_form(PresentedModule((("t*d", "d"), ("t", "d*t"))), 8)
     assert found[0].p == parse_weyl("t^2*d^2 + 2*t*d - 1")

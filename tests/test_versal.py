@@ -114,17 +114,21 @@ def test_identify_integer_points_stay_on_shift_family():
 
     report = identify_specialization(representative("T_2_6", {"a": Fraction(-2)}))
     assert report.identified
-    # a = -2 reaches d*t = t*d + 1 through an allowed unit shift
-    assert report.target.p == t * d + one
+    # the target is read off the invariant factor x + 2 of AB, not shifted
+    # onto d*t = t*d + 1, which is isomorphic but not the normal form's
+    assert report.shift == 0
+    assert report.target.p == t * d + one * 2
 
 
 def test_identify_direct_sum_blockwise():
     report = identify_specialization(representative("T_3_7", {"b": Fraction(2)}))
     assert report.identified
     assert report.target_kind == "direct_sum"
+    # summands in normal-form order: the strings, then the invariant factors
     sub_targets = [s.target.p for s in report.target]
-    assert sub_targets == [t * d - one * 2, t]
-    assert [s.alias for s in report.target] == [None, "M2"]
+    assert sub_targets == [t, t * d - one * 2]
+    assert [s.alias for s in report.target] == ["M2", None]
+    assert report.witness.verify()
 
     report = identify_specialization(representative("T_2_3"))
     assert report.target_kind == "direct_sum"
