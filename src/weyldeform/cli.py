@@ -13,12 +13,7 @@ import argparse
 import json
 from fractions import Fraction
 
-from .ext import (
-    ObstructionError,
-    ext_table,
-    hull_trunc_dim,
-    hull_unobstructed,
-)
+from .ext import ext_table, hull_trunc_dim, hull_unobstructed
 from .linalg import QMatrix
 from .modules import (
     CyclicModule,
@@ -449,7 +444,7 @@ def main(argv=None) -> int:
             "error": str(exc),
             "violations": [name for name, _ in exc.violations],
         }, fmt)
-    except (CliError, ObstructionError, ValueError, KeyError, TypeError) as exc:
+    except (CliError, ValueError, KeyError, TypeError) as exc:
         # every one is raised with a single message; KeyError's str() would quote it
         _emit({"error": str(exc.args[0] if exc.args else exc)}, fmt)
     else:

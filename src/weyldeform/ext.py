@@ -7,9 +7,10 @@ forms modulo Dq of right multiples of p in a window wider than the
 reported range, because a membership witness can exceed the degree of
 the element it certifies.
 
-Both modules here have free resolutions of length one, so the second
-extension space vanishes for structural reasons; ext2_dim records that
-reason instead of running a search.
+Every D/Dp has the free resolution 0 -> D -> D -> D/Dp -> 0 whose map
+is right multiplication by p, injective because D is a domain, and D
+has global dimension 1.  So Ext^2 between any two of these modules is
+zero and the hull below is unobstructed: a fact, not a computation.
 """
 
 from __future__ import annotations
@@ -34,28 +35,6 @@ from .weyl import (WeylElement, leading_term, monomial_multiples, normal_forms,
 
 
 @dataclass(frozen=True)
-class FreeResolution:
-    """A free resolution 0 -> D -> D -> D/Dp -> 0 of a cyclic module.
-
-    The single differential is right multiplication by the relation.
-    Longer resolutions can be described but not computed with here.
-    """
-
-    module: CyclicModule
-    length: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.module, CyclicModule):
-            raise TypeError("resolution needs a cyclic module")
-        if self.length < 1:
-            raise ValueError("resolution length must be positive")
-
-    @property
-    def differential(self) -> WeylElement:
-        return self.module.p
-
-
-@dataclass(frozen=True)
 class Ext1Result:
     """Dimension and representatives for one first-extension space.
 
@@ -75,19 +54,6 @@ class Ext1Result:
 
     def __iter__(self):
         return iter((self.dim, self.representatives))
-
-
-class Ext2Result(int):
-    """An integer that carries the reason it is zero."""
-
-    def __new__(cls, value: int, reason: str):
-        out = super().__new__(cls, value)
-        out.reason = reason
-        return out
-
-
-class ObstructionError(RuntimeError):
-    pass
 
 
 def ext1_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext1Result:
@@ -123,37 +89,16 @@ def _ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
     return Ext1Result(dims[-1], reps, dims, _stabilized_at(dims))
 
 
-def ext2_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext2Result:
-    """Second extension space; zero whenever both resolutions are short.
-
-    Accepts modules or FreeResolution values.  Resolutions longer than
-    one step are rejected rather than guessed at.
-    """
-    resolutions = []
-    for m in (source, target):
-        if isinstance(m, FreeResolution):
-            resolutions.append(m)
-        else:
-            resolutions.append(FreeResolution(_coerce_module(m)))
-    for res in resolutions:
-        if res.length != 1:
-            raise ValueError(
-                "ext2_dim needs free resolutions of length 1; "
-                f"got length {res.length}"
-            )
-    _check_degree(max_degree)
-    return Ext2Result(
-        0, "free resolutions of length 1 leave nothing in degree 2"
-    )
-
-
 @dataclass(frozen=True)
 class ExtTable:
     """First and second extension dimensions over a list of modules.
 
     dims1[i][j] is dim Ext^1(M_j, M_i): column index is the source,
     row index the target, matching the convention that the (i, j) entry
-    counts arrows drawn from point j to point i.
+    counts arrows drawn from point j to point i.  dims2 is the zero
+    matrix: each module has a free resolution of length 1 (right
+    multiplication by p is injective, D being a domain) and D has global
+    dimension 1, so no second extension space is nonzero.
     """
 
     modules: tuple[CyclicModule, ...]
@@ -179,10 +124,7 @@ def ext_table(modules: Iterable | None = None,
         for i in range(len(mods))
     ]
     dims1 = tuple(tuple(r.dim for r in row) for row in results)
-    dims2 = tuple(
-        tuple(int(ext2_dim(mods[j], mods[i], n_cap)) for j in range(len(mods)))
-        for i in range(len(mods))
-    )
+    dims2 = tuple((0,) * len(mods) for _ in mods)
     reps = tuple(tuple(r.representatives for r in row) for row in results)
     stab: int | None = 0
     for row in results:
@@ -258,18 +200,10 @@ class PointedAlgebra:
 def hull_unobstructed(table: ExtTable) -> PointedAlgebra:
     """Build the hull of the deformation problem the table describes.
 
-    Vanishing second extensions mean no obstruction can appear, so the
-    hull is the completed path algebra of the extension quiver and the
-    relations are exactly the pointed-idempotent laws.  A nonzero entry
-    in dims2 would invalidate that shortcut, hence the error.
+    Second extensions vanish (see ExtTable), so no obstruction can
+    appear: the hull is the completed path algebra of the extension
+    quiver and the relations are exactly the pointed-idempotent laws.
     """
-    for row in table.dims2:
-        for entry in row:
-            if entry != 0:
-                raise ObstructionError(
-                    "nonzero second extension space; the quadratic hull "
-                    "shortcut does not apply"
-                )
     if len(table.modules) != 2:
         raise ValueError("the pointed relation rule is set up for two points")
     arrows = []

@@ -6,26 +6,27 @@ The hull acts on a rank-one free bimodule through the differential
 
 whose algebra components multiply each hull generator from the right.
 Feeding a finite-dimensional representation of the hull relations into
-the right-hand tensor factors turns the differential into a square
-matrix over the Weyl algebra, which presents a left module.  This file
-computes that presentation and then recognizes the module, with every
-identification backed by a verified isomorphism certificate.
+the right-hand tensor factors turns the differential into the square
+matrix Delta = d*E1^T - S12^T - S21^T + t*E2^T over the Weyl algebra,
+which presents a left module.  This file computes that presentation and
+then recognizes the module, with every identification backed by a
+verified isomorphism certificate.
 
 Recognition reads each target off the quiver normal form, searching
-nothing.  Delta = d*E1^T - S12^T - S21^T + t*E2^T, so conjugating the
-representation by the normal form's basis g gives Delta' = g^T Delta
-g^-T, certified by r = u = g^T, s = v = g^-T, c_a = c_b = 0.  In Delta'
-the row of a chain vector x_i of T = s12 + s21 says c_i*x_i = T x_i,
-with c_i = d at vertex 1 and t at vertex 2; all rows but the last give
-x_(i+1) = c_i*x_i, so eliminating x_1, x_2, ... leaves x_0 with one
-relation.  A string (v, l) ends in T x_(l-1) = 0, so it gives D/Dw for
-the alternating word w = c_(l-1)...c_0 (ending in d for v = 1, in t for
-v = 2: (1, 2) -> t*d, (2, 3) -> t*d*t).  An invariant factor f of AB of
-degree k has a chain of length 2k from vertex 1 ending in T x_(2k-1) =
--sum f_i x_(2i); as x_(2i) = theta^i x_0, t*x_(2k-1) = theta^k x_0 for
-theta = t*d, it gives D/D(f(theta)).  cyclic_form's pivot chain makes these
-eliminations, so another form raises; its witness sends x_i to degree
-i < deg w, the multiplicity of D/Dw, so past the cap a block is a miss.
+nothing.  Conjugating the representation by the normal form's basis g
+gives Delta' = g^T Delta g^-T, certified by r = u = g^T, s = v = g^-T,
+c_a = c_b = 0.  In Delta' the row of a chain vector x_i of T = s12 + s21
+says c_i*x_i = T x_i, with c_i = d at vertex 1 and t at vertex 2; all
+rows but the last give x_(i+1) = c_i*x_i, so eliminating x_1, x_2, ...
+leaves x_0 with one relation.  A string (v, l) ends in T x_(l-1) = 0, so
+it gives D/Dw for the alternating word w = c_(l-1)...c_0 (ending in d
+for v = 1, in t for v = 2: (1, 2) -> t*d, (2, 3) -> t*d*t).  An
+invariant factor f of AB of degree k has a chain of length 2k from
+vertex 1 ending in T x_(2k-1) = -sum f_i x_(2i); as x_(2i) = theta^i
+x_0, t*x_(2k-1) = theta^k x_0 for theta = t*d, it gives D/D(f(theta)).
+cyclic_form's pivot chain makes these eliminations, so another form
+raises; its witness sends x_i to degree i < deg w, the multiplicity of
+D/Dw, so past the cap a block is a miss.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .linalg import QMatrix
 from .modules import (
     CyclicModule,
     DEFAULT_MAX_DEGREE,
@@ -53,80 +55,25 @@ _T = WeylElement.t()
 _ONE = WeylElement.one()
 _THETA = WeylElement.monomial(1, 1)  # t*d
 
-_STANDARD_TERMS = (
-    (1, _D, "e1"),
-    (-1, _ONE, "s12"),
-    (-1, _ONE, "s21"),
-    (1, _T, "e2"),
-)
-
-# right multiplication of hull generators by the two points
-_RIGHT_MULT = {
-    ("e1", "e1"): (("e1", 1),),
-    ("e2", "e1"): (),
-    ("s12", "e1"): (),
-    ("s21", "e1"): (("s21", 1),),
-    ("e1", "e2"): (),
-    ("e2", "e2"): (("e2", 1),),
-    ("s12", "e2"): (("s12", 1),),
-    ("s21", "e2"): (),
-}
-
-
-@dataclass(frozen=True)
-class VersalDifferential:
-    """The element d_op(x)e1 - 1(x)s12 - 1(x)s21 + t(x)e2, kept as terms."""
-
-    terms: tuple[tuple[int, WeylElement, str], ...] = _STANDARD_TERMS
-
-    def action_on(self, point: str) -> dict[str, WeylElement]:
-        """Algebra coefficients of d applied to a point, by generator."""
-        out: dict[str, WeylElement] = {}
-        for coef, w, name in self.terms:
-            for gen, factor in _RIGHT_MULT[(name, point)]:
-                out[gen] = out.get(gen, WeylElement.zero()) + w * (coef * factor)
-        return {g: v for g, v in out.items() if not v.is_zero()}
-
-    def validate(self) -> None:
-        """Recheck the defining action on both points."""
-        expected = {
-            "e1": {"e1": _D, "s21": -_ONE},
-            "e2": {"e2": _T, "s12": -_ONE},
-        }
-        for point, want in expected.items():
-            got = self.action_on(point)
-            if got != want:
-                raise ValueError(
-                    f"differential acts wrongly on {point}: {got!r}"
-                )
-
-
-STANDARD_DIFFERENTIAL = VersalDifferential()
-
-
-def specialize(rep: Representation,
-               differential: VersalDifferential = STANDARD_DIFFERENTIAL) -> PresentedModule:
+def specialize(rep: Representation) -> PresentedModule:
     """Presentation matrix obtained by specializing the differential.
 
-    The hull generators are replaced by their matrices; the transpose in
-    the index bookkeeping makes row l of the result the relation for the
-    l-th generator of the presented module.
+    Row l of the result is the relation for the l-th generator of the
+    presented module: Delta[l][k] = d*E1[k,l] - S12[k,l] - S21[k,l] +
+    t*E2[k,l], the transpose of each hull generator's matrix.
     """
     validate(rep)
-    mats = {"e1": rep.e1, "s12": rep.s12, "s21": rep.s21, "e2": rep.e2}
-    n = rep.n
-    rows = []
-    for l in range(n):
-        row = []
-        for k in range(n):
-            entry = WeylElement.zero()
-            for coef, w, name in differential.terms:
-                scalar = Fraction(coef) * mats[name][k, l]
-                if scalar:
-                    entry = entry + w * scalar
-            row.append(entry)
-        rows.append(tuple(row))
-    return PresentedModule(tuple(rows))
+    return _delta(*rep.triple())
+
+
+def _delta(e1: QMatrix, s12: QMatrix, s21: QMatrix) -> PresentedModule:
+    """The specialized differential of a triple, which must be valid."""
+    n = e1.nrows
+    return PresentedModule(tuple(
+        tuple(_D * e1[k, l] - (s12[k, l] + s21[k, l]) + _T * (int(k == l) - e1[k, l])
+              for k in range(n))
+        for l in range(n)
+    ))
 
 
 @dataclass(frozen=True)
@@ -199,10 +146,10 @@ def _block_report(block: PresentedModule, want: CyclicModule, n_cap: int,
 @_memo
 def _identify_rep(rep: Representation, n_cap: int, base: Fraction | None,
                   point: CommutativePoint | None = None) -> SpecializationReport:
-    delta = specialize(rep)
-    form = normal_form(rep)
+    form = normal_form(rep)  # raises validate()'s RelationViolation on a bad rep
+    delta = _delta(*rep.triple())
     ginv = form.basis.inverse()
-    nf = specialize(rep.conjugate(ginv))
+    nf = _delta(*(ginv * x * form.basis for x in rep.triple()))
     gt, gti = (tuple(tuple(WeylElement.constant(x) for x in col) for col in zip(*m.to_rows()))
                for m in (form.basis, ginv))
     zero = wmat_zero(rep.n, rep.n)

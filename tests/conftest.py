@@ -397,6 +397,37 @@ def candidate_identify(delta: PresentedModule, max_degree: int,
     )
 
 
+_STANDARD_TERMS = (
+    (1, _D, "e1"),
+    (-1, _ONE, "s12"),
+    (-1, _ONE, "s21"),
+    (1, _T, "e2"),
+)
+
+
+def term_table_specialize(rep) -> PresentedModule:
+    """Presentation matrix by summing a term table over the hull generators.
+
+    ``versal.specialize`` before it evaluated its formula entrywise, kept
+    verbatim (the table fixed to the standard terms) as a reference.
+    """
+    validate(rep)
+    mats = {"e1": rep.e1, "s12": rep.s12, "s21": rep.s21, "e2": rep.e2}
+    n = rep.n
+    rows = []
+    for l in range(n):
+        row = []
+        for k in range(n):
+            entry = WeylElement.zero()
+            for coef, w, name in _STANDARD_TERMS:
+                scalar = Fraction(coef) * mats[name][k, l]
+                if scalar:
+                    entry = entry + w * scalar
+            row.append(entry)
+        rows.append(tuple(row))
+    return PresentedModule(tuple(rows))
+
+
 def windowed_ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
     """Ext^1 by one truncated span over all p- and q-multiples in the window.
 

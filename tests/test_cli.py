@@ -241,7 +241,9 @@ def test_bad_param_syntax(capsys):
 
 
 # sha256 of the output bytes, pinned from the branch-table match_label and
-# the Burnside is_simple (conftest's oracles), so any route prints the same
+# the Burnside is_simple (conftest's oracles), so any route prints the same;
+# the ext, hull, specialize and commutative bytes were pinned from the
+# term-table specialize (conftest's term_table_specialize)
 GOLDEN_SHA256 = {
     ("classify", "1"): "bf062866eb3ef7b318ea8bab2b1719da92b6ad344d92b64ee3bc3d24f6604c71",
     ("classify", "1", "--format", "text"): "f94ac9ec82a794edb7828a8992dc0770f1b83ef2d3dd7056d486f6553b35703a",
@@ -255,6 +257,12 @@ GOLDEN_SHA256 = {
     ("simple", "T_3_7", "--param", "b=2"): "dbe608f961e199313a1c975a4ee85382ee2f814e36a791462547cf34f30e45c6",
     ("simple", "T_2_4"): "095272300d9f302f19c794fcdfb6a11a6c8603e6eed4ef695596546ed7e4d2b4",
     ("simple", "T_4_20"): "85a962ab78beabed864151bf3c43dc38c9bc5ff50b01b6b59c6316726f6dd506",
+    ("ext",): "d21a49460df1766b329a8172085a10bf05a0dc37217c1cbe5f71caed8c1e6d8b",
+    ("ext", "--format", "text"): "93462f23542943399afa80d3cfe75909fd04011f69979745a02a165f41bd15d7",
+    ("hull",): "0382a2502b3d7290857d080e30e7a57c23ab37204625184eecda418bfd9d4172",
+    ("hull", "--format", "text"): "1a25041baf3f17520ac26c4464f1f7bf366f149f2ae447d83085c9ae84b68959",
+    ("specialize", "T_2_6", "--param", "a=3"): "9f750414955724be78e836a8eeeff10a8b5d2b432ac0acc6909b330895d77494",
+    ("commutative", "0", "0"): "478112936233f362ce1a4178585f8a328a1ad2d677a02534ddb70e84175182e3",
 }
 
 

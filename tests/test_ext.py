@@ -5,13 +5,10 @@ import pytest
 import weyldeform
 from weyldeform import (
     CyclicModule,
-    Ext2Result,
-    FreeResolution,
     PresentedModule,
     WeylElement,
     cyclic_form,
     ext1_dim,
-    ext2_dim,
     ext_table,
     hom_search,
 )
@@ -92,33 +89,10 @@ def test_full_table():
     assert table.representatives[1][0] == (one,)
 
 
-def test_ext2_structural_zero_with_reason():
-    res = ext2_dim("d", "t", 8)
-    assert res == 0
-    assert isinstance(res, Ext2Result)
-    assert "length 1" in res.reason
-
-
-def test_ext2_accepts_resolutions():
-    r1 = FreeResolution(CyclicModule("d"))
-    r2 = FreeResolution(CyclicModule("t"))
-    assert ext2_dim(r1, r2, 8) == 0
-    assert r1.length == 1
-    assert r1.differential == CyclicModule("d").p
-
-
-def test_ext2_rejects_long_resolutions():
-    long_res = FreeResolution(CyclicModule("d"), length=2)
-    with pytest.raises(ValueError) as info:
-        ext2_dim(long_res, FreeResolution(CyclicModule("t")), 8)
-    assert "length" in str(info.value)
-
-
-def test_resolution_validation():
-    with pytest.raises(TypeError):
-        FreeResolution("d")
-    with pytest.raises(ValueError):
-        FreeResolution(CyclicModule("d"), length=0)
+def test_three_point_table_has_no_second_extensions():
+    table = ext_table(("d", "t", "t*d - 1/2"), max_degree=8)
+    assert table.dims2 == ((0, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert table.dims1 == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 
 
 def test_nontrivial_pair_extension():

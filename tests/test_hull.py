@@ -4,7 +4,6 @@ import pytest
 from dataclasses import replace
 
 from weyldeform import (
-    ObstructionError,
     ext_table,
     hull_trunc_dim,
     hull_unobstructed,
@@ -83,11 +82,10 @@ def test_multiplicity_arrow_names():
         assert hull_trunc_dim(hull, m) == path_count_dims(doubled.dims1, m)
 
 
-def test_obstruction_rejected():
-    base = ext_table(max_degree=8)
-    obstructed = replace(base, dims2=((0, 1), (0, 0)))
-    with pytest.raises(ObstructionError):
-        hull_unobstructed(obstructed)
+def test_three_point_table_rejected():
+    table = ext_table(("d", "t", "t*d - 1/2"), max_degree=8)
+    with pytest.raises(ValueError):
+        hull_unobstructed(table)
 
 
 def test_two_point_rule_only():

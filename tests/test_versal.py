@@ -11,40 +11,63 @@ from weyldeform import (
     RelationViolation,
     Representation,
     QMatrix,
-    STANDARD_DIFFERENTIAL,
-    VersalDifferential,
     WeylElement,
     as_presented,
     commutative_specialize,
     cross_certify,
     identify_specialization,
     iso_witness,
+    normal_form,
     representative,
     specialize,
 )
+from weyldeform.reps import FAMILIES
+
+from conftest import rand_unimodular, term_table_specialize
 
 t = WeylElement.t()
 d = WeylElement.d()
 one = WeylElement.one()
 
 
-def test_standard_differential_validates():
-    STANDARD_DIFFERENTIAL.validate()
-    action = STANDARD_DIFFERENTIAL.action_on("e1")
-    assert action == {"e1": d, "s21": -one}
-    action = STANDARD_DIFFERENTIAL.action_on("e2")
-    assert action == {"e2": t, "s12": -one}
+_SAMPLES = tuple(Fraction(x) for x in ("1", "-1", "2", "-2", "1/2", "-1/2", "3", "1/3", "5/3"))
 
 
-def test_broken_differential_rejected():
-    wrong = VersalDifferential(terms=(
-        (1, d, "e1"),
-        (-1, one, "s12"),
-        (1, one, "s21"),
-        (1, t, "e2"),
-    ))
-    with pytest.raises(ValueError):
-        wrong.validate()
+def listed(label):
+    """The family's representative, at every sample if it has a parameter."""
+    spec = FAMILIES[label]
+    if spec.parameter is None:
+        return [representative(label)]
+    return [representative(label, {spec.parameter: a}) for a in _SAMPLES]
+
+
+def stored(pres):
+    """Entries' terms in storage order, which equality alone ignores."""
+    return [[list(e) for e in row] for row in pres.delta]
+
+
+@pytest.mark.parametrize("label", list(FAMILIES))
+def test_specialize_matches_term_table(rng, label):
+    for rep in listed(label):
+        for g in [None] + [rand_unimodular(rng, rep.n) for _ in range(3)]:
+            r = rep if g is None else rep.conjugate(g)
+            got, want = specialize(r), term_table_specialize(r)
+            assert got == want
+            assert stored(got) == stored(want)
+
+
+def test_identification_conjugates_by_the_normal_form_basis(rng):
+    for label in FAMILIES:
+        rep = listed(label)[0]
+        for r in (rep, rep.conjugate(rand_unimodular(rng, rep.n))):
+            report = identify_specialization(r)
+            assert stored(report.presentation) == stored(term_table_specialize(r))
+            assert report.witness is not None and report.witness.verify()
+            if isinstance(report.target, tuple):
+                # a direct sum keeps the conjugation witness Delta' -> Delta
+                g = normal_form(r).basis
+                want = term_table_specialize(r.conjugate(g.inverse()))
+                assert stored(report.witness.source) == stored(want)
 
 
 def test_specialize_one_dimensional():
