@@ -15,9 +15,11 @@ computes both with an explicit change of basis, so are_conjugate is
 exact and polynomial in every dimension, is_simple is exact in every
 dimension, and is_indecomposable is exact up to dimension 4 (beyond,
 one invariant factor would need factoring over the rationals).
-match_label reads the family off the normal form; it, the family tables
-and find_proper_submodule are complete up to dimension 3, classify(4)
-is a documented best effort, and anything larger is refused rather than
+match_label reads the family off the normal form, and classify reads
+each listed family's flags and summands off one normal form of its
+representative.  match_label, the family tables and
+find_proper_submodule are complete up to dimension 3, classify(4) is a
+documented best effort, and anything larger is refused rather than
 approximated.  Everything here is exact Fraction arithmetic.
 """
 
@@ -34,8 +36,6 @@ from .linalg import solve as solve_linear
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-_PARAMETER_SAMPLES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
 
 
 class UnsupportedDimensionError(ValueError):
@@ -352,40 +352,6 @@ def representative(label: str, params: dict | None = None) -> Representation:
     return rep
 
 
-def _coupling_components(p: int, q: int, a: QMatrix, b: QMatrix):
-    """Connected components of the block-coupling graph.
-
-    Nodes are the p-side and q-side basis vectors; a nonzero entry of
-    either block ties its two endpoints together.  Each component gives
-    an invariant direct summand in these coordinates.
-    """
-    nodes = [(0, i) for i in range(p)] + [(1, j) for j in range(q)]
-    parent = {v: v for v in nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i in range(p):
-        for j in range(q):
-            if a[i, j] != 0 or b[j, i] != 0:
-                parent[find((0, i))] = find((1, j))
-    comps: dict = {}
-    for v in nodes:
-        comps.setdefault(find(v), []).append(v)
-    return sorted(comps.values(), key=lambda vs: min(vs))
-
-
-def _component_blocks(comp, a: QMatrix, b: QMatrix):
-    ps = [i for side, i in comp if side == 0]
-    qs = [j for side, j in comp if side == 1]
-    sub_a = QMatrix._of(tuple(tuple(a[i, j] for j in qs) for i in ps))
-    sub_b = QMatrix._of(tuple(tuple(b[j, i] for i in ps) for j in qs))
-    return len(ps), len(qs), sub_a, sub_b
-
-
 # -- conjugacy, simplicity, decomposability ---------------------------------
 
 
@@ -553,25 +519,20 @@ def _families_by_key() -> dict:
             for s in FAMILIES.values() if sum(s.dims) <= 3}
 
 
-def _match_blocks(p: int, q: int, a: QMatrix, b: QMatrix):
-    """(label, parameter) of block data of dimension at most 3.
+def match_label(rep: Representation):
+    """(label, parameter) of a representation of dimension at most 3.
 
     Up to dimension 3 there is at most one invariant factor, and it is
     linear; a parametric family's parameter is its root.
     """
-    form = _block_normal_form(p, q, a, b)
-    spec = _families_by_key().get(_family_key(form))
-    if spec is None:
-        raise UnsupportedDimensionError(f"no family matching for dimension {p + q}")
-    return spec.label, None if spec.parameter is None else -form.factors[0][0]
-
-
-def match_label(rep: Representation):
-    """(label, parameter) of a representation of dimension at most 3."""
     if rep.n > 3:
         raise UnsupportedDimensionError("matching is exact only up to dimension 3")
     form = quiver_form(rep)
-    return _match_blocks(form.dims[0], form.dims[1], form.a, form.b)
+    nf = _block_normal_form(*form.dims, form.a, form.b)
+    spec = _families_by_key().get(_family_key(nf))
+    if spec is None:
+        raise UnsupportedDimensionError(f"no family matching for dimension {rep.n}")
+    return spec.label, None if spec.parameter is None else -nf.factors[0][0]
 
 
 def are_conjugate(rep1: Representation, rep2: Representation) -> QMatrix | None:
@@ -689,11 +650,10 @@ def is_indecomposable(rep: Representation) -> bool:
         raise UnsupportedDimensionError(
             "indecomposability is decided only up to dimension 4"
         )
-    return _form_is_indecomposable(form)
+    return _form_is_indecomposable(_block_normal_form(*form.dims, form.a, form.b))
 
 
-def _form_is_indecomposable(form: QuiverForm) -> bool:
-    nf = _block_normal_form(*form.dims, form.a, form.b)
+def _form_is_indecomposable(nf: NormalForm) -> bool:
     if len(nf.strings) + len(nf.factors) != 1:
         return False
     return not nf.factors or _is_primary(nf.factors[0])
@@ -738,8 +698,9 @@ def classify(n: int) -> ClassificationResult:
 
     Dimensions 1 to 3 list every orbit: finitely many discrete ones plus
     one-parameter families whose parameter is the displayed invariant.
-    Dimension 4 lists the strata found by the same block analysis but is
-    flagged exact=False; its notes name what was left out.
+    Dimension 4 lists the table's strata, read off their normal forms
+    the same way, but is flagged exact=False; its notes name what was
+    left out.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("dimension must be a positive integer")
@@ -765,36 +726,33 @@ def classify(n: int) -> ClassificationResult:
 
 
 def _build_family(spec: FamilySpec) -> Family:
-    """The family's flags from one quiver form per representative: the
-    representative alone, or one per parameter sample."""
-    if spec.parameter is None:
-        reps = [representative(spec.label)]
-    else:
-        samples = _PARAMETER_SAMPLES
-        reps = [representative(spec.label, {spec.parameter: s}) for s in samples]
-    forms = [quiver_form(r) for r in reps]
-    indec = all(_form_is_indecomposable(f) for f in forms)
+    """The family read off one quiver form and one block normal form of
+    its representative, at parameter 1: simplicity and indecomposability
+    by the rules is_simple and is_indecomposable use, and a decomposable
+    family's summands by their invariants."""
+    rep = representative(spec.label, {spec.parameter: 1})
+    form = quiver_form(rep)
+    nf = _block_normal_form(*form.dims, form.a, form.b)
+    indec = _form_is_indecomposable(nf)
     return Family(
-        spec.label, spec.dims, spec.parameter, reps[0],
-        all(_form_is_simple(f) for f in forms), indec,
-        None if indec else _decomposition_labels(spec, forms),
+        spec.label, spec.dims, spec.parameter, rep, _form_is_simple(form), indec,
+        None if indec else _summand_labels(spec, nf),
     )
 
 
-def _decomposition_labels(spec: FamilySpec, forms: list[QuiverForm]) -> tuple[str, ...]:
-    per_sample = [
-        [_match_blocks(*_component_blocks(c, f.a, f.b))
-         for c in _coupling_components(*f.dims, f.a, f.b)]
-        for f in forms
-    ]
-    rendered = []
-    for idx, (label, param) in enumerate(per_sample[0]):
-        if param is None:
-            rendered.append(label)
-            continue
-        # a summand whose parameter runs through the samples carries the family's
-        if [ls[idx][1] for ls in per_sample] == list(_PARAMETER_SAMPLES):
-            rendered.append(f"{label}({spec.parameter})")
-        else:
-            rendered.append(f"{label}({param})")
-    return tuple(rendered)
+def _summand_labels(spec: FamilySpec, nf: NormalForm) -> tuple[str, ...]:
+    """The family label of each summand of a normal form, listed by the
+    first block coordinate its chain occupies.  A string (v, l) is the
+    family with that one string; a linear factor is the parametric simple
+    of dimension 2, printed with spec's parameter as its root.
+    """
+    by_key = _families_by_key()
+    labels = []
+    for v, length in nf.strings:
+        p = (length + (v == 1)) // 2
+        labels.append(by_key[(p, length - p), ((v, length),), ()].label)
+    for _ in nf.factors:
+        labels.append(f"{by_key[(1, 1), (), (1,)].label}({spec.parameter})")
+    first = [min(i for k in block for i in range(sum(nf.dims)) if nf.basis[i, k])
+             for block in nf.blocks()]
+    return tuple(label for _, label in sorted(zip(first, labels)))

@@ -26,6 +26,8 @@ from weyldeform import (
     inverse,
     iso_witness,
     print_weyl,
+    quiver_form,
+    representative,
     validate,
 )
 from weyldeform.ext import Ext1Result
@@ -48,6 +50,7 @@ from weyldeform.modules import (
     divide_left,
     monomial_count,
 )
+from weyldeform.reps import FAMILIES
 from weyldeform.weyl import Monomial, monomial_multiples, truncated_monomials
 
 
@@ -554,6 +557,80 @@ def table_match_quiver(p: int, q: int, a: QMatrix, b: QMatrix):
     raise UnsupportedDimensionError(
         f"no family matching for dimension {n}"
     )
+
+
+_PARAMETER_SAMPLES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
+
+
+def _coupling_components(p: int, q: int, a: QMatrix, b: QMatrix):
+    """Connected components of the block-coupling graph.
+
+    Nodes are the p-side and q-side basis vectors; a nonzero entry of
+    either block ties its two endpoints together.  Each component gives
+    an invariant direct summand in these coordinates.
+    """
+    nodes = [(0, i) for i in range(p)] + [(1, j) for j in range(q)]
+    parent = {v: v for v in nodes}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i in range(p):
+        for j in range(q):
+            if a[i, j] != 0 or b[j, i] != 0:
+                parent[find((0, i))] = find((1, j))
+    comps: dict = {}
+    for v in nodes:
+        comps.setdefault(find(v), []).append(v)
+    return sorted(comps.values(), key=lambda vs: min(vs))
+
+
+def _component_blocks(comp, a: QMatrix, b: QMatrix):
+    ps = [i for side, i in comp if side == 0]
+    qs = [j for side, j in comp if side == 1]
+    sub_a = QMatrix._of(tuple(tuple(a[i, j] for j in qs) for i in ps))
+    sub_b = QMatrix._of(tuple(tuple(b[j, i] for i in ps) for j in qs))
+    return len(ps), len(qs), sub_a, sub_b
+
+
+def _decomposition_labels(spec, forms) -> tuple[str, ...]:
+    per_sample = [
+        [table_match_quiver(*_component_blocks(c, f.a, f.b))
+         for c in _coupling_components(*f.dims, f.a, f.b)]
+        for f in forms
+    ]
+    rendered = []
+    for idx, (label, param) in enumerate(per_sample[0]):
+        if param is None:
+            rendered.append(label)
+            continue
+        # a summand whose parameter runs through the samples carries the family's
+        if [ls[idx][1] for ls in per_sample] == list(_PARAMETER_SAMPLES):
+            rendered.append(f"{label}({spec.parameter})")
+        else:
+            rendered.append(f"{label}({param})")
+    return tuple(rendered)
+
+
+def coupling_decomposition(label: str) -> tuple[str, ...]:
+    """A decomposable family's summand labels by the coupling graph.
+
+    The package's route before classify read the normal form, kept
+    verbatim as a reference: the connected components of the blocks'
+    nonzero entries, each matched at four parameter samples, a summand
+    whose parameter follows the samples printed with the family's name.
+    The components are matched by table_match_quiver instead of the
+    package's normal-form matcher.
+    """
+    spec = FAMILIES[label]
+    if spec.parameter is None:
+        reps = [representative(label)]
+    else:
+        reps = [representative(label, {spec.parameter: s}) for s in _PARAMETER_SAMPLES]
+    return _decomposition_labels(spec, [quiver_form(r) for r in reps])
 
 
 def _extend(rows: list, pivots: list, vectors: list) -> list[int]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import weyldeform.reps
 from weyldeform import (
     QMatrix,
     RelationViolation,
@@ -26,6 +27,7 @@ from weyldeform import (
 
 from conftest import (
     burnside_is_simple,
+    coupling_decomposition,
     frozen_family,
     grid_are_conjugate,
     rand_invertible,
@@ -320,9 +322,38 @@ def test_decompositions():
 
 
 def test_indecomposable_iff_no_decomposition_listed():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for fam in classify(n).families:
             assert fam.indecomposable == (fam.decomposition is None)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS_3 + LABELS_4)
+def test_family_agrees_with_coupling_oracle_and_samples(label):
+    fam = {f.label: f for n in (1, 2, 3, 4) for f in classify(n).families}[label]
+    want = None if fam.indecomposable else coupling_decomposition(label)
+    assert fam.decomposition == want
+    # one sample stands for the whole family: the flags hold at each value
+    values = (1, -1, 2, Fraction(1, 2), -3, Fraction(2, 3))
+    for value in values if label in PARAM_NAMES else (None,):
+        rep = rep_for(label, value)
+        assert (is_simple(rep), is_indecomposable(rep)) == (
+            fam.simple, fam.indecomposable), value
+
+
+def test_classify_takes_one_normal_form_per_family(monkeypatch):
+    classify.cache_clear()
+    weyldeform.reps._families_by_key.cache_clear()
+    weyldeform.reps._families_by_key()
+    real = weyldeform.reps._block_normal_form
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("weyldeform.reps._block_normal_form", counted)
+    assert len(classify(4).families) == 26
+    assert len(calls) == 26
 
 
 def test_dimension_four_best_effort():
