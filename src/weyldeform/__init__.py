@@ -39,11 +39,9 @@ from .modules import (
     PresentedModule,
     WeylLinearSystem,
     as_presented,
-    block_decompose,
     clear_caches,
     compose_iso,
     cyclic_form,
-    cyclic_identify,
     divide_left,
     hom_search,
     iso_witness,
@@ -115,11 +113,9 @@ __all__ = [
     "PresentedModule",
     "WeylLinearSystem",
     "as_presented",
-    "block_decompose",
     "clear_caches",
     "compose_iso",
     "cyclic_form",
-    "cyclic_identify",
     "divide_left",
     "hom_search",
     "iso_witness",

@@ -2,9 +2,9 @@
 
 Every subcommand prints one JSON document (or a plain-text rendering
 with --format text) and exits 0 on success, 2 when a bounded search
-came back empty (no witness up to the degree cap, an unidentified
-specialization, an unstabilized dimension), and 1 on bad input.  The
-split keeps honest negatives distinguishable from crashes in scripts.
+came back empty (no witness up to the degree cap, an unstabilized
+dimension), and 1 on bad input.  The split keeps honest negatives
+distinguishable from crashes in scripts.
 """
 
 from __future__ import annotations

@@ -176,38 +176,6 @@ def _coerce_module(m):
     raise TypeError(f"not a module presentation: {m!r}")
 
 
-def block_decompose(m: PresentedModule) -> list[tuple[tuple[int, ...], PresentedModule]]:
-    """Split a presentation into its block-diagonal components.
-
-    Generators i and j land in the same block when delta couples them in
-    either matrix position.  Returns (index tuple, submatrix) pairs in
-    order of smallest index.
-    """
-    n = m.n
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(n):
-            if i != j and (not m.delta[i][j].is_zero() or not m.delta[j][i].is_zero()):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in sorted(groups.values(), key=lambda g: g[0]):
-        sub = PresentedModule(
-            tuple(tuple(m.delta[i][j] for j in members) for i in members)
-        )
-        out.append((tuple(members), sub))
-    return out
-
-
 # -- matrices over the algebra ------------------------------------------
 
 
@@ -226,7 +194,7 @@ def wmat_mul(a: Wmat, b: Wmat) -> Wmat:
         raise ValueError("shape mismatch in product")
     return tuple(
         tuple(
-            sum((a[i][k] * b[k][j] for k in range(len(b))), _ZERO)
+            sum((a[i][k] * b[k][j] for k in range(len(b)) if a[i][k] and b[k][j]), _ZERO)
             for j in range(len(b[0]) if b else 0)
         )
         for i in range(len(a))
@@ -935,6 +903,16 @@ def _pivot_step(m: PresentedModule, n_cap: int) -> IsoWitness | None:
     )
 
 
+def _pivot_form(m: PresentedModule, n_cap: int):
+    """(CyclicModule, witness cyclic -> m) by pivot steps alone, whatever
+    the witness's degree; None when a residual has no constant entry."""
+    if m.n == 1:
+        return None if m.delta[0][0].is_zero() else _scaling_witness(m, n_cap)
+    step = _pivot_step(m, n_cap)
+    found = None if step is None else _pivot_form(step.source, n_cap)
+    return None if found is None else (found[0], compose_iso(found[1], step))
+
+
 @_memo
 def _cyclic_form_search(m: PresentedModule, n_cap: int):
     if m.n == 1:
@@ -999,23 +977,6 @@ def _annihilator_candidates(m: PresentedModule, g: tuple, rungs: list[int]) -> l
         if out:
             break
     return out[:6]
-
-
-def cyclic_identify(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE) -> CyclicModule | None:
-    """Recognize a presentation as D/Dp.
-
-    Presentations that split into more than one diagonal block report
-    None here; direct sums are reported through the block decomposition
-    instead.  A None on a single block means no cyclic form was found
-    within the degree bound.
-    """
-    if not isinstance(m, PresentedModule):
-        raise TypeError("cyclic_identify expects a PresentedModule")
-    n_cap = _check_degree(max_degree)
-    if len(block_decompose(m)) > 1:
-        return None
-    found = cyclic_form(m, n_cap)
-    return None if found is None else found[0]
 
 
 def clear_caches() -> None:

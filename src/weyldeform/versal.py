@@ -24,9 +24,9 @@ for v = 1, in t for v = 2: (1, 2) -> t*d, (2, 3) -> t*d*t).  An
 invariant factor f of AB of degree k has a chain of length 2k from
 vertex 1 ending in T x_(2k-1) = -sum f_i x_(2i); as x_(2i) = theta^i
 x_0, t*x_(2k-1) = theta^k x_0 for theta = t*d, it gives D/D(f(theta)).
-cyclic_form's pivot chain makes these eliminations, so another form
-raises; its witness sends x_i to degree i < deg w, the multiplicity of
-D/Dw, so past the cap a block is a miss.
+The pivot chain makes these eliminations, so another form raises; its
+witness sends x_i to degree i < deg w, the multiplicity of D/Dw, and is
+built whatever that degree, so every block is identified.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .modules import (
     PresentedModule,
     _check_degree,
     _memo,
+    _pivot_form,
     compose_iso,
-    cyclic_form,
     iso_witness,
     wmat_zero,
 )
@@ -94,9 +94,10 @@ class SpecializationReport:
 
     target_kind is "cyclic" (witness from the CyclicModule target onto the
     presentation), "direct_sum" (target a cyclic report per normal-form
-    summand, each onto its block of Delta'; witness Delta' -> Delta), or
-    None when a block has no witness within the cap.  alias names M1 = D/Dd
-    and M2 = D/Dt; shift, when set, says the target is t*d - base + shift.
+    summand, each onto its block of Delta'; witness Delta' -> Delta).
+    identified is always True: every block's witness is built.  alias
+    names M1 = D/Dd and M2 = D/Dt; shift, when set, says the target is
+    t*d - base + shift.  max_degree is the cap the caller passed.
     """
 
     presentation: PresentedModule
@@ -127,13 +128,10 @@ def _rule_target(form: NormalForm, k: int) -> CyclicModule:
 
 def _block_report(block: PresentedModule, want: CyclicModule, n_cap: int,
                   base: Fraction | None) -> SpecializationReport:
-    found = cyclic_form(block, n_cap)
-    if found is None:
-        return SpecializationReport(block, False, None, None, None, None, None, n_cap,
-                                    f"no certified match up to degree {n_cap}")
-    cyc, witness = found
-    if cyc != want:
+    found = _pivot_form(block, n_cap)
+    if found is None or found[0] != want:
         raise RuntimeError("normal-form target failed verification")
+    cyc, witness = found
     alias = {_D: "M1", _T: "M2"}.get(cyc.p)
     rest = cyc.p - _THETA
     shift = None if base is None or rest.degree() else base + rest.coeff(0, 0)
@@ -161,15 +159,12 @@ def _identify_rep(rep: Representation, n_cap: int, base: Fraction | None,
     )
     if len(subs) == 1:
         w = subs[0].witness
-        w = compose_iso(w, conj) if w is not None and nf != delta else w
+        w = compose_iso(w, conj) if nf != delta else w
         return replace(subs[0], presentation=delta, witness=w, point=point)
     if not conj.verify():  # a composite above is verified by compose_iso
         raise RuntimeError("conjugation witness failed verification")
-    ok = all(s.identified for s in subs)
-    parts = ": " + ", ".join(s.message for s in subs) if ok else (
-        f", not all certified up to degree {n_cap}")
-    message = f"direct sum of {len(subs)} blocks{parts}"
-    return SpecializationReport(delta, ok, "direct_sum" if ok else None, subs,
+    message = f"direct sum of {len(subs)} blocks: " + ", ".join(s.message for s in subs)
+    return SpecializationReport(delta, True, "direct_sum", subs,
                                 None, None, conj, n_cap, message, point)
 
 
@@ -178,8 +173,10 @@ def identify_specialization(rep: Representation,
     """Specialize at a representation and recognize the result.
 
     Each normal-form summand is one block; the rule in the module docstring
-    reads its target and cyclic_form builds its witness by elimination.
-    shift is set against the representation's parameter, if it has one.
+    reads its target and the pivot chain builds its witness by elimination,
+    with no degree cap, so the report is always identified.  max_degree is
+    validated and recorded in the report.  shift is set against the
+    representation's parameter, if it has one.
     """
     base = next((Fraction(v) for v in rep.params.values() if v is not None), None)
     return _identify_rep(rep, _check_degree(max_degree), base)
@@ -207,8 +204,6 @@ def cross_certify(rep: Representation, point,
     """
     r1 = identify_specialization(rep, max_degree)
     r2 = commutative_specialize(point, max_degree)
-    if not (r1.identified and r2.identified):
-        return None
     if r1.target_kind != "cyclic" or r2.target_kind != "cyclic":
         return None
     w_mid = iso_witness(r1.target, r2.target, max_degree)

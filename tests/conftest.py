@@ -21,7 +21,6 @@ from weyldeform import (
     UnsupportedDimensionError,
     WeylElement,
     WeylLinearSystem,
-    block_decompose,
     intertwiners,
     inverse,
     iso_witness,
@@ -345,6 +344,41 @@ def _shift_candidates(base: Fraction) -> list[tuple[str | None, CyclicModule, in
     for m in (0, 1, -1, 2, -2):
         rel = _T * _D - WeylElement.constant(base - m)
         out.append((None, CyclicModule(rel), m))
+    return out
+
+
+def block_decompose(m: PresentedModule) -> list[tuple[tuple[int, ...], PresentedModule]]:
+    """Split a presentation into its block-diagonal components.
+
+    Generators i and j land in the same block when delta couples them in
+    either matrix position.  Returns (index tuple, submatrix) pairs in
+    order of smallest index.
+
+    ``modules.block_decompose`` before identification read its blocks
+    off the normal form, kept verbatim as a reference.
+    """
+    n = m.n
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(n):
+            if i != j and (not m.delta[i][j].is_zero() or not m.delta[j][i].is_zero()):
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    out = []
+    for members in sorted(groups.values(), key=lambda g: g[0]):
+        sub = PresentedModule(
+            tuple(tuple(m.delta[i][j] for j in members) for i in members)
+        )
+        out.append((tuple(members), sub))
     return out
 
 

@@ -9,7 +9,6 @@ from weyldeform import (
     PresentedModule,
     WeylElement,
     as_presented,
-    block_decompose,
     classify,
     commutative_specialize,
     compose_iso,
@@ -21,7 +20,7 @@ from weyldeform import (
 )
 from weyldeform.modules import _pivot_step, wmat_deg
 
-from conftest import search_cyclic_form
+from conftest import block_decompose, search_cyclic_form
 
 zero = WeylElement.zero()
 SAMPLES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import candidate_identify, rand_unimodular
+from conftest import block_decompose, candidate_identify, rand_unimodular
 from weyldeform import (
     CyclicModule,
     PresentedModule,
@@ -18,7 +18,6 @@ from weyldeform import (
     Representation,
     WeylElement,
     as_presented,
-    block_decompose,
     commutative_specialize,
     cyclic_form,
     identify_specialization,
@@ -27,7 +26,7 @@ from weyldeform import (
     representative,
     specialize,
 )
-from weyldeform.reps import FAMILIES
+from weyldeform.reps import FAMILIES, _rep_from_blocks
 
 t = WeylElement.t()
 d = WeylElement.d()
@@ -200,10 +199,73 @@ def test_low_caps_lose_no_positive_of_the_candidate_route(cap):
                 assert commutative_specialize((alpha, beta), cap).identified
 
 
-def test_witness_past_the_cap_is_a_bounded_miss():
-    # the string (1, 4) needs s of degree 3
-    rep = representative("T_4_20")
-    assert not identify_specialization(rep, 2).identified
-    report = identify_specialization(rep, 3)
-    assert report.identified
-    assert report.target.p == CyclicModule(t * d * t * d).p
+def test_witness_past_the_cap_is_certified():
+    # the string (1, 4) needs s of degree 3, which the pivot chain builds
+    # at any cap
+    for cap in (0, 2, 3):
+        report = identify_specialization(representative("T_4_20"), cap)
+        assert report.identified, cap
+        assert report.target.p == CyclicModule(t * d * t * d).p, cap
+        assert report.witness.verify(), cap
+
+
+def string_rep(v: int, length: int) -> Representation:
+    """The string (v, length): a T-chain x_0, ..., x_(length-1) from vertex v."""
+    side = [(v - 1 + i) % 2 for i in range(length)]
+    pos = [side[:i].count(side[i]) for i in range(length)]
+    p = side.count(0)
+    a = [[0] * (length - p) for _ in range(p)]
+    b = [[0] * p for _ in range(length - p)]
+    for i in range(length - 1):
+        if side[i]:
+            a[pos[i + 1]][pos[i]] = 1
+        else:
+            b[pos[i + 1]][pos[i]] = 1
+    return _rep_from_blocks(p, length - p, a, b)
+
+
+def factor_rep(f) -> Representation:
+    """One invariant factor: A = I and B the companion matrix of the monic
+    polynomial with lower coefficients f, constant term first."""
+    k = len(f)
+    a = [[int(i == j) for j in range(k)] for i in range(k)]
+    b = [[int(i == j + 1) - (f[i] if j == k - 1 else 0) for j in range(k)] for i in range(k)]
+    return _rep_from_blocks(k, k, a, b)
+
+
+def rand_block_rep(rng: random.Random, n: int) -> Representation:
+    """A direct sum of random strings and invariant factors, dimension n."""
+    rep = None
+    while n:
+        if n > 1 and rng.random() < 0.5:
+            k = rng.randint(1, min(3, n // 2))
+            f = [rng.choice((-2, -1, 1, 2))] + [rng.randint(-2, 2) for _ in range(k - 1)]
+            piece = factor_rep(f)
+        else:
+            piece = string_rep(rng.randint(1, 2), rng.randint(1, min(6, n)))
+        rep = piece if rep is None else rep.direct_sum(piece)
+        n -= piece.n
+    return rep
+
+
+def test_identification_past_the_cap_matches_the_rule():
+    rng = random.Random(20261019)
+    inputs = [(f"string {v},{length}", string_rep(v, length))
+              for v in (1, 2) for length in (10, 13, 17, 30)]
+    inputs += [(f"factor {f}", factor_rep(f)) for f in ((1, 2, 0, -1, 3), (2, -1, 0, 1, 1, -3))]
+    for n in range(5, 13):
+        rep = rand_block_rep(rng, n)
+        inputs.append((f"random {n}", rep.conjugate(rand_unimodular(rng, n))))
+    forms = [normal_form(rep) for _, rep in inputs]
+    assert [form.strings for form in forms[:8]] == [
+        ((v, length),) for v in (1, 2) for length in (10, 13, 17, 30)]
+    assert [len(form.factors[0]) for form in forms[8:10]] == [6, 7]
+    # cap 0 first: a search past the cap gives up there within a second,
+    # where at cap 8 it can run for a minute
+    for cap in (0, 8):
+        for (key, rep), form in zip(inputs, forms):
+            report = identify_specialization(rep, cap)
+            assert report.identified, (key, cap)
+            assert report.witness.verify(), (key, cap)
+            targets = [leaf.target.p for leaf in leaves(report)]
+            assert targets == [rule_target(form, k) for k in range(len(form.blocks()))], (key, cap)

@@ -13,11 +13,9 @@ from weyldeform import (
     WeylElement,
     WeylLinearSystem,
     as_presented,
-    block_decompose,
     clear_caches,
     compose_iso,
     cyclic_form,
-    cyclic_identify,
     divide_left,
     hom_search,
     identify_specialization,
@@ -35,7 +33,7 @@ from weyldeform.modules import (
     truncated_monomials,
 )
 
-from conftest import product_assemble, rand_weyl, solve_divide_left
+from conftest import block_decompose, product_assemble, rand_weyl, solve_divide_left
 
 t = WeylElement.t()
 d = WeylElement.d()
@@ -219,21 +217,13 @@ def test_compose_iso_checks_endpoints():
         compose_iso(w2, w1)
 
 
-def test_cyclic_identify_block_diagonal_is_none():
-    m = PresentedModule((("d", "0"), ("0", "t")))
-    assert cyclic_identify(m) is None
-
-
-def test_cyclic_identify_upper_triangular():
+def test_cyclic_form_upper_triangular():
     m = PresentedModule((("d", "-1"), ("0", "t")))
-    cyc = cyclic_identify(m)
-    assert cyc is not None
+    found = cyclic_form(m)
+    assert found is not None
+    cyc, witness = found
     assert cyc.p == t * d
-
-
-def test_cyclic_identify_requires_presented():
-    with pytest.raises(TypeError):
-        cyclic_identify(CyclicModule("d"))
+    assert witness.verify()
 
 
 def test_cyclic_form_returns_verified_witness():

@@ -217,14 +217,15 @@ def test_cross_certification_mismatch_is_none():
     assert cross_certify(representative("T_1_1"), (1, 1)) is None
 
 
-def test_unidentified_reports_bounded_message():
-    # degree zero leaves no room for the coupled generator, an honest miss
+def test_witness_past_the_cap_is_identified():
+    # the coupled generator needs a witness of degree 1, which the pivot
+    # chain builds whatever the cap; the cap is only recorded
     report = commutative_specialize((1, 1), max_degree=0)
-    assert not report.identified
-    assert report.message == "no certified match up to degree 0"
-    assert report.witness is None and report.target is None
-    # one more degree is already enough
-    assert commutative_specialize((1, 1), max_degree=1).identified
+    assert report.identified
+    assert report.target.p == t * d - one
+    assert report.message == "certified isomorphic to D/D(t*d - 1)"
+    assert report.witness.verify()
+    assert report.max_degree == 0
 
 
 # A fixed grid for the isomorphism planner: specializations of T_2_6 and
