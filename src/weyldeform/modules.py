@@ -791,13 +791,13 @@ def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitn
 
     The one isomorphism planner.  Equal presentations get the identity.
     Otherwise each side is brought to a cyclic form D/Dp plus a witness
-    (a CyclicModule is its own form, a PresentedModule uses cyclic_form);
-    the cyclic search runs between the two forms and is composed with
-    their witnesses.  When one side has no form, the other side's form is
-    mapped by a generator straight into that presentation.  Every
-    returned witness passes verify().  None means no witness was found
-    within the degree bound, a bounded negative, not a proof of
-    non-isomorphism.
+    (a CyclicModule is its own form, a PresentedModule uses cyclic_form,
+    whose chain witness may pass the cap); the cyclic search runs between
+    the two forms and is composed with their witnesses.  When one side has
+    no form, the other side's form is mapped by a generator straight into
+    that presentation.  Every returned witness passes verify().  None
+    means no witness was found within the degree bound, a bounded
+    negative, not a proof of non-isomorphism.
     """
     n_cap = _check_degree(max_degree)
     source = _coerce_module(source)
@@ -837,8 +837,9 @@ def cyclic_form(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE):
 
     A nonzero constant c = delta[i][j] eliminates generator j by relation
     i (see _pivot_step); the residual's form, composed with that step's
-    witness, is kept when its r and s have degree <= the cap.  One
-    generator is finished by scaling.  Otherwise the search tries short
+    witness, is returned whatever its degree: the cap bounds searches,
+    never built witnesses.  One generator is finished by scaling.  With
+    no step, or a residual without a form, the search tries short
     generator combinations, collects low-degree annihilator elements for
     each, and certifies candidates starting from the smallest degrees.
     The attempt budget is bounded, so None is a bounded negative.
@@ -903,16 +904,6 @@ def _pivot_step(m: PresentedModule, n_cap: int) -> IsoWitness | None:
     )
 
 
-def _pivot_form(m: PresentedModule, n_cap: int):
-    """(CyclicModule, witness cyclic -> m) by pivot steps alone, whatever
-    the witness's degree; None when a residual has no constant entry."""
-    if m.n == 1:
-        return None if m.delta[0][0].is_zero() else _scaling_witness(m, n_cap)
-    step = _pivot_step(m, n_cap)
-    found = None if step is None else _pivot_form(step.source, n_cap)
-    return None if found is None else (found[0], compose_iso(found[1], step))
-
-
 @_memo
 def _cyclic_form_search(m: PresentedModule, n_cap: int):
     if m.n == 1:
@@ -922,11 +913,9 @@ def _cyclic_form_search(m: PresentedModule, n_cap: int):
     step = _pivot_step(m, n_cap)
     found = None if step is None else _cyclic_form_search(step.source, n_cap)
     if found is not None:
-        w = compose_iso(found[1], step)
-        if max(wmat_deg(w.r), wmat_deg(w.s)) <= n_cap:
-            return found[0], w
-    # the residual's short generators are not m's and the step can raise
-    # the degree of s past the cap, so m itself is searched next
+        return found[0], compose_iso(found[1], step)
+    # no step, or a residual with no form: its short generators are not
+    # m's, so m itself is searched
     attempts = 0
     gens = _generator_candidates(m)
     annihilators = functools.cache(

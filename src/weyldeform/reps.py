@@ -13,8 +13,9 @@ every dimension by strings (the nilpotent part) and the invariant
 factors of AB (the part where A and B are invertible).  normal_form
 computes both with an explicit change of basis, so are_conjugate is
 exact and polynomial in every dimension, is_simple is exact in every
-dimension, and is_indecomposable is exact up to dimension 4 (beyond,
-one invariant factor would need factoring over the rationals).
+dimension, and is_indecomposable is exact in every dimension except on
+one invariant factor of degree 3 or more, which would need factoring
+over the rationals.
 match_label reads the family off the normal form, and classify reads
 each listed family's flags and summands off one normal form of its
 representative.  match_label, the family tables and
@@ -25,7 +26,6 @@ approximated.  Everything here is exact Fraction arithmetic.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 
 from .linalg import QMatrix, kernel_basis, rank, reduce_row, rref_rows
 from .linalg import solve as solve_linear
+from .modules import _memo
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -512,7 +513,7 @@ def _family_key(form: NormalForm) -> tuple:
     return form.dims, form.strings, tuple(len(f) - 1 for f in form.factors)
 
 
-@functools.cache
+@_memo
 def _families_by_key() -> dict:
     """The families of dimension at most 3 by their _family_key."""
     return {_family_key(normal_form(representative(s.label, {s.parameter: 1}))): s
@@ -622,11 +623,14 @@ def _invariant(rep: Representation, basis: tuple) -> bool:
 
 
 def _is_primary(factor: tuple) -> bool:
-    """Whether a monic factor of degree at most 2 is a power of an irreducible.
+    """Whether a monic factor is a power of an irreducible; degree 3 or
+    more would need factoring over the rationals and is refused.
 
     A quadratic is one unless it has two distinct rational roots, that
     is unless its discriminant is a nonzero rational square.
     """
+    if len(factor) > 3:
+        raise UnsupportedDimensionError("a factor of degree 3 or more needs factoring over Q")
     if len(factor) < 3:
         return True
     disc = factor[1] ** 2 - 4 * factor[0]
@@ -638,18 +642,13 @@ def _is_primary(factor: tuple) -> bool:
 def is_indecomposable(rep: Representation) -> bool:
     """Whether the representation admits no nontrivial direct splitting.
 
-    Exact: the normal form must have one block, a string or a single
-    invariant factor that is a power of an irreducible polynomial.  The
-    dimension stays capped at 4 because up to there that factor has
-    degree at most 2 and a discriminant decides it; beyond, it could
-    have degree 3 or more, and deciding it would need factoring over
-    the rationals.
+    Exact in every dimension: the normal form must have one block, a
+    string or a single invariant factor that is a power of an irreducible
+    polynomial.  A discriminant decides a factor of degree at most 2 (all
+    of them up to dimension 4); a lone factor of degree 3 or more would
+    need factoring over the rationals and is refused.
     """
     form = quiver_form(rep)
-    if rep.n > 4:
-        raise UnsupportedDimensionError(
-            "indecomposability is decided only up to dimension 4"
-        )
     return _form_is_indecomposable(_block_normal_form(*form.dims, form.a, form.b))
 
 
@@ -691,7 +690,7 @@ class ClassificationResult:
         return tuple(f.label for f in self.families if f.parameter is not None)
 
 
-@functools.cache
+@_memo
 def classify(n: int) -> ClassificationResult:
     """Classify n-dimensional representations up to conjugation, once per
     dimension: the result is frozen.

@@ -24,9 +24,10 @@ for v = 1, in t for v = 2: (1, 2) -> t*d, (2, 3) -> t*d*t).  An
 invariant factor f of AB of degree k has a chain of length 2k from
 vertex 1 ending in T x_(2k-1) = -sum f_i x_(2i); as x_(2i) = theta^i
 x_0, t*x_(2k-1) = theta^k x_0 for theta = t*d, it gives D/D(f(theta)).
-The pivot chain makes these eliminations, so another form raises; its
-witness sends x_i to degree i < deg w, the multiplicity of D/Dw, and is
-built whatever that degree, so every block is identified.
+cyclic_form's pivot chain makes these eliminations, so its search is
+never reached and another form raises; the chain's witness sends x_i to
+degree i < deg w, the multiplicity of D/Dw, and is kept whatever that
+degree, so every block is identified.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .modules import (
     PresentedModule,
     _check_degree,
     _memo,
-    _pivot_form,
     compose_iso,
+    cyclic_form,
     iso_witness,
     wmat_zero,
 )
@@ -128,7 +129,7 @@ def _rule_target(form: NormalForm, k: int) -> CyclicModule:
 
 def _block_report(block: PresentedModule, want: CyclicModule, n_cap: int,
                   base: Fraction | None) -> SpecializationReport:
-    found = _pivot_form(block, n_cap)
+    found = cyclic_form(block, n_cap)
     if found is None or found[0] != want:
         raise RuntimeError("normal-form target failed verification")
     cyc, witness = found

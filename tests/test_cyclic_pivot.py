@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from weyldeform import (
+    CyclicModule,
     PresentedModule,
     WeylElement,
     as_presented,
     classify,
     commutative_specialize,
-    compose_iso,
     cyclic_form,
     identify_specialization,
+    iso_witness,
     parse_weyl,
     representative,
     specialize,
@@ -98,23 +99,65 @@ def test_random_presentations_lose_no_form():
             assert_form(got, m, 4)
 
 
-@pytest.mark.parametrize("rows", [
-    (("0", "0", "-3*t^2 + t*d"), ("-t^2", "0", "0"), ("0", "-2", "3*t")),
-    (("1", "t^2 - 1", "0"), ("0", "-t^2 + 3/2*t", "3*t^2 - 2*t*d"),
-     ("0", "0", "-1/2*t^2 + 1/2*t")),
+@pytest.mark.parametrize("rows, composed", [
+    pytest.param((("0", "0", "-3*t^2 + t*d"), ("-t^2", "0", "0"), ("0", "-2", "3*t")),
+                 True, id="rows0"),
+    pytest.param((("1", "t^2 - 1", "0"), ("0", "-t^2 + 3/2*t", "3*t^2 - 2*t*d"),
+                  ("0", "0", "-1/2*t^2 + 1/2*t")),
+                 False, id="rows1"),
 ])
-def test_residual_miss_falls_back_to_the_search(rows):
-    # the pivot route finds nothing within degree 4 (the residual's short
-    # generators are not m's, or the step raises the degree of s), but
-    # the search on m itself does
+def test_residual_miss_falls_back_to_the_search(rows, composed):
+    # rows0: the residual has a form, and composing it with the step raises
+    # the degree of s to 5, past the cap 4; the cap bounds searches, never
+    # a built witness, so that composite is the answer.  rows1: the
+    # residual has no form within degree 4, so m itself is searched.
     m = PresentedModule(rows)
     step = _pivot_step(m, 4)
     found = cyclic_form(step.source, 4)
-    assert found is None or wmat_deg(compose_iso(found[1], step).s) > 4
     want = search_cyclic_form(m, 4)
     got = cyclic_form(m, 4)
     assert want is not None and got[0].p == want[0].p
-    assert_form(got, m, 4)
+    if composed:
+        assert found is not None and found[0] == got[0]
+        assert got[1].verify() and wmat_deg(got[1].s) > 4
+    else:
+        assert found is None
+        assert_form(got, m, 4)
+
+
+def nth_presentation(seed: int, draw: int) -> PresentedModule:
+    """The draw-th presentation (from 1) of test_random_presentations_lose_no_form's
+    sequence under another seed."""
+    rng = random.Random(seed)
+    for k in range(draw):
+        m = rand_presentation(rng, 2 + k % 2)
+    return m
+
+
+@pytest.mark.parametrize("delta, word, caps", [
+    pytest.param(specialize(representative("T_4_20")), "t*d*t*d", (0, 1, 2), id="T_4_20"),
+    pytest.param(specialize(representative("T_4_24")), "d*t*d*t", (0, 1, 2), id="T_4_24"),
+    pytest.param(specialize(representative("T_3_6")), "t*d*t", (0, 1), id="T_3_6"),
+    pytest.param(nth_presentation(99, 24), None, (4,), id="Random(99)-24"),
+])
+def test_chain_witness_is_kept_past_the_cap(delta, word, caps):
+    # the chain's witness has degree above each cap; a search at these caps
+    # finds none, so the form is certified only because it is kept
+    for cap in caps:
+        cyc, w = cyclic_form(delta, cap)
+        if word is not None:
+            assert cyc.p == parse_weyl(word)
+        assert w.verify()
+        assert as_presented(w.source).delta == ((cyc.p,),)
+        assert as_presented(w.target).delta == delta.delta
+        assert max(wmat_deg(w.r), wmat_deg(w.s)) > cap
+
+
+def test_iso_to_a_specialization_past_the_cap():
+    delta = specialize(representative("T_4_20"))
+    w = iso_witness(CyclicModule("t*d*t*d"), delta, 0)
+    assert w is not None and w.verify()
+    assert as_presented(w.target).delta == delta.delta
 
 
 def schur_pivot(delta):

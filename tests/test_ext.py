@@ -7,10 +7,13 @@ from weyldeform import (
     CyclicModule,
     PresentedModule,
     WeylElement,
+    classify,
     cyclic_form,
     ext1_dim,
     ext_table,
     hom_search,
+    identify_specialization,
+    representative,
 )
 from weyldeform.modules import module_image_span
 
@@ -44,6 +47,9 @@ PAIR = PresentedModule((("d", "-1"), ("-1", "t")))
     pytest.param(lambda: cyclic_form(PAIR, 6), lambda r: r, id="cyclic_form"),
     pytest.param(lambda: module_image_span(PAIR, 6),
                  lambda span: span.basis_vectors(), id="module_image_span"),
+    pytest.param(lambda: classify(3), lambda r: r, id="classify"),
+    pytest.param(lambda: identify_specialization(representative("T_3_6"), 2),
+                 lambda r: (r.target, r.witness), id="identify_specialization"),
 ])
 def test_clear_caches_empties_every_memo(call, value):
     first = call()

@@ -528,6 +528,41 @@ def test_indecomposable_unlisted_dimension_four(b_rows, indecomposable):
     assert is_indecomposable(rep.conjugate(G4)) is indecomposable
 
 
+def sum_of_strings(*lengths):
+    """block_rep of a direct sum of strings from vertex 1; in each string
+    e_i -> f_i by B and f_i -> e_(i+1) by A."""
+    p, q = sum((x + 1) // 2 for x in lengths), sum(x // 2 for x in lengths)
+    a_rows = [[0] * q for _ in range(p)]
+    b_rows = [[0] * p for _ in range(q)]
+    op = oq = 0
+    for length in lengths:
+        for i in range(length // 2):
+            b_rows[oq + i][op + i] = 1
+        for i in range(1, (length + 1) // 2):
+            a_rows[op + i][oq + i - 1] = 1
+        op, oq = op + (length + 1) // 2, oq + length // 2
+    return block_rep(p, q, a_rows, b_rows)
+
+
+@pytest.mark.parametrize("lengths, indecomposable", [
+    ((5,), True), ((6,), True), ((7,), True), ((8,), True),
+    ((5, 1), False), ((3, 3), False), ((4, 4), False),
+])
+def test_indecomposable_strings_past_dimension_four(lengths, indecomposable):
+    rep = sum_of_strings(*lengths)
+    assert sorted(normal_form(rep).strings) == sorted((1, length) for length in lengths)
+    assert is_indecomposable(rep) is indecomposable
+
+
+def test_indecomposable_refuses_one_factor_of_degree_three():
+    # A = I, B the companion matrix of x^3 - 2: deciding it needs factoring
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    rep = block_rep(3, 3, eye, [[0, 0, 2], [1, 0, 0], [0, 1, 0]])
+    assert normal_form(rep).factors == ((Fraction(-2), 0, 0, 1),)
+    with pytest.raises(UnsupportedDimensionError):
+        is_indecomposable(rep)
+
+
 def random_blocks(rng, n):
     p = rng.randint(0, n)
     entries = (-2, -1, 0, 0, 1, 2)
