@@ -14,7 +14,7 @@ Degree caps default to ``DEFAULT_MAX_DEGREE`` and are never
 allowed past ``HARD_CAP``.  Membership witnesses can have higher degree
 than the vector they certify (cancellation), so spans are built over a
 window ``WINDOW_MARGIN`` degrees wider than the range being reported.
-Positive answers carry witnesses that re-verify by plain multiplication;
+Each witness handed out is verified once, by plain multiplication;
 negative answers always mean "no witness up to the degree bound".
 """
 
@@ -65,7 +65,7 @@ def _deg(w: WeylElement) -> int:
 
 
 def _check_degree(n: int) -> int:
-    if not isinstance(n, int) or n < 0 or n > HARD_CAP:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0 or n > HARD_CAP:
         raise ValueError(f"degree bound must be an integer in [0, {HARD_CAP}]")
     return n
 
@@ -561,11 +561,18 @@ def _identity_witness(source, target, max_degree: int) -> IsoWitness:
     return IsoWitness(source, target, ident, ident, ident, ident, zero, zero, max_degree)
 
 
-def compose_iso(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
-    """Compose certificates without re-solving.
+def _verified(w: IsoWitness) -> IsoWitness:
+    """w, once verify() passes: the one check of a witness handed out."""
+    if not w.verify():
+        raise RuntimeError("witness failed verification")
+    return w
 
-    The new correction terms come from substituting one certificate's
-    identities into the other, so the result verifies by construction.
+
+def compose_iso(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
+    """Compose certificates without re-solving or re-checking.
+
+    The correction terms substitute one certificate's identities into the
+    other, so the composite of two witnesses that verify also verifies.
     """
     if as_presented(w1.target).delta != as_presented(w2.source).delta:
         raise ValueError("witness endpoints do not match")
@@ -581,13 +588,10 @@ def compose_iso(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
         tuple(x + y for x, y in zip(ra, rb))
         for ra, rb in zip(w2.c_b, wmat_mul(wmat_mul(w2.s, w1.c_b), w2.u))
     )
-    out = IsoWitness(
+    return IsoWitness(
         w1.source, w2.target, r, s, u, v, c_a, c_b,
         max(w1.max_degree, w2.max_degree),
     )
-    if not out.verify():
-        raise RuntimeError("composed witness failed verification")
-    return out
 
 
 def _s_rungs(max_degree: int) -> list[int]:
@@ -623,15 +627,12 @@ def _finish_cyclic_iso(a: CyclicModule, b: CyclicModule, r: WeylElement,
     v = divide_left(q * s, p)
     if v is None:
         return None
-    out = IsoWitness(
+    return IsoWitness(
         a, b,
         ((r,),), ((s,),), ((u,),), ((v,),),
         ((sol["ca"],),), ((c_b,),),
         max_degree,
     )
-    if not out.verify():
-        raise RuntimeError("cyclic witness failed verification")
-    return out
 
 
 def _cyclic_iso(a: CyclicModule, b: CyclicModule, max_degree: int) -> IsoWitness | None:
@@ -752,15 +753,12 @@ def _certify_generator(a: CyclicModule, b: PresentedModule, g: tuple, u_row: tup
     c_b = tuple(
         tuple(sol[f"cb_{i}_{l}"] for l in range(n)) for i in range(n)
     )
-    out = IsoWitness(
+    return IsoWitness(
         a, b,
         (tuple(g),), s_col, (tuple(u_row),), v_col,
         ((sol["ca"],),), c_b,
         max_degree,
     )
-    if not out.verify():
-        raise RuntimeError("generator witness failed verification")
-    return out
 
 
 def _generator_witness(a: CyclicModule, b: PresentedModule, g: tuple,
@@ -795,15 +793,15 @@ def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitn
     whose chain witness may pass the cap); the cyclic search runs between
     the two forms and is composed with their witnesses.  When one side has
     no form, the other side's form is mapped by a generator straight into
-    that presentation.  Every returned witness passes verify().  None
-    means no witness was found within the degree bound, a bounded
-    negative, not a proof of non-isomorphism.
+    that presentation.  The witness is verified once before it is
+    returned.  None means no witness was found within the degree bound,
+    a bounded negative, not a proof of non-isomorphism.
     """
     n_cap = _check_degree(max_degree)
     source = _coerce_module(source)
     target = _coerce_module(target)
     if as_presented(source).delta == as_presented(target).delta:
-        return _identity_witness(source, target, n_cap)
+        return _verified(_identity_witness(source, target, n_cap))
     side_a, side_b = (
         (m, None) if isinstance(m, CyclicModule) else cyclic_form(m, n_cap)
         for m in (source, target)
@@ -821,9 +819,9 @@ def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitn
         w = _cyclic_iso(cyc_a, cyc_b, n_cap)
         if w is not None and w_b is not None:
             w = compose_iso(w, w_b)
-    if w is None or w_a is None:
-        return w
-    return compose_iso(w_a.reversed(), w)
+    if w is not None and w_a is not None:
+        w = compose_iso(w_a.reversed(), w)
+    return None if w is None else _verified(w)
 
 
 # -- recovering a cyclic presentation --------------------------------------
@@ -842,7 +840,8 @@ def cyclic_form(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE):
     no step, or a residual without a form, the search tries short
     generator combinations, collects low-degree annihilator elements for
     each, and certifies candidates starting from the smallest degrees.
-    The attempt budget is bounded, so None is a bounded negative.
+    The attempt budget is bounded, so None is a bounded negative; the
+    witness is verified once, at the top of the chain, before it is returned.
     """
     return _cyclic_form_search(m, _check_degree(max_degree))
 
@@ -852,7 +851,7 @@ def _scaling_witness(m: PresentedModule, max_degree: int):
     cyc = CyclicModule(p)
     lead = p.items()[-1][1]
     one = ((_ONE,),)
-    w = IsoWitness(
+    return cyc, IsoWitness(
         cyc, m,
         one, one,
         ((WeylElement.constant(1 / lead),),),
@@ -860,9 +859,6 @@ def _scaling_witness(m: PresentedModule, max_degree: int):
         ((_ZERO,),), ((_ZERO,),),
         max_degree,
     )
-    if not w.verify():
-        raise RuntimeError("scaling witness failed verification")
-    return cyc, w
 
 
 def _pivot_step(m: PresentedModule, n_cap: int) -> IsoWitness | None:
@@ -906,12 +902,17 @@ def _pivot_step(m: PresentedModule, n_cap: int) -> IsoWitness | None:
 
 @_memo
 def _cyclic_form_search(m: PresentedModule, n_cap: int):
+    found = _find_cyclic_form(m, n_cap)
+    return None if found is None else (found[0], _verified(found[1]))
+
+
+def _find_cyclic_form(m: PresentedModule, n_cap: int):
     if m.n == 1:
         if m.delta[0][0].is_zero():
             return None
         return _scaling_witness(m, n_cap)
     step = _pivot_step(m, n_cap)
-    found = None if step is None else _cyclic_form_search(step.source, n_cap)
+    found = None if step is None else _find_cyclic_form(step.source, n_cap)
     if found is not None:
         return found[0], compose_iso(found[1], step)
     # no step, or a residual with no form: its short generators are not

@@ -701,7 +701,7 @@ def classify(n: int) -> ClassificationResult:
     the same way, but is flagged exact=False; its notes name what was
     left out.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("dimension must be a positive integer")
     if n > 4:
         raise UnsupportedDimensionError(

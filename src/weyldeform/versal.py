@@ -43,6 +43,7 @@ from .modules import (
     PresentedModule,
     _check_degree,
     _memo,
+    _verified,
     compose_iso,
     cyclic_form,
     iso_witness,
@@ -158,12 +159,10 @@ def _identify_rep(rep: Representation, n_cap: int, base: Fraction | None,
                       _rule_target(form, k), n_cap, base)
         for k, idx in enumerate(form.blocks())
     )
-    if len(subs) == 1:
-        w = subs[0].witness
-        w = compose_iso(w, conj) if nf != delta else w
+    if len(subs) == 1:  # cyclic_form verified the block's own witness
+        w = _verified(compose_iso(subs[0].witness, conj)) if nf != delta else subs[0].witness
         return replace(subs[0], presentation=delta, witness=w, point=point)
-    if not conj.verify():  # a composite above is verified by compose_iso
-        raise RuntimeError("conjugation witness failed verification")
+    _verified(conj)  # each block's witness was verified by cyclic_form
     message = f"direct sum of {len(subs)} blocks: " + ", ".join(s.message for s in subs)
     return SpecializationReport(delta, True, "direct_sum", subs,
                                 None, None, conj, n_cap, message, point)
@@ -210,4 +209,4 @@ def cross_certify(rep: Representation, point,
     w_mid = iso_witness(r1.target, r2.target, max_degree)
     if w_mid is None:
         return None
-    return compose_iso(r1.witness.reversed(), compose_iso(w_mid, r2.witness))
+    return _verified(compose_iso(r1.witness.reversed(), compose_iso(w_mid, r2.witness)))

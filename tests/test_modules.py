@@ -365,10 +365,15 @@ def test_image_witness_answers_span_membership():
 
 
 def test_degree_bound_validation():
-    with pytest.raises(ValueError):
-        iso_witness(CyclicModule("d"), CyclicModule("d"), 17)
-    with pytest.raises(ValueError):
-        iso_witness(CyclicModule("d"), CyclicModule("d"), -1)
+    clear_caches()
+    for cap in (17, -1, True, False):
+        with pytest.raises(ValueError):
+            iso_witness(CyclicModule("d"), CyclicModule("d"), cap)
+        with pytest.raises(ValueError):
+            hom_search("t*d", "t*d - 1", cap)
+    # a refused bool left no memo entry for the equal int to read
+    basis = hom_search("t*d", "t*d - 1", 1)
+    assert basis.max_degree == 1 and type(basis.max_degree) is int
 
 
 def test_iso_presented_to_presented():

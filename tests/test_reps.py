@@ -267,8 +267,9 @@ def test_classify_labels_in_table_order():
 
 
 def test_classify_input_validation():
-    with pytest.raises(ValueError):
-        classify(0)
+    for n in (0, True, False):
+        with pytest.raises(ValueError):
+            classify(n)
     with pytest.raises(UnsupportedDimensionError):
         classify(5)
 
