@@ -108,8 +108,9 @@ def _parse_module(text: str):
             raise CliError('presented module JSON needs a "delta" matrix')
         rows = tuple(tuple(str(e) for e in row) for row in delta)
         mod = PresentedModule(rows)
-        if "n" in data and data["n"] != mod.n:
-            raise CliError(f'"n" is {data["n"]} but delta is {mod.n}x{mod.n}')
+        # type, not ==: true == 1 and 2.0 == 2
+        if "n" in data and (type(data["n"]) is not int or data["n"] != mod.n):
+            raise CliError(f'"n" is {json.dumps(data["n"])} but delta is {mod.n}x{mod.n}')
         return mod
     raise CliError(f'module "type" must be "cyclic" or "presented", got {kind!r}')
 
@@ -132,8 +133,8 @@ def _parse_rep(text: str, params: dict[str, Fraction]) -> Representation:
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad matrix entry: {exc}")
     rep = Representation(*mats)
-    if "n" in data and data["n"] != rep.n:
-        raise CliError(f'"n" is {data["n"]} but the matrices are {rep.n}x{rep.n}')
+    if "n" in data and (type(data["n"]) is not int or data["n"] != rep.n):
+        raise CliError(f'"n" is {json.dumps(data["n"])} but the matrices are {rep.n}x{rep.n}')
     validate(rep)
     return rep
 

@@ -7,13 +7,15 @@ row vectors; a presentation matrix acts by right multiplication, so the
 submodule being quotiented out is spanned by ``m * row_i`` over all
 monomials m.
 
-Hom spaces, witnesses and cyclic forms come from exact linear algebra
-over degree-truncated monomial coordinates; a cyclic form eliminates a
-generator at each constant entry and searches only what is left.
-Degree caps default to ``DEFAULT_MAX_DEGREE`` and are never
-allowed past ``HARD_CAP``.  Membership witnesses can have higher degree
-than the vector they certify (cancellation), so spans are built over a
-window ``WINDOW_MARGIN`` degrees wider than the range being reported.
+Questions about cyclic modules (Hom, the isomorphism certificate) read
+off normal forms modulo a principal ideal Dp, where {p} is a Groebner
+basis.  Only Ext^1 and submodules of D^n are solved over degree-truncated
+monomial windows; a cyclic form eliminates a generator at each constant
+entry and searches only what is left.  Degree caps default to
+``DEFAULT_MAX_DEGREE`` and are never allowed past ``HARD_CAP``.
+Membership witnesses in D^n can have higher degree than the vector they
+certify (cancellation), so those windows are ``WINDOW_MARGIN`` degrees
+wider than the range being reported.
 Each witness handed out is verified once, by plain multiplication;
 negative answers always mean "no witness up to the degree bound".
 """
@@ -41,7 +43,6 @@ DEFAULT_MAX_DEGREE = 8
 HARD_CAP = 16
 WINDOW_MARGIN = 4
 STABLE_RUN = 3
-CERT_SLACK = 2
 
 _ZERO = WeylElement.zero()
 _ONE = WeylElement.one()
@@ -425,6 +426,16 @@ def divide_left(r: WeylElement, q: WeylElement) -> WeylElement | None:
     return s
 
 
+def _nf_rows(xs: list[WeylElement], q: WeylElement) -> list[dict[int, Fraction]]:
+    """Sparse rows, one per standard monomial, of the matrix whose column
+    j is the normal form of xs[j] modulo Dq."""
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for col, w in enumerate(normal_forms(xs, q, max([0, *map(_deg, xs)]))):
+        for mono, c in w:
+            rows.setdefault(mono, {})[col] = c
+    return list(rows.values())
+
+
 # -- hom spaces between cyclic modules ------------------------------------
 
 
@@ -484,11 +495,7 @@ def _hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBas
     std = sorted((m for m in truncated_monomials(n_cap) if m[0] < k or m[1] < l),
                  key=term_order)
     prods = dict(zip(truncated_monomials(n_cap), monomial_multiples(p, n_cap, _ONE)))
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for col, w in enumerate(normal_forms((prods[m] for m in std), q, _deg(p) + n_cap)):
-        for mono, c in w:
-            rows.setdefault(mono, {})[col] = c
-    kernel = echelon_kernel(*rref_rows(rows.values()), len(std))
+    kernel = echelon_kernel(*rref_rows(_nf_rows([prods[m] for m in std], q)), len(std))
     # a kernel vector's last column is its free one
     dims = tuple(sum(1 for v in kernel if sum(std[max(v)]) <= n) for n in range(n_cap + 1))
     basis = tuple(WeylElement({std[c]: x for c, x in v.items()}) for v in reversed(kernel))
@@ -600,27 +607,18 @@ def _s_rungs(max_degree: int) -> list[int]:
 
 def _finish_cyclic_iso(a: CyclicModule, b: CyclicModule, r: WeylElement,
                        s_pool: list[WeylElement], max_degree: int) -> IsoWitness | None:
+    """Witness a -> b through r, when r*s - 1 is in Dp for an s in the span
+    of s_pool: NF_p(r*s) = NF_p(1), one system over the normal forms,
+    whose solution is unique once r is an isomorphism."""
     p, q = a.p, b.p
-    dp = _deg(p)
     u = divide_left(p * r, q)
     if u is None:
         return None
-    ca_deg = max(0, _deg(r) + max(_deg(s) for s in s_pool) - dp + CERT_SLACK)
-    sys = WeylLinearSystem()
-    for j in range(len(s_pool)):
-        sys.unknown(f"y{j}", 0)
-    sys.unknown("ca", ca_deg)
-    sys.equate(
-        [(r * s_pool[j], f"y{j}", _ONE, 1) for j in range(len(s_pool))]
-        + [(_ONE, "ca", p, -1)],
-        rhs=_ONE,
-    )
-    sol = sys.solve()
-    if sol is None:
+    rows = _nf_rows([r * s for s in s_pool] + [_ONE], p)
+    y = echelon_solution(*rref_rows(rows), len(s_pool))
+    if y is None:
         return None
-    s = _ZERO
-    for j, cand in enumerate(s_pool):
-        s = s + cand * sol[f"y{j}"].coeff(0, 0)
+    s = sum((s_pool[j] * x for j, x in y.items()), _ZERO)
     c_b = divide_left(s * r - _ONE, q)
     if c_b is None:
         return None
@@ -630,7 +628,7 @@ def _finish_cyclic_iso(a: CyclicModule, b: CyclicModule, r: WeylElement,
     return IsoWitness(
         a, b,
         ((r,),), ((s,),), ((u,),), ((v,),),
-        ((sol["ca"],),), ((c_b,),),
+        ((divide_left(r * s - _ONE, p),),), ((c_b,),),
         max_degree,
     )
 
@@ -700,7 +698,7 @@ def _certify_generator(a: CyclicModule, b: PresentedModule, g: tuple, u_row: tup
     for j in range(n):
         sys.unknown(f"s{j}", s_degree)
     for i in range(n):
-        sys.unknown(f"v{i}", max(-1, db + s_degree - dp + CERT_SLACK))
+        sys.unknown(f"v{i}", max(-1, db + s_degree - dp))
     for i in range(n):
         sys.equate(
             [(b.delta[i][j], f"s{j}", _ONE, 1) for j in range(n)]
@@ -714,7 +712,7 @@ def _certify_generator(a: CyclicModule, b: PresentedModule, g: tuple, u_row: tup
     sys2 = WeylLinearSystem()
     for k in range(len(basis)):
         sys2.unknown(f"x{k}", 0)
-    sys2.unknown("ca", max(0, g_deg + s_degree - dp + CERT_SLACK))
+    sys2.unknown("ca", max(0, g_deg + s_degree - dp))
     for i in range(n):
         for l in range(n):
             rd = b.row_degree(l)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Sequence
 
-from .linalg import QMatrix, kernel_basis, rank, reduce_row, rref_rows
+from .linalg import QMatrix, kernel_basis, rank, rref_rows
 from .linalg import solve as solve_linear
 from .modules import _memo
 
@@ -404,21 +404,12 @@ class NormalForm:
         return [tuple(k for k, x in enumerate(order) if x[1] == c) for c in range(len(chains))]
 
 
-def _extend(rows: list, pivots: list, vectors: list) -> list[int]:
-    """Indices of the vectors that enlarge the span of echelon rows.
-
-    Each such vector joins rows and pivots, reduced and scaled so that
-    every row stays zero at the pivots before it, as reduce_row needs.
-    """
-    kept = []
-    for k, vec in enumerate(vectors):
-        rest = reduce_row({i: x for i, x in enumerate(vec) if x}, rows, pivots)
-        if rest:
-            piv = min(rest)
-            rows.append({c: x / rest[piv] for c, x in rest.items()})
-            pivots.append(piv)
-            kept.append(k)
-    return kept
+def _new_span(below: list, vectors: list) -> list[int]:
+    """Indices of the vectors outside the span of below and the vectors
+    before them: the pivot columns, past below's, of the matrix whose
+    columns are below followed by the vectors."""
+    _, pivots = rref_rows(zip(*below, *vectors))
+    return [c - len(below) for c in pivots if c >= len(below)]
 
 
 def _chain(t: QMatrix, vec: list, length: int) -> list:
@@ -477,12 +468,12 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
     for v in (0, 1):
         for length in range(1, len(flag) - 1):
             below = flag[length - 1][v] + [t.apply(x) for x in flag[length + 1][1 - v]]
-            for k in _extend(*rref_rows(below), flag[length][v]):
+            for k in _new_span(below, flag[length][v]):
                 strings.append((v + 1, length))
                 chains.append((v, _chain(t, flag[length][v][k], length)))
     # im T^l past the Fitting index, inside vertex 1, where M = T^2 is AB
     image = [c for c in zip(*power.to_rows()) if not any(c[p:])]
-    w = [image[k] for k in _extend([], [], image)]
+    w = [image[k] for k in _new_span([], image)]
     tt = t.transpose()
     factors = []
     while w:

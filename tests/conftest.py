@@ -37,6 +37,7 @@ from weyldeform.modules import (
     _ONE,
     CyclicModule,
     HomBasis,
+    IsoWitness,
     PresentedModule,
     TruncatedSpan,
     _annihilator_candidates,
@@ -202,6 +203,50 @@ def solve_divide_left(r: WeylElement, q: WeylElement):
     sys.equate([(WeylElement.one(), "s", q, 1)], rhs=r)
     sol = sys.solve()
     return None if sol is None else sol["s"]
+
+
+def windowed_finish_cyclic_iso(a: CyclicModule, b: CyclicModule, r: WeylElement,
+                               s_pool: list[WeylElement], max_degree: int):
+    """Cyclic witness through r, with the cofactor c_a solved in a window.
+
+    ``modules._finish_cyclic_iso`` before it read r*s - 1 in Dp off normal
+    forms modulo Dp, kept verbatim (its 2-degree slack inlined) as a
+    reference: c_a is an unknown of a ``WeylLinearSystem`` beside the
+    coefficients of s.
+    """
+    p, q = a.p, b.p
+    dp = _deg(p)
+    u = divide_left(p * r, q)
+    if u is None:
+        return None
+    ca_deg = max(0, _deg(r) + max(_deg(s) for s in s_pool) - dp + 2)
+    sys = WeylLinearSystem()
+    for j in range(len(s_pool)):
+        sys.unknown(f"y{j}", 0)
+    sys.unknown("ca", ca_deg)
+    sys.equate(
+        [(r * s_pool[j], f"y{j}", _ONE, 1) for j in range(len(s_pool))]
+        + [(_ONE, "ca", p, -1)],
+        rhs=_ONE,
+    )
+    sol = sys.solve()
+    if sol is None:
+        return None
+    s = WeylElement.zero()
+    for j, cand in enumerate(s_pool):
+        s = s + cand * sol[f"y{j}"].coeff(0, 0)
+    c_b = divide_left(s * r - _ONE, q)
+    if c_b is None:
+        return None
+    v = divide_left(q * s, p)
+    if v is None:
+        return None
+    return IsoWitness(
+        a, b,
+        ((r,),), ((s,),), ((u,),), ((v,),),
+        ((sol["ca"],),), ((c_b,),),
+        max_degree,
+    )
 
 
 def product_assemble(system: WeylLinearSystem):

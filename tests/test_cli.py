@@ -224,6 +224,16 @@ def test_validation_errors_exit_one(capsys):
     assert code == 1
     assert "cyclic" in data["error"]
 
+    # true == 1 and 2.0 == 2 in Python, but neither is a dimension
+    code, data = run_json(capsys, "iso", '{"type": "presented", "n": true, "delta": [["d"]]}', "d")
+    assert code == 1
+    assert '"n" is true' in data["error"]
+
+    rep = '{"n": 2.0, "e1": [["1", "0"], ["0", "1"]], "s12": [["0", "0"], ["0", "0"]], "s21": [["0", "0"], ["0", "0"]]}'
+    code, data = run_json(capsys, "simple", rep)
+    assert code == 1
+    assert '"n" is 2.0' in data["error"]
+
 
 def test_relation_violation_reported(capsys):
     rep = json.dumps({
