@@ -89,6 +89,13 @@ def _collect_params(items: list[str]) -> dict[str, Fraction]:
     return params
 
 
+def _json_rows(value, key: str) -> list:
+    """A JSON matrix: a list of arrays, never of strings read as characters."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise CliError(f'"{key}" must be a list of JSON arrays')
+    return value
+
+
 def _parse_module(text: str):
     stripped = text.strip()
     if not stripped.startswith("{"):
@@ -106,7 +113,7 @@ def _parse_module(text: str):
         delta = data.get("delta")
         if not isinstance(delta, list) or not delta:
             raise CliError('presented module JSON needs a "delta" matrix')
-        rows = tuple(tuple(str(e) for e in row) for row in delta)
+        rows = tuple(tuple(str(e) for e in row) for row in _json_rows(delta, "delta"))
         mod = PresentedModule(rows)
         # type, not ==: true == 1 and 2.0 == 2
         if "n" in data and (type(data["n"]) is not int or data["n"] != mod.n):
@@ -125,7 +132,7 @@ def _parse_rep(text: str, params: dict[str, Fraction]) -> Representation:
         raise CliError(f"bad representation JSON: {exc}")
     try:
         mats = [
-            QMatrix([[Fraction(str(x)) for x in row] for row in data[key]])
+            QMatrix([[Fraction(str(x)) for x in row] for row in _json_rows(data[key], key)])
             for key in ("e1", "s12", "s21")
         ]
     except KeyError as exc:

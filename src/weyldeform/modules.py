@@ -824,8 +824,6 @@ def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitn
 
 # -- recovering a cyclic presentation --------------------------------------
 
-_CFORM_ATTEMPT_CAP = 60
-
 
 def cyclic_form(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE):
     """(CyclicModule, witness cyclic -> m) when a single generator with a
@@ -835,11 +833,14 @@ def cyclic_form(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE):
     i (see _pivot_step); the residual's form, composed with that step's
     witness, is returned whatever its degree: the cap bounds searches,
     never built witnesses.  One generator is finished by scaling.  With
-    no step, or a residual without a form, the search tries short
-    generator combinations, collects low-degree annihilator elements for
-    each, and certifies candidates starting from the smallest degrees.
-    The attempt budget is bounded, so None is a bounded negative; the
-    witness is verified once, at the top of the chain, before it is returned.
+    no step, or a residual without a form, the search tries the short
+    generator combinations ([:12]) at each s rung and certifies one
+    annihilator per generator g: the lowest-degree a with a*g in the
+    image, when it is unique up to a scalar.  No other can pass: a
+    certificate through g makes ann(g) = Dp, and D is a domain with a
+    graded order, so the elements of Dp of degree deg p are the multiples
+    of p.  None is a bounded negative; the witness is verified once, at
+    the top of the chain, before it is returned.
     """
     return _cyclic_form_search(m, _check_degree(max_degree))
 
@@ -915,56 +916,45 @@ def _find_cyclic_form(m: PresentedModule, n_cap: int):
         return found[0], compose_iso(found[1], step)
     # no step, or a residual with no form: its short generators are not
     # m's, so m itself is searched
-    attempts = 0
     gens = _generator_candidates(m)
-    annihilators = functools.cache(
-        lambda gi: _annihilator_candidates(m, gens[gi], _s_rungs(n_cap))
-    )
+    forms = functools.cache(lambda gi: _generator_form(m, gens[gi], n_cap))
     for sd in _s_rungs(n_cap):
         for gi, g in enumerate(gens):
-            for p_cand in annihilators(gi):
-                if attempts >= _CFORM_ATTEMPT_CAP:
-                    return None
-                attempts += 1
-                cyc = CyclicModule(p_cand)
-                w = _generator_witness(cyc, m, g, (sd,), n_cap)
-                if w is not None:
-                    return cyc, w
+            form = forms(gi)
+            if form is None:
+                continue
+            w = _certify_generator(form[0], m, g, form[1], sd, n_cap)
+            if w is not None:
+                return form[0], w
     return None
 
 
-def _annihilator_candidates(m: PresentedModule, g: tuple, rungs: list[int]) -> list[WeylElement]:
-    """Low-degree elements a with a*g in the image of the presentation."""
+def _generator_form(m: PresentedModule, g: tuple, n_cap: int):
+    """(D/Dp, u_row with u_row * delta = p*g) for the one annihilator p
+    of g that cyclic_form can certify, or None."""
     g_deg = max(0, max(_deg(e) for e in g))
-    seen: set[WeylElement] = set()
-    out: list[WeylElement] = []
-    for k in rungs:
+    for k in _s_rungs(n_cap):
         sys = WeylLinearSystem()
         sys.unknown("a", k)
         for i in range(m.n):
             rd = m.row_degree(i)
-            bound = k + g_deg + WINDOW_MARGIN - rd if rd >= 0 else -1
-            sys.unknown(f"x{i}", bound)
+            sys.unknown(f"x{i}", k + g_deg + WINDOW_MARGIN - rd if rd >= 0 else -1)
         for j in range(m.n):
             sys.equate(
                 [(_ONE, "a", g[j], 1)]
                 + [(_ONE, f"x{i}", m.delta[i][j], -1) for i in range(m.n)]
             )
-        sols = sys.kernel()
-        avecs = [(s["a"],) for s in sols if not s["a"].is_zero()]
+        avecs = [(s["a"],) for s in sys.kernel() if not s["a"].is_zero()]
         if not avecs:
             continue
         span = TruncatedSpan(avecs, 1, k)
-        rows = list(zip(span.basis_vectors(), span.pivot_degrees()))
-        rows.sort(key=lambda rp: rp[1])
-        for (vec, _degree) in rows:
-            cand = CyclicModule(vec[0]).p
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-        if out:
-            break
-    return out[:6]
+        degrees = span.pivot_degrees()
+        if degrees.count(min(degrees)) > 1:
+            return None
+        cyc = CyclicModule(span.basis_vectors()[degrees.index(min(degrees))][0])
+        u_row = image_witness(m, tuple(cyc.p * e for e in g), n_cap + WINDOW_MARGIN)
+        return None if u_row is None else (cyc, u_row)
+    return None
 
 
 def clear_caches() -> None:

@@ -33,20 +33,20 @@ from weyldeform.ext import Ext1Result
 from weyldeform.linalg import reduce_row
 from weyldeform.modules import (
     WINDOW_MARGIN,
-    _CFORM_ATTEMPT_CAP,
     _ONE,
     CyclicModule,
     HomBasis,
     IsoWitness,
     PresentedModule,
     TruncatedSpan,
-    _annihilator_candidates,
     _deg,
     _generator_candidates,
     _generator_witness,
+    _pivot_step,
     _s_rungs,
     _scaling_witness,
     _stabilized_at,
+    compose_iso,
     divide_left,
     monomial_count,
 )
@@ -344,6 +344,48 @@ def windowed_hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -
     return HomBasis(source, target, n_cap, dims, basis)
 
 
+_CFORM_ATTEMPT_CAP = 60
+
+
+def _annihilator_candidates(m: PresentedModule, g: tuple, rungs: list[int]) -> list[WeylElement]:
+    """Low-degree elements a with a*g in the image of the presentation.
+
+    ``modules._annihilator_candidates`` before the search certified only
+    the lowest-degree one (``modules._generator_form``), kept verbatim as
+    a reference, with the attempt cap above.
+    """
+    g_deg = max(0, max(_deg(e) for e in g))
+    seen: set[WeylElement] = set()
+    out: list[WeylElement] = []
+    for k in rungs:
+        sys = WeylLinearSystem()
+        sys.unknown("a", k)
+        for i in range(m.n):
+            rd = m.row_degree(i)
+            bound = k + g_deg + WINDOW_MARGIN - rd if rd >= 0 else -1
+            sys.unknown(f"x{i}", bound)
+        for j in range(m.n):
+            sys.equate(
+                [(_ONE, "a", g[j], 1)]
+                + [(_ONE, f"x{i}", m.delta[i][j], -1) for i in range(m.n)]
+            )
+        sols = sys.kernel()
+        avecs = [(s["a"],) for s in sols if not s["a"].is_zero()]
+        if not avecs:
+            continue
+        span = TruncatedSpan(avecs, 1, k)
+        rows = list(zip(span.basis_vectors(), span.pivot_degrees()))
+        rows.sort(key=lambda rp: rp[1])
+        for (vec, _degree) in rows:
+            cand = CyclicModule(vec[0]).p
+            if cand not in seen:
+                seen.add(cand)
+                out.append(cand)
+        if out:
+            break
+    return out[:6]
+
+
 def search_cyclic_form(m: PresentedModule, n_cap: int):
     """Cyclic form by the annihilator search on every presentation.
 
@@ -370,6 +412,20 @@ def search_cyclic_form(m: PresentedModule, n_cap: int):
                 if w is not None:
                     return cyc, w
     return None
+
+
+def parent_cyclic_form(m: PresentedModule, n_cap: int):
+    """Cyclic form by the pivot chain, with the list search at each level
+    where the chain stops.
+
+    ``modules._find_cyclic_form`` before it certified one annihilator per
+    generator, kept (unmemoized, unverified) as a reference.
+    """
+    step = _pivot_step(m, n_cap) if m.n > 1 else None
+    found = None if step is None else parent_cyclic_form(step.source, n_cap)
+    if found is not None:
+        return found[0], compose_iso(found[1], step)
+    return search_cyclic_form(m, n_cap)
 
 
 _T = WeylElement.t()

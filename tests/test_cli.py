@@ -234,6 +234,16 @@ def test_validation_errors_exit_one(capsys):
     assert code == 1
     assert '"n" is 2.0' in data["error"]
 
+    # a row given as a string is not read as a row of its characters
+    code, data = run_json(capsys, "iso", '{"type": "presented", "delta": [["d", "1"], "tt"]}', "d")
+    assert code == 1
+    assert '"delta" must be a list of JSON arrays' in data["error"]
+
+    rep = '{"e1": ["10", [0, 0]], "s12": [[0, 0], [0, 0]], "s21": [[0, 0], [0, 0]]}'
+    code, data = run_json(capsys, "simple", rep)
+    assert code == 1
+    assert '"e1" must be a list of JSON arrays' in data["error"]
+
 
 def test_relation_violation_reported(capsys):
     rep = json.dumps({

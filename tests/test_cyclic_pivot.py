@@ -1,5 +1,6 @@
 """Cyclic forms by elimination at constant pivots, against the search."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,9 +20,23 @@ from weyldeform import (
     representative,
     specialize,
 )
-from weyldeform.modules import _pivot_step, wmat_deg
+from weyldeform.cli import _witness_json
+from weyldeform.modules import (
+    _deg,
+    _generator_candidates,
+    _generator_form,
+    _generator_witness,
+    _pivot_step,
+    _s_rungs,
+    wmat_deg,
+)
 
-from conftest import block_decompose, search_cyclic_form
+from conftest import (
+    _annihilator_candidates,
+    block_decompose,
+    parent_cyclic_form,
+    search_cyclic_form,
+)
 
 zero = WeylElement.zero()
 SAMPLES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2))
@@ -210,3 +225,80 @@ def test_chain_specializations_have_alternating_forms(label, word):
     report = identify_specialization(representative(label))
     assert report.identified and report.target.p == parse_weyl(word)
     assert report.witness.verify()
+
+
+def triangular_presentation(rng: random.Random) -> PresentedModule:
+    """[[a, c], [0, b]] with entries of degree <= 2, c often zero, and no
+    constant term: no pivot step applies, so cyclic_form goes straight to
+    the search."""
+    def entry(more: float) -> WeylElement:
+        w = zero
+        while w.is_zero() or rng.random() < more:
+            i, j = rng.choice(((1, 0), (0, 1), (1, 1)))
+            w = w + WeylElement.monomial(i, j, Fraction(rng.choice((-2, -1, 1, 2, 3))))
+            more = 0.3
+        return w
+
+    corner = entry(0.5) if rng.random() < 0.6 else zero
+    return PresentedModule(((entry(0.3), corner), (zero, entry(0.3))))
+
+
+def _search_cases():
+    """Seeded presentations where cyclic_form falls back to the search."""
+    rng = random.Random(4)
+    for k in range(4):
+        yield f"triangular-{k + 1}", triangular_presentation(rng)
+    yield "[t*d d; t d*t]", PresentedModule((("t*d", "d"), ("t", "d*t")))
+
+
+def _byte_cases():
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        for k in range(6):
+            yield f"Random({seed}) 2x2-{k + 1}", rand_presentation(rng, 2)
+    # the list search stopped at its attempt cap here, at cap 6
+    yield "Random(2)-12", nth_presentation(2, 12)
+    yield from _search_cases()
+
+
+def test_one_annihilator_keeps_the_parent_bytes():
+    # one annihilator per generator drops only attempts that cannot pass,
+    # in the list search's order, so its first success is the list's
+    positives = gained = 0
+    for key, m in _byte_cases():
+        for cap in (2, 4, 6):
+            want = parent_cyclic_form(m, cap)
+            got = cyclic_form(m, cap)
+            if want is not None:
+                positives += 1
+                assert got is not None and got[0] == want[0], (key, cap)
+                assert (json.dumps(_witness_json(got[1]))
+                        == json.dumps(_witness_json(want[1]))), (key, cap)
+            elif got is not None:
+                # past the list search's attempt cap, a new form must verify
+                gained += 1
+                assert_form(got, m, cap)
+    # 12 of the 30 come from the search; the gain is Random(2)-12 at cap 6
+    assert (positives, gained) == (30, 1)
+
+
+def test_only_the_lowest_annihilator_certifies():
+    # a certificate through g makes ann(g) = Dp, whose elements of degree
+    # deg p are the multiples of p, and every listed candidate lies in
+    # ann(g): so only the first, alone at its degree, can pass
+    cap = 4
+    certified = later = 0
+    for key, m in _search_cases():
+        for g in _generator_candidates(m):
+            cands = _annihilator_candidates(m, g, _s_rungs(cap))
+            form = _generator_form(m, g, cap)
+            for k, p in enumerate(cands):
+                later += k > 0
+                if _generator_witness(CyclicModule(p), m, g, _s_rungs(cap), cap) is None:
+                    continue
+                certified += 1
+                assert k == 0, (key, g)
+                assert all(_deg(q) > _deg(p) for q in cands[1:]), (key, g)
+                assert form is not None and form[0] == CyclicModule(p), (key, g)
+    # 24 tries of a later candidate, none certified
+    assert (certified, later) == (15, 24)

@@ -342,7 +342,7 @@ def test_assemble_matches_product_oracle(monkeypatch):
         hom_search("d", rel, 8)
     clear_caches()
     assert builders >= {"image_witness", "_certify_generator",
-                        "_annihilator_candidates"}
+                        "_generator_form"}
     # the cyclic certificate reads normal forms modulo Dp instead
     assert "_finish_cyclic_iso" not in builders
 
