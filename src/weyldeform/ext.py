@@ -3,9 +3,11 @@
 For cyclic left modules D/Dp and D/Dq the first extension space is the
 quotient D / (pD + Dq): pD collects right multiples of p, Dq left
 multiples of q.  Dimensions are read off one elimination of the normal
-forms modulo Dq of right multiples of p in a window wider than the
-reported range, because a membership witness can exceed the degree of
-the element it certifies.
+forms modulo Dq of the products p*m, m a standard monomial, in a window
+wider than the reported range, because a membership witness can exceed
+the degree of the element it certifies.  m runs up to degree
+max(cap + WINDOW_MARGIN - deg p, cap): at least the cap, so a p deeper
+than the margin still reaches the top of the range.
 
 Every D/Dp has the free resolution 0 -> D -> D -> D/Dp -> 0 whose map
 is right multiplication by p, injective because D is a domain, and D
@@ -29,9 +31,9 @@ from .modules import (
     _deg,
     _memo,
     _stabilized_at,
+    monomial_count,
 )
-from .weyl import (WeylElement, leading_term, monomial_multiples, normal_forms,
-                   term_order, truncated_monomials)
+from .weyl import WeylElement, _multiples, leading_term, normal_forms, truncated_monomials
 
 
 @dataclass(frozen=True)
@@ -71,19 +73,24 @@ def ext1_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext1Result
 
 @_memo
 def _ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
-    window = n_cap + WINDOW_MARGIN
-    span = window - _deg(p)
+    span = max(n_cap + WINDOW_MARGIN - _deg(p), n_cap)
+    window = span + _deg(p)
     (k, l), _ = leading_term(q)
-    prods = [w for (i, j), w in zip(truncated_monomials(span), monomial_multiples(p, span, _ONE))
-             if i < k or j < l]
-    # columns in descending term_order (TruncatedSpan's), so a row's
-    # pivot is its leading monomial
-    cols = sorted(truncated_monomials(window), key=term_order, reverse=True)
-    pos = {m: c for c, m in enumerate(cols)}
-    _, pivots = rref_rows({pos[m]: c for m, c in w} for w in normal_forms(prods, q, window))
-    pivot_monos = {cols[c] for c in pivots}
+    count = monomial_count(window)
+
+    def col(m):
+        # the place of m in descending term_order (TruncatedSpan's), so a
+        # row's pivot is its leading monomial
+        s = m[0] + m[1]
+        return count - 1 - (s * (s + 1) // 2 + m[0])
+
+    # for a nonstandard m, p*m - p*nf(m) = p*(m - nf(m)) lies in Dq and
+    # nf(m) sums standard monomials of no higher degree: only those add
+    std = [m for m in truncated_monomials(span) if m[0] < k or m[1] < l]
+    nfs = normal_forms(_multiples(p, std, _ONE), q, window)
+    pivots = set(rref_rows({col(m): c for m, c in w} for w in nfs)[1])
     free = [m for m in truncated_monomials(n_cap)
-            if (m[0] < k or m[1] < l) and m not in pivot_monos]
+            if (m[0] < k or m[1] < l) and col(m) not in pivots]
     dims = tuple(sum(1 for i, j in free if i + j <= n) for n in range(n_cap + 1))
     reps = tuple(WeylElement.monomial(*m) for m in free)
     return Ext1Result(dims[-1], reps, dims, _stabilized_at(dims))

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence, Tuple
 from .linalg import echelon_kernel, echelon_solution, reduce_row, rref_rows
 from .weyl import (
     WeylElement,
+    _multiples,
     leading_term,
     monomial_multiples,
     normal_forms,
@@ -494,8 +495,7 @@ def _hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBas
     # as the reduced basis in TruncatedSpan's order
     std = sorted((m for m in truncated_monomials(n_cap) if m[0] < k or m[1] < l),
                  key=term_order)
-    prods = dict(zip(truncated_monomials(n_cap), monomial_multiples(p, n_cap, _ONE)))
-    kernel = echelon_kernel(*rref_rows(_nf_rows([prods[m] for m in std], q)), len(std))
+    kernel = echelon_kernel(*rref_rows(_nf_rows(_multiples(p, std, _ONE), q)), len(std))
     # a kernel vector's last column is its free one
     dims = tuple(sum(1 for v in kernel if sum(std[max(v)]) <= n) for n in range(n_cap + 1))
     basis = tuple(WeylElement({std[c]: x for c, x in v.items()}) for v in reversed(kernel))

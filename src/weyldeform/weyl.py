@@ -256,30 +256,40 @@ def _shift(w: WeylElement, a: int, b: int) -> WeylElement:
     return WeylElement._of({(i + a, j + b): c for (i, j), c in w._terms.items()})
 
 
-def monomial_multiples(left: WeylElement, n: int, right: WeylElement) -> list[WeylElement]:
-    """``left * t^a d^b * right`` for each (a, b) of truncated_monomials(n),
-    by normal-ordering recurrences instead of general products.
+def _d_times(w: WeylElement) -> WeylElement:
+    """d * w, by d * t^i d^j = t^i d^(j+1) + i t^(i-1) d^j."""
+    lower = {(i - 1, j): i * c for (i, j), c in w._terms.items() if i}
+    return _shift(w, 0, 1) + WeylElement._of(lower)
+
+
+def _multiples(left: WeylElement, monos: list[Monomial], right: WeylElement) -> list[WeylElement]:
+    """``left * t^a d^b * right`` for each (a, b) of monos, in that order.
 
     With ``right`` = 1, t^i d^j * t = t^(i+1) d^j + j t^i d^(j-1) builds
-    ``left * t^a`` and ``* d^b`` is a shift.  Otherwise d * t^i d^j =
-    t^i d^(j+1) + i t^(i-1) d^j builds ``d^b * right`` and ``t^a *`` is a
-    shift; unless ``left`` = 1, each entry then costs one product.
+    ``left * t^a`` up to the largest a in monos and ``* d^b`` is a shift.
+    Otherwise _d_times builds ``d^b * right`` up to the largest b and
+    ``t^a *`` is a shift; unless ``left`` = 1, each entry then costs one
+    product.
     """
-    monos = truncated_monomials(n)
     if right == 1:
         steps = [left]
-        for _ in range(n):
+        for _ in range(max((a for a, _ in monos), default=0)):
             w = steps[-1]
             lower = {(i, j - 1): j * c for (i, j), c in w._terms.items() if j}
             steps.append(_shift(w, 1, 0) + WeylElement._of(lower))
         return [_shift(steps[a], 0, b) for a, b in monos]
     steps = [right]
-    for _ in range(n):
-        w = steps[-1]
-        lower = {(i - 1, j): i * c for (i, j), c in w._terms.items() if i}
-        steps.append(_shift(w, 0, 1) + WeylElement._of(lower))
+    for _ in range(max((b for _, b in monos), default=0)):
+        steps.append(_d_times(steps[-1]))
     out = [_shift(steps[b], a, 0) for a, b in monos]
     return out if left == 1 else [left * w for w in out]
+
+
+def monomial_multiples(left: WeylElement, n: int, right: WeylElement) -> list[WeylElement]:
+    """``left * t^a d^b * right`` for each (a, b) of truncated_monomials(n),
+    by normal-ordering recurrences instead of general products (see
+    _multiples, which builds them for any list of monomials)."""
+    return _multiples(left, truncated_monomials(n), right)
 
 
 def term_order(m: Monomial) -> tuple[int, int]:
@@ -296,33 +306,43 @@ def leading_term(w: WeylElement) -> tuple[Monomial, Fraction]:
 def normal_forms(xs: Iterable[WeylElement], q: WeylElement, n: int) -> list[WeylElement]:
     """The normal form modulo Dq of each x of degree <= n: congruent to x,
     on the standard monomials (those lm(q) does not divide), of degree at
-    most deg x.  Each monomial the xs reach is reduced once per call."""
+    most deg x.  t^a d^b * q is built only for the monomials the xs reach,
+    directly or through another multiple, and each of those is reduced
+    once per call."""
     (k, l), lead = leading_term(q)
+    xs = list(xs)
+    if any((x.degree() or 0) > n for x in xs):
+        raise ValueError("element exceeds the degree of the normal forms")
+    steps = [q]  # d^b * q, as far as a reached monomial needs it
+
+    # the multiple t^a d^b * q led by each non-standard monomial the xs
+    # reach; none exceeds the degree of the x it came from
+    multiples: dict[Monomial, WeylElement] = {}
+    todo = [mono for x in xs for mono in x._terms]
+    while todo:
+        mono = todo.pop()
+        i, j = mono
+        if i >= k and j >= l and mono not in multiples:
+            while len(steps) <= j - l:
+                steps.append(_d_times(steps[-1]))
+            w = multiples[mono] = _shift(steps[j - l], i - k, 0)
+            todo.extend(w._terms)
+
     reduced: dict[Monomial, dict[Monomial, Fraction]] = {}
 
     def reduce(terms) -> dict[Monomial, Fraction]:
         out: dict[Monomial, Fraction] = {}
         for mono, c in terms:
-            for key, x in reduced.get(mono, {mono: 1}).items():
-                out[key] = out.get(key, 0) + c * x
+            r = reduced.get(mono)
+            if r is None:
+                out[mono] = out.get(mono, 0) + c
+            else:
+                for key, x in r.items():
+                    out[key] = out.get(key, 0) + c * x
         return {key: c for key, c in out.items() if c}
 
-    span = n - k - l
-    multiples = dict(zip(((a + k, b + l) for a, b in truncated_monomials(span)),
-                         monomial_multiples(WeylElement.one(), span, q)))
-    xs = list(xs)
-    if any((x.degree() or 0) > n for x in xs):
-        raise ValueError("element exceeds the degree of the normal forms")
-    # the non-standard monomials the xs reach, directly or through a multiple
-    needed: set[Monomial] = set()
-    todo = [mono for x in xs for mono in x._terms]
-    while todo:
-        mono = todo.pop()
-        if mono in multiples and mono not in needed:
-            needed.add(mono)
-            todo.extend(multiples[mono]._terms)
     # every other term of t^a d^b * q is smaller, so it is reduced already
-    for mono in sorted(needed, key=term_order):
+    for mono in sorted(multiples, key=term_order):
         reduced[mono] = reduce((key, -c / lead) for key, c in multiples[mono] if key != mono)
     return [WeylElement._of(reduce(x)) for x in xs]
 

@@ -30,7 +30,7 @@ from weyldeform import (
     validate,
 )
 from weyldeform.ext import Ext1Result
-from weyldeform.linalg import reduce_row
+from weyldeform.linalg import reduce_row, rref_rows
 from weyldeform.modules import (
     WINDOW_MARGIN,
     _ONE,
@@ -51,7 +51,8 @@ from weyldeform.modules import (
     monomial_count,
 )
 from weyldeform.reps import FAMILIES
-from weyldeform.weyl import Monomial, monomial_multiples, truncated_monomials
+from weyldeform.weyl import (Monomial, leading_term, monomial_multiples, term_order,
+                             truncated_monomials)
 
 
 def apply_to_poly(w: WeylElement, coeffs):
@@ -580,6 +581,70 @@ def windowed_ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
     reps = tuple(
         WeylElement.monomial(*ij) for _, ij in span.standard_monomials(n_cap)
     )
+    return Ext1Result(dims[-1], reps, dims, _stabilized_at(dims))
+
+
+def reference_normal_forms(xs, q: WeylElement, n: int) -> list[WeylElement]:
+    """Normal forms modulo Dq by every multiple t^a d^b * q of degree <= n.
+
+    ``weyl.normal_forms`` before it built only the multiples the xs
+    reach, kept verbatim as a reference.
+    """
+    (k, l), lead = leading_term(q)
+    reduced: dict[Monomial, dict[Monomial, Fraction]] = {}
+
+    def reduce(terms) -> dict[Monomial, Fraction]:
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in terms:
+            for key, x in reduced.get(mono, {mono: 1}).items():
+                out[key] = out.get(key, 0) + c * x
+        return {key: c for key, c in out.items() if c}
+
+    span = n - k - l
+    multiples = dict(zip(((a + k, b + l) for a, b in truncated_monomials(span)),
+                         monomial_multiples(WeylElement.one(), span, q)))
+    xs = list(xs)
+    if any((x.degree() or 0) > n for x in xs):
+        raise ValueError("element exceeds the degree of the normal forms")
+    # the non-standard monomials the xs reach, directly or through a multiple
+    needed: set[Monomial] = set()
+    todo = [mono for x in xs for mono in x._terms]
+    while todo:
+        mono = todo.pop()
+        if mono in multiples and mono not in needed:
+            needed.add(mono)
+            todo.extend(multiples[mono]._terms)
+    # every other term of t^a d^b * q is smaller, so it is reduced already
+    for mono in sorted(needed, key=term_order):
+        reduced[mono] = reduce((key, -c / lead) for key, c in multiples[mono] if key != mono)
+    return [WeylElement._of(reduce(x)) for x in xs]
+
+
+def filtered_ext1(p: WeylElement, q: WeylElement, n_cap: int,
+                  margin: int = WINDOW_MARGIN) -> Ext1Result:
+    """Ext^1 from the normal forms of every p*m in the window, filtered
+    down to the standard m, in a window ``margin`` degrees past the cap.
+
+    ``ext._ext1`` before it built only the standard products and widened
+    the window for deep p, kept verbatim (unmemoized, on the reference
+    normal forms above) with the margin as a parameter.
+    """
+    window = n_cap + margin
+    span = window - _deg(p)
+    (k, l), _ = leading_term(q)
+    prods = [w for (i, j), w in zip(truncated_monomials(span), monomial_multiples(p, span, _ONE))
+             if i < k or j < l]
+    # columns in descending term_order (TruncatedSpan's), so a row's
+    # pivot is its leading monomial
+    cols = sorted(truncated_monomials(window), key=term_order, reverse=True)
+    pos = {m: c for c, m in enumerate(cols)}
+    _, pivots = rref_rows({pos[m]: c for m, c in w}
+                          for w in reference_normal_forms(prods, q, window))
+    pivot_monos = {cols[c] for c in pivots}
+    free = [m for m in truncated_monomials(n_cap)
+            if (m[0] < k or m[1] < l) and m not in pivot_monos]
+    dims = tuple(sum(1 for i, j in free if i + j <= n) for n in range(n_cap + 1))
+    reps = tuple(WeylElement.monomial(*m) for m in free)
     return Ext1Result(dims[-1], reps, dims, _stabilized_at(dims))
 
 
