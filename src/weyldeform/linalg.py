@@ -213,7 +213,7 @@ def inverse(rows: Iterable[Sequence]) -> Mat | None:
 class QMatrix:
     """Immutable rational matrix.  Hashable, so usable as a dict key."""
 
-    __slots__ = ("_rows", "nrows", "ncols")
+    __slots__ = ("_rows", "nrows", "ncols", "_hash")
 
     def __init__(self, rows: Iterable[Sequence]):
         data = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -222,6 +222,7 @@ class QMatrix:
         self._rows = data
         self.nrows = len(data)
         self.ncols = len(data[0]) if data else 0
+        self._hash = None
 
     @classmethod
     def _of(cls, data: tuple) -> "QMatrix":
@@ -230,6 +231,7 @@ class QMatrix:
         m._rows = data
         m.nrows = len(data)
         m.ncols = len(data[0]) if data else 0
+        m._hash = None
         return m
 
     @classmethod
@@ -341,7 +343,10 @@ class QMatrix:
         return self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        # Fraction hashes run in Python; the rows never change, so hash once
+        if self._hash is None:
+            self._hash = hash(self._rows)
+        return self._hash
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)

@@ -186,6 +186,7 @@ class QuiverForm:
     basis: QMatrix
 
 
+@_memo
 def quiver_form(rep: Representation) -> QuiverForm:
     """Block coordinates, checking the relations on the way.
 
@@ -193,7 +194,10 @@ def quiver_form(rep: Representation) -> QuiverForm:
     space, and then the other six relations say that s12 sits in the
     upper right block and s21 in the lower left.  So the relations are
     checked by block shape; a broken one raises validate()'s full
-    RelationViolation.
+    RelationViolation, on every call, since exceptions are not cached.
+
+    Memoized per triple for the life of the process: equal triples share
+    one immutable form, and clear_caches() empties the memo.
     """
     n = rep.n
     ones = (rep.e1 - QMatrix.identity(n)).kernel()
@@ -420,9 +424,14 @@ def _chain(t: QMatrix, vec: list, length: int) -> list:
     return out
 
 
+@_memo
 def normal_form(rep: Representation) -> NormalForm:
     """Invariants and a change of basis to the block normal form of the
-    quiver form's blocks (see _block_normal_form)."""
+    quiver form's blocks (see _block_normal_form).
+
+    Memoized per triple like quiver_form: equal triples share one
+    immutable form, and clear_caches() empties the memo.
+    """
     form = quiver_form(rep)
     nf = _block_normal_form(form.dims[0], form.dims[1], form.a, form.b)
     return replace(nf, basis=form.basis * nf.basis)
@@ -519,8 +528,7 @@ def match_label(rep: Representation):
     """
     if rep.n > 3:
         raise UnsupportedDimensionError("matching is exact only up to dimension 3")
-    form = quiver_form(rep)
-    nf = _block_normal_form(*form.dims, form.a, form.b)
+    nf = normal_form(rep)
     spec = _families_by_key().get(_family_key(nf))
     if spec is None:
         raise UnsupportedDimensionError(f"no family matching for dimension {rep.n}")
@@ -587,9 +595,10 @@ def find_proper_submodule(rep: Representation):
 
     Only vertex lines are checked: by is_simple's argument every
     representation of dimension at most 3 that is not simple has one.
-    Larger dimensions are refused.
+    The relations are checked first, through the memoized quiver_form;
+    larger dimensions are refused after that.
     """
-    validate(rep)
+    quiver_form(rep)
     n = rep.n
     if n > 3:
         raise UnsupportedDimensionError(
@@ -639,8 +648,7 @@ def is_indecomposable(rep: Representation) -> bool:
     of them up to dimension 4); a lone factor of degree 3 or more would
     need factoring over the rationals and is refused.
     """
-    form = quiver_form(rep)
-    return _form_is_indecomposable(_block_normal_form(*form.dims, form.a, form.b))
+    return _form_is_indecomposable(normal_form(rep))
 
 
 def _form_is_indecomposable(nf: NormalForm) -> bool:
@@ -716,16 +724,17 @@ def classify(n: int) -> ClassificationResult:
 
 
 def _build_family(spec: FamilySpec) -> Family:
-    """The family read off one quiver form and one block normal form of
-    its representative, at parameter 1: simplicity and indecomposability
-    by the rules is_simple and is_indecomposable use, and a decomposable
-    family's summands by their invariants."""
+    """The family read off the quiver form and normal form of its
+    representative, at parameter 1: simplicity and indecomposability by
+    the rules is_simple and is_indecomposable use, and a decomposable
+    family's summands by their invariants.  A representative's quiver
+    basis is the identity, so the normal form's basis is in block
+    coordinates, as _summand_labels reads it."""
     rep = representative(spec.label, {spec.parameter: 1})
-    form = quiver_form(rep)
-    nf = _block_normal_form(*form.dims, form.a, form.b)
+    nf = normal_form(rep)
     indec = _form_is_indecomposable(nf)
     return Family(
-        spec.label, spec.dims, spec.parameter, rep, _form_is_simple(form), indec,
+        spec.label, spec.dims, spec.parameter, rep, _form_is_simple(quiver_form(rep)), indec,
         None if indec else _summand_labels(spec, nf),
     )
 

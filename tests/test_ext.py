@@ -13,6 +13,8 @@ from weyldeform import (
     ext_table,
     hom_search,
     identify_specialization,
+    normal_form,
+    quiver_form,
     representative,
 )
 from weyldeform.modules import module_image_span
@@ -48,6 +50,10 @@ PAIR = PresentedModule((("d", "-1"), ("-1", "t")))
     pytest.param(lambda: module_image_span(PAIR, 6),
                  lambda span: span.basis_vectors(), id="module_image_span"),
     pytest.param(lambda: classify(3), lambda r: r, id="classify"),
+    pytest.param(lambda: quiver_form(representative("T_3_7", {"b": 2})),
+                 lambda r: (r, r.basis), id="quiver_form"),
+    pytest.param(lambda: normal_form(representative("T_4_22", {"e": 3})),
+                 lambda r: (r, r.basis), id="normal_form"),
     pytest.param(lambda: identify_specialization(representative("T_3_6"), 2),
                  lambda r: (r.target, r.witness), id="identify_specialization"),
 ])

@@ -342,8 +342,7 @@ def test_family_agrees_with_coupling_oracle_and_samples(label):
 
 
 def test_classify_takes_one_normal_form_per_family(monkeypatch):
-    classify.cache_clear()
-    weyldeform.reps._families_by_key.cache_clear()
+    weyldeform.clear_caches()
     weyldeform.reps._families_by_key()
     real = weyldeform.reps._block_normal_form
     calls = []
@@ -627,3 +626,70 @@ def test_every_non_simple_rep_up_to_dimension_three_has_a_line():
         for m in rep.triple():
             w = m.apply(v)
             assert all(v[i] * w[j] == v[j] * w[i] for i in range(n) for j in range(n))
+
+
+# -- the memoized quiver form and normal form ---------------------------------
+
+
+def test_repeat_questions_on_an_equal_triple_eliminate_nothing(monkeypatch):
+    rng = random.Random(829)
+    weyldeform.reps._families_by_key()
+    cases = []
+    for label in ("T_2_6", "T_3_5", "T_3_7", "T_3_11"):
+        rep = rep_for(label, Fraction(1, 2))
+        conj = rep.conjugate(rand_invertible(rng, rep.n))
+        assert are_conjugate(rep, conj) is not None
+        want = (is_simple(rep), is_indecomposable(rep), match_label(rep))
+        copy = Representation(*(QMatrix(m.to_rows()) for m in conj.triple()))
+        assert copy == conj and copy is not conj
+        cases.append((copy, want))
+    real = weyldeform.linalg.rref_rows
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr("weyldeform.linalg.rref_rows", counted)
+    monkeypatch.setattr("weyldeform.reps.rref_rows", counted)
+    for copy, want in cases:
+        assert (is_simple(copy), is_indecomposable(copy), match_label(copy)) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(find_proper_submodule, id="find_proper_submodule"),
+    pytest.param(is_simple, id="is_simple"),
+    pytest.param(is_indecomposable, id="is_indecomposable"),
+    pytest.param(match_label, id="match_label"),
+    pytest.param(lambda rep: are_conjugate(rep, rep), id="are_conjugate"),
+])
+def test_broken_triple_raises_the_full_violation_on_every_call(call):
+    for bad in (Representation([[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]),
+                Representation([[2]], [[1]], [[0]])):
+        with pytest.raises(RelationViolation) as want:
+            validate(bad)
+        for _ in range(2):
+            with pytest.raises(RelationViolation) as got:
+                call(bad)
+            assert str(got.value) == str(want.value)
+            assert got.value.violations == want.value.violations
+
+
+def test_submodule_search_checks_relations_before_refusing_the_dimension():
+    with pytest.raises(RelationViolation):
+        find_proper_submodule(Representation(*(QMatrix.identity(4) * 2,) * 3))
+
+
+def test_memoized_normal_form_equals_a_fresh_one():
+    rng = random.Random(830)
+    weyldeform.clear_caches()
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rep = block_rep(*random_blocks(rng, n)).conjugate(rand_invertible(rng, n))
+        got = normal_form(rep)
+        assert normal_form(Representation(*rep.triple())) is got
+        form = quiver_form.__wrapped__(rep)
+        fresh = weyldeform.reps._block_normal_form(*form.dims, form.a, form.b)
+        assert got == fresh
+        assert got.basis == form.basis * fresh.basis
