@@ -192,15 +192,20 @@ def wmat_zero(nrows: int, ncols: int) -> Wmat:
 
 
 def wmat_mul(a: Wmat, b: Wmat) -> Wmat:
-    if a and b and len(a[0]) != len(b):
+    """a * b over the nonzero entries of b's rows, each sum in increasing k."""
+    if a and len(a[0]) != len(b):
         raise ValueError("shape mismatch in product")
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(len(b)) if a[i][k] and b[k][j]), _ZERO)
-            for j in range(len(b[0]) if b else 0)
-        )
-        for i in range(len(a))
-    )
+    ncols = range(len(b[0]) if b else 0)
+    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc: dict = {}
+        for x, brow in zip(row, sparse):
+            if x:
+                for j, y in brow:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append(tuple(acc.get(j, _ZERO) for j in ncols))
+    return tuple(out)
 
 
 def wmat_sub(a: Wmat, b: Wmat) -> Wmat:
@@ -588,11 +593,11 @@ def compose_iso(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
     u = wmat_mul(w1.u, w2.u)
     v = wmat_mul(w2.v, w1.v)
     c_a = tuple(
-        tuple(x + y for x, y in zip(ra, rb))
+        tuple(x + y if y else x for x, y in zip(ra, rb))
         for ra, rb in zip(w1.c_a, wmat_mul(wmat_mul(w1.r, w2.c_a), w1.v))
     )
     c_b = tuple(
-        tuple(x + y for x, y in zip(ra, rb))
+        tuple(x + y if y else x for x, y in zip(ra, rb))
         for ra, rb in zip(w2.c_b, wmat_mul(wmat_mul(w2.s, w1.c_b), w2.u))
     )
     return IsoWitness(
@@ -876,7 +881,8 @@ def _pivot_step(m: PresentedModule, n_cap: int) -> IsoWitness | None:
     # the Schur complement: row l minus delta[l][j] * c^-1 times row i
     factor = {l: dl[l][j] * inv for l in rows}
     residual = PresentedModule(tuple(
-        tuple(dl[l][k] - factor[l] * dl[i][k] for k in cols) for l in rows
+        tuple(dl[l][k] - factor[l] * dl[i][k] if factor[l] else dl[l][k] for k in cols)
+        for l in rows
     ))
     # e_j = -c^-1 * sum of delta[i][k] * e_k over k != j
     s = tuple(
@@ -906,16 +912,25 @@ def _cyclic_form_search(m: PresentedModule, n_cap: int):
 
 
 def _find_cyclic_form(m: PresentedModule, n_cap: int):
+    # keep W: residual -> m down the chain; a step composed on top has one
+    # nonzero c_b entry, a rank-one update of W's c_b, and compose_iso is
+    # associative, so this builds the bottom-up composite exactly
+    chain = [(m, None)]
+    while chain[-1][0].n > 1 and (step := _pivot_step(chain[-1][0], n_cap)) is not None:
+        w = chain[-1][1]
+        chain.append((step.source, step if w is None else compose_iso(step, w)))
+    # else each module's own search, from the bottom up: a residual's short
+    # generators are not its parent's
+    for mod, w in reversed(chain):
+        found = _own_form(mod, n_cap)
+        if found is not None:
+            return found[0], found[1] if w is None else compose_iso(found[1], w)
+    return None
+
+
+def _own_form(m: PresentedModule, n_cap: int):
     if m.n == 1:
-        if m.delta[0][0].is_zero():
-            return None
-        return _scaling_witness(m, n_cap)
-    step = _pivot_step(m, n_cap)
-    found = None if step is None else _find_cyclic_form(step.source, n_cap)
-    if found is not None:
-        return found[0], compose_iso(found[1], step)
-    # no step, or a residual with no form: its short generators are not
-    # m's, so m itself is searched
+        return None if m.delta[0][0].is_zero() else _scaling_witness(m, n_cap)
     gens = _generator_candidates(m)
     forms = functools.cache(lambda gi: _generator_form(m, gens[gi], n_cap))
     for sd in _s_rungs(n_cap):

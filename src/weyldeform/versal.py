@@ -72,7 +72,8 @@ def _delta(e1: QMatrix, s12: QMatrix, s21: QMatrix) -> PresentedModule:
     """The specialized differential of a triple, which must be valid."""
     n = e1.nrows
     return PresentedModule(tuple(
-        tuple(_D * e1[k, l] - (s12[k, l] + s21[k, l]) + _T * (int(k == l) - e1[k, l])
+        tuple(WeylElement({(0, 1): e1[k, l], (0, 0): -(s12[k, l] + s21[k, l]),
+                           (1, 0): int(k == l) - e1[k, l]})
               for k in range(n))
         for l in range(n)
     ))

@@ -174,12 +174,17 @@ class WeylElement:
         return WeylElement._of({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other) -> "WeylElement":
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
+        # a constant factor on either side scales the other's coefficients
+        if not isinstance(other, WeylElement):
+            return self._scaled(other) if isinstance(other, (int, Fraction)) else NotImplemented
+        x, y = self._terms, other._terms
+        if len(y) == 1 and (0, 0) in y:
+            return self._scaled(y[0, 0])
+        if len(x) == 1 and (0, 0) in x:
+            return other._scaled(x[0, 0])
         terms: dict[Monomial, Fraction] = {}
-        for (i, j), a in self._terms.items():
-            for (k, l), b in w._terms.items():
+        for (i, j), a in x.items():
+            for (k, l), b in y.items():
                 ab = a * b
                 for key, n in _mono_mul(i, j, k, l):
                     c = ab if n == 1 else ab * n
@@ -187,12 +192,13 @@ class WeylElement:
                     terms[key] = c if s is None else s + c
         return WeylElement._of({key: c for key, c in terms.items() if c})
 
-    def __rmul__(self, other) -> "WeylElement":
-        # Only scalars reach here, and scalars commute with everything.
-        w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return self * w
+    # Only scalars reach here, and scalars commute with everything.
+    __rmul__ = __mul__
+
+    def _scaled(self, c: int | Fraction) -> "WeylElement":
+        if c == 1:
+            return self
+        return WeylElement._of({key: a * c for key, a in self._terms.items()} if c else {})
 
     def __pow__(self, n: int) -> "WeylElement":
         if not isinstance(n, int) or n < 0:

@@ -29,23 +29,28 @@ from weyldeform import (
     representative,
     validate,
 )
+from weyldeform import modules
 from weyldeform.ext import Ext1Result
 from weyldeform.linalg import reduce_row, rref_rows
 from weyldeform.modules import (
     WINDOW_MARGIN,
     _ONE,
+    _ZERO,
     CyclicModule,
     HomBasis,
     IsoWitness,
     PresentedModule,
     TruncatedSpan,
+    _certify_generator,
     _deg,
     _generator_candidates,
+    _generator_form,
     _generator_witness,
     _pivot_step,
     _s_rungs,
     _scaling_witness,
     _stabilized_at,
+    clear_caches,
     compose_iso,
     divide_left,
     monomial_count,
@@ -184,6 +189,20 @@ def weyl_mul(self, other) -> "WeylElement":
             for key, n in _mono_mul(i, j, k, l).items():
                 terms[key] = terms.get(key, Fraction(0)) + ab * n
     return WeylElement(terms)
+
+
+def dense_wmat_mul(a, b):
+    """``modules.wmat_mul`` before it walked only the nonzero entries of b,
+    kept verbatim as a reference: it tests every (i, k, j)."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("shape mismatch in product")
+    return tuple(
+        tuple(
+            sum((a[i][k] * b[k][j] for k in range(len(b)) if a[i][k] and b[k][j]), _ZERO)
+            for j in range(len(b[0]) if b else 0)
+        )
+        for i in range(len(a))
+    )
 
 
 def solve_divide_left(r: WeylElement, q: WeylElement):
@@ -427,6 +446,50 @@ def parent_cyclic_form(m: PresentedModule, n_cap: int):
     if found is not None:
         return found[0], compose_iso(found[1], step)
     return search_cyclic_form(m, n_cap)
+
+
+def bottom_up_cyclic_form(m: PresentedModule, n_cap: int):
+    """``modules._find_cyclic_form`` before it composed the chain top-down,
+    kept verbatim (it recurses on itself) as a reference: each level
+    composes the residual's form with its step, compose_iso(found, step).
+    """
+    if m.n == 1:
+        if m.delta[0][0].is_zero():
+            return None
+        return _scaling_witness(m, n_cap)
+    step = _pivot_step(m, n_cap)
+    found = None if step is None else bottom_up_cyclic_form(step.source, n_cap)
+    if found is not None:
+        return found[0], compose_iso(found[1], step)
+    # no step, or a residual with no form: its short generators are not
+    # m's, so m itself is searched
+    gens = _generator_candidates(m)
+    forms = functools.cache(lambda gi: _generator_form(m, gens[gi], n_cap))
+    for sd in _s_rungs(n_cap):
+        for gi, g in enumerate(gens):
+            form = forms(gi)
+            if form is None:
+                continue
+            w = _certify_generator(form[0], m, g, form[1], sd, n_cap)
+            if w is not None:
+                return form[0], w
+    return None
+
+
+@pytest.fixture
+def both_chains(monkeypatch):
+    """run(fn) gives (fn() by the package's chain, fn() by
+    bottom_up_cyclic_form), each from empty caches."""
+    def run(fn):
+        clear_caches()
+        got = fn()
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "_find_cyclic_form", bottom_up_cyclic_form)
+            clear_caches()
+            want = fn()
+        clear_caches()
+        return got, want
+    return run
 
 
 _T = WeylElement.t()

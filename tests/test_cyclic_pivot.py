@@ -114,12 +114,14 @@ def test_random_presentations_lose_no_form():
             assert_form(got, m, 4)
 
 
+ROWS0 = (("0", "0", "-3*t^2 + t*d"), ("-t^2", "0", "0"), ("0", "-2", "3*t"))
+ROWS1 = (("1", "t^2 - 1", "0"), ("0", "-t^2 + 3/2*t", "3*t^2 - 2*t*d"),
+         ("0", "0", "-1/2*t^2 + 1/2*t"))
+
+
 @pytest.mark.parametrize("rows, composed", [
-    pytest.param((("0", "0", "-3*t^2 + t*d"), ("-t^2", "0", "0"), ("0", "-2", "3*t")),
-                 True, id="rows0"),
-    pytest.param((("1", "t^2 - 1", "0"), ("0", "-t^2 + 3/2*t", "3*t^2 - 2*t*d"),
-                  ("0", "0", "-1/2*t^2 + 1/2*t")),
-                 False, id="rows1"),
+    pytest.param(ROWS0, True, id="rows0"),
+    pytest.param(ROWS1, False, id="rows1"),
 ])
 def test_residual_miss_falls_back_to_the_search(rows, composed):
     # rows0: the residual has a form, and composing it with the step raises
@@ -302,3 +304,27 @@ def test_only_the_lowest_annihilator_certifies():
                 assert form is not None and form[0] == CyclicModule(p), (key, g)
     # 24 tries of a later candidate, none certified
     assert (certified, later) == (15, 24)
+
+
+def rows1_under_a_unit_pivot() -> PresentedModule:
+    """ROWS1 as the residual of one more step: the chain runs two steps,
+    its bottom has no form within degree 4, and ROWS1's own search finds
+    one, which the first step's witness carries up."""
+    r3, f = ("t", "0", "d"), ("d", "0", "t")
+    rows = [tuple(f"{ROWS1[l][k]} + ({f[l]})*({r3[k]})" for k in range(3)) + (f[l],)
+            for l in range(3)]
+    return PresentedModule(rows + [r3 + ("1",)])
+
+
+def test_top_down_chain_keeps_the_bottom_up_bytes(both_chains):
+    # compose_iso is associative, so composing the chain from the top
+    # builds the bottom-up witness exactly, also where a search ends it
+    middle = rows1_under_a_unit_pivot()
+    assert _pivot_step(middle, 4).source == PresentedModule(ROWS1)
+    cases = [("rows0", PresentedModule(ROWS0)), ("rows1", PresentedModule(ROWS1)),
+             ("rows1 under a unit pivot", middle),
+             ("Random(99)-24", nth_presentation(99, 24)), *_search_cases()]
+    got, want = both_chains(lambda: [cyclic_form(m, 4) for _, m in cases])
+    for (key, _), g, w in zip(cases, got, want):
+        assert g is not None and w is not None and g[0] == w[0], key
+        assert json.dumps(_witness_json(g[1])) == json.dumps(_witness_json(w[1])), key

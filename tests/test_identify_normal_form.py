@@ -5,6 +5,7 @@ route this one replaced; the rule from normal-form invariants to targets
 is recomputed here from the invariants alone.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from weyldeform import (
     Representation,
     WeylElement,
     as_presented,
+    clear_caches,
     commutative_specialize,
     cyclic_form,
     identify_specialization,
@@ -26,6 +28,7 @@ from weyldeform import (
     representative,
     specialize,
 )
+from weyldeform.cli import _witness_json
 from weyldeform.reps import FAMILIES, _rep_from_blocks
 
 t = WeylElement.t()
@@ -269,3 +272,43 @@ def test_identification_past_the_cap_matches_the_rule():
             assert report.witness.verify(), (key, cap)
             targets = [leaf.target.p for leaf in leaves(report)]
             assert targets == [rule_target(form, k) for k in range(len(form.blocks()))], (key, cap)
+
+
+def witness_bytes(report) -> list[str]:
+    """The JSON of the report's witness and of each block's."""
+    subs = list(report.target) if report.target_kind == "direct_sum" else []
+    return [json.dumps(_witness_json(r.witness)) for r in [report] + subs]
+
+
+def test_top_down_chain_keeps_the_bottom_up_bytes(both_chains):
+    rng = random.Random(37)
+    inputs = [(f"string {v},{length}", string_rep(v, length))
+              for v in (1, 2) for length in (1, 2, 3, 5, 8, 13, 21, 30)]
+    inputs += [(key, rep) for key, rep, _ in listed_inputs()]
+    for n in range(1, 9):
+        rep = rand_block_rep(rng, n)
+        inputs.append((f"random {n}", rep.conjugate(rand_unimodular(rng, n))))
+    got, want = both_chains(
+        lambda: [witness_bytes(identify_specialization(rep, 0)) for _, rep in inputs])
+    for (key, _), g, w in zip(inputs, got, want):
+        assert g == w, key
+
+
+def test_cold_string_identification_work(monkeypatch):
+    # composed from the top, each step is a rank-one update of c_b and
+    # constant factors only scale: the bottom-up chain made 23,891 products
+    calls = 0
+    mul = WeylElement.__mul__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    clear_caches()
+    monkeypatch.setattr(WeylElement, "__mul__", counted)
+    report = identify_specialization(string_rep(1, 30), 0)
+    monkeypatch.undo()
+    clear_caches()
+    assert report.target.p == rule_target(normal_form(string_rep(1, 30)), 0)
+    assert calls <= 16_000

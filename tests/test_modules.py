@@ -31,9 +31,11 @@ from weyldeform.modules import (
     module_image_span,
     monomial_count,
     truncated_monomials,
+    wmat_mul,
 )
 
-from conftest import block_decompose, product_assemble, rand_weyl, solve_divide_left
+from conftest import (block_decompose, dense_wmat_mul, product_assemble, rand_weyl,
+                      solve_divide_left)
 
 t = WeylElement.t()
 d = WeylElement.d()
@@ -215,6 +217,42 @@ def test_compose_iso_checks_endpoints():
     assert as_presented(comp.source).delta == as_presented(w1.source).delta
     with pytest.raises(ValueError):
         compose_iso(w2, w1)
+
+
+def test_wmat_mul_rejects_mismatched_shapes():
+    # a 1 x 1 matrix times one with no rows: 1 != 0, whether b has rows or not
+    for a, b in ((((one,),), ()), (((one,),), ((one,), (t,))), (((one, d),), ((t,),))):
+        with pytest.raises(ValueError, match="shape mismatch in product"):
+            wmat_mul(a, b)
+    assert wmat_mul((), ()) == () and wmat_mul((), ((t, d),)) == ()
+    assert wmat_mul(((),), ()) == ((),)
+    assert wmat_mul(((t,), (d,)), ((one, d),)) == ((t, t * d), (d, d * d))
+
+
+def rand_wmat(rng: random.Random, nrows: int, ncols: int) -> tuple:
+    """Mostly zero entries, with constants and general elements mixed in."""
+    def entry():
+        x = rng.random()
+        if x < 0.55:
+            return WeylElement.zero()
+        if x < 0.8:
+            return WeylElement.constant(rng.choice((-2, -1, 1, 3, Fraction(1, 2))))
+        return rand_weyl(rng, max_deg=2, terms=3)
+    return tuple(tuple(entry() for _ in range(ncols)) for _ in range(nrows))
+
+
+def test_sparse_wmat_mul_matches_the_dense_product():
+    rng = random.Random(1729)
+    for _ in range(60):
+        p, q, r = (rng.randint(1, 6) for _ in range(3))
+        a, b = rand_wmat(rng, p, q), rand_wmat(rng, q, r)
+        got = wmat_mul(a, b)
+        assert got == dense_wmat_mul(a, b)
+        assert len(got) == p and all(len(row) == r for row in got)
+        assert all(isinstance(e, WeylElement) for row in got for e in row)
+        assert all(type(c) is Fraction and c != 0 for row in got for e in row for _, c in e)
+    # entries that cancel are zero elements
+    assert wmat_mul(((t, t),), ((d,), (-d,))) == ((WeylElement.zero(),),)
 
 
 def test_cyclic_form_upper_triangular():

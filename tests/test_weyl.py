@@ -191,3 +191,28 @@ def test_arithmetic_matches_old_product_oracle():
         cancelled += len(got._terms) < len(reached)
     assert (t + d) * (t - d) == t * t - d * d + one
     assert cancelled >= 100
+
+
+def test_constant_factors_match_the_product_oracle():
+    # a constant on either side only scales the other factor's coefficients
+    rng = random.Random(2718)
+    zero = WeylElement.zero()
+    scalars = [3, -4, 0, Fraction(2, 7), Fraction(-1, 2), Fraction(0), True, False]
+    constants = [WeylElement.constant(c) for c in (1, 3, -2, Fraction(-5, 3))] + [zero]
+    elements = [rand_weyl(rng) for _ in range(40)] + [zero, one, t, d, t * d - 3]
+    for w in elements:
+        for c in scalars:
+            for got, want in ((w * c, weyl_mul(w, c)),
+                              (c * w, weyl_mul(WeylElement.constant(c), w))):
+                assert got == want, (w, c)
+                assert_normal(got)
+        for c in constants:
+            for got, want in ((w * c, weyl_mul(w, c)), (c * w, weyl_mul(c, w))):
+                assert got == want, (w, c)
+                assert_normal(got)
+    assert (t * d - 3) * Fraction(-1, 3) == parse_weyl("-1/3*t*d + 1")
+    assert 2 * d == d * WeylElement.constant(2) == parse_weyl("2*d")
+    assert (t * False).is_zero() and (WeylElement.constant(0) * t).is_zero()
+    assert d * True == d and True * d == d
+    with pytest.raises(TypeError):
+        t * 1.5
