@@ -213,7 +213,7 @@ def inverse(rows: Iterable[Sequence]) -> Mat | None:
 class QMatrix:
     """Immutable rational matrix.  Hashable, so usable as a dict key."""
 
-    __slots__ = ("_rows", "nrows", "ncols", "_hash")
+    __slots__ = ("_rows", "nrows", "ncols", "_hash", "_nonzeros")
 
     def __init__(self, rows: Iterable[Sequence]):
         data = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -223,15 +223,18 @@ class QMatrix:
         self.nrows = len(data)
         self.ncols = len(data[0]) if data else 0
         self._hash = None
+        self._nonzeros = None
 
     @classmethod
-    def _of(cls, data: tuple) -> "QMatrix":
-        """Wrap equal-length tuples of Fractions as they are, unconverted."""
+    def _of(cls, data: tuple, ncols: int = 0) -> "QMatrix":
+        """Wrap equal-length tuples of Fractions as they are, unconverted;
+        ncols is the width of a matrix with no rows."""
         m = object.__new__(cls)
         m._rows = data
         m.nrows = len(data)
-        m.ncols = len(data[0]) if data else 0
+        m.ncols = len(data[0]) if data else ncols
         m._hash = None
+        m._nonzeros = None
         return m
 
     @classmethod
@@ -240,7 +243,7 @@ class QMatrix:
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "QMatrix":
-        return cls._of(tuple((_ZERO,) * n for _ in range(m)))
+        return cls._of(tuple((_ZERO,) * n for _ in range(m)), n)
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence["QMatrix"]]) -> "QMatrix":
@@ -254,7 +257,7 @@ class QMatrix:
                 rows.append(tuple(x for b in brow for x in b._rows[i]))
         if rows and any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("ragged matrix")
-        return cls._of(tuple(rows))
+        return cls._of(tuple(rows), sum(b.ncols for b in blocks[0]) if blocks else 0)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: int) -> "QMatrix":
@@ -281,13 +284,13 @@ class QMatrix:
             raise ValueError("shape mismatch")
         return QMatrix._of(tuple(
             tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._rows, other._rows)
-        ))
+        ), self.ncols)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self + (-other)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix._of(tuple(tuple(-x for x in row) for row in self._rows))
+        return QMatrix._of(tuple(tuple(-x for x in row) for row in self._rows), self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
@@ -303,10 +306,10 @@ class QMatrix:
                             s = acc.get(j)
                             acc[j] = a * b if s is None else s + a * b
                 out.append(tuple(acc.get(j, _ZERO) for j in range(other.ncols)))
-            return QMatrix._of(tuple(out))
+            return QMatrix._of(tuple(out), other.ncols)
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return QMatrix._of(tuple(tuple(c * x for x in row) for row in self._rows))
+            return QMatrix._of(tuple(tuple(c * x for x in row) for row in self._rows), self.ncols)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -315,14 +318,18 @@ class QMatrix:
         return NotImplemented
 
     def transpose(self) -> "QMatrix":
-        return QMatrix._of(tuple(zip(*self._rows)))
+        cols = tuple(zip(*self._rows)) if self._rows else ((),) * self.ncols
+        return QMatrix._of(cols, self.nrows)
 
     def apply(self, vec: Sequence) -> list:
-        """Matrix-vector product."""
+        """Matrix-vector product, over the nonzero entries of each row."""
         v = [Fraction(x) for x in vec]
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return [sum((a * b for a, b in zip(row, v) if a and b), _ZERO) for row in self._rows]
+        if self._nonzeros is None:
+            # the rows never change, so their nonzero entries are found once
+            self._nonzeros = [[(j, a) for j, a in enumerate(row) if a] for row in self._rows]
+        return [sum((a * v[j] for j, a in row if v[j]), _ZERO) for row in self._nonzeros]
 
     def rank(self) -> int:
         return rank(self._rows)
@@ -340,12 +347,14 @@ class QMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self.ncols == other.ncols and self._rows == other._rows
 
     def __hash__(self) -> int:
-        # Fraction hashes run in Python; the rows never change, so hash once
+        # Fraction.__hash__ runs in Python and takes a modular inverse, so
+        # hash the integer pairs, once: the rows never change
         if self._hash is None:
-            self._hash = hash(self._rows)
+            self._hash = hash((self.shape, tuple(
+                [(x.numerator, x.denominator) for row in self._rows for x in row])))
         return self._hash
 
     def __repr__(self) -> str:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Sequence
 
-from .linalg import QMatrix, kernel_basis, rank, rref_rows
+from .linalg import QMatrix, echelon_kernel, kernel_basis, rank, rref_rows
 from .linalg import solve as solve_linear
 from .modules import _memo
 
@@ -199,22 +199,44 @@ def quiver_form(rep: Representation) -> QuiverForm:
     Memoized per triple for the life of the process: equal triples share
     one immutable form, and clear_caches() empties the memo.
     """
-    n = rep.n
-    ones = (rep.e1 - QMatrix.identity(n)).kernel()
-    zeros = rep.e1.kernel()
-    p, q = len(ones), len(zeros)
-    if p + q == n:
-        basis = QMatrix._of(tuple(zip(*ones, *zeros)))
-        binv = basis.inverse()
+    split = _eigenbasis(rep.e1)
+    if split is not None:
+        p, basis, binv = split
+        n, q = rep.n, rep.n - p
         s12c = binv * rep.s12 * basis
         s21c = binv * rep.s21 * basis
         if all(s12c[i, j] == 0 == s21c[j, i]
                for i in range(n) for j in range(n) if not i < p <= j):
-            a = QMatrix._of(tuple(tuple(s12c[i, p + j] for j in range(q)) for i in range(p)))
-            b = QMatrix._of(tuple(tuple(s21c[p + i, j] for j in range(p)) for i in range(q)))
+            a = QMatrix._of(tuple(tuple(s12c[i, p + j] for j in range(q)) for i in range(p)), q)
+            b = QMatrix._of(tuple(tuple(s21c[p + i, j] for j in range(p)) for i in range(q)), p)
             return QuiverForm((p, q), a, b, basis)
     validate(rep)
     raise AssertionError("the relations hold but the blocks are out of shape")
+
+
+def _eigenbasis(e1: QMatrix) -> tuple[int, QMatrix, QMatrix] | None:
+    """(p, basis, basis^-1), the columns of basis the kernel bases of
+    e1 - I (p vectors) and of e1, or None when those do not span.
+
+    A kernel_basis vector is 1 at its own free column and 0 at the other
+    free columns, and where the two kernels span, e1 projects onto the
+    first along the second.  So the coordinates of x are e1 x at the
+    first kernel's free columns, then x - e1 x at the second's.
+    """
+    n, rows = e1.nrows, e1._rows
+    kernels = []
+    for m in ([[x - 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)],
+              rows):
+        red, pivots = rref_rows(m)
+        kernels.append(([[v.get(c, _ZERO) for c in range(n)] for v in echelon_kernel(red, pivots, n)],
+                        sorted(set(range(n)).difference(pivots))))
+    (ones, free1), (zeros, free0) = kernels
+    if len(ones) + len(zeros) != n:
+        return None
+    basis = QMatrix._of(tuple(zip(*ones, *zeros)))
+    binv = QMatrix._of(tuple(rows[c] for c in free1) + tuple(
+        tuple(int(i == c) - x for i, x in enumerate(rows[c])) for c in free0))
+    return len(ones), basis, binv
 
 
 def _rep_from_blocks(p: int, q: int, a_rows, b_rows,
@@ -441,48 +463,60 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
     """The normal form of block data, its basis in block coordinates.
 
     T = s12 + s21 is graded, so ker T^l splits over the two vertices.
+    On vertex v's columns T^l has one nonzero row block, X_v(l): B, AB,
+    BAB, ... from vertex 0 and A, BA, ABA, ... from vertex 1.  So each
+    level of the kernel flag is one block product and one kernel_basis
+    per vertex, up to T^l = 0 or the Fitting index, where the kernels
+    stop growing.
     The nilpotent summands are graded Jordan chains of T: a string of
     length l starting at a vertex has its top in a complement of
-    ker T^(l-1) + T ker T^(l+1) inside ker T^l at that vertex.  On
-    im (AB)^n, where A and B are invertible, M = T^2 acts as AB and is
-    split into cyclic chains.  Each chain starts at a maximal vector (its
-    Krylov space as large as the minimal polynomial allows), taken from
-    the moment curve sum c^i w_i at c = 0, 1, ..., k^2: each of the at
-    most k proper subspaces of non-maximal vectors meets that curve in
-    at most k - 1 points.  A dual vector f with f(M^i v) = [i = d - 1]
-    cuts out an invariant complement for the next chain.  Exact and
-    polynomial in n; nothing is factored and nothing is random.
+    ker T^(l-1) + T ker T^(l+1) inside ker T^l at that vertex.  The flag's
+    dimensions give the number of such strings, so the complement is
+    computed only where one exists.  On im (AB)^n, where A and B are
+    invertible, M = T^2 acts as AB and is split into cyclic chains.  Each
+    chain starts at a maximal vector (its Krylov space as large as the
+    minimal polynomial allows), taken from the moment curve sum c^i w_i
+    at c = 0, 1, ..., k^2: each of the at most k proper subspaces of
+    non-maximal vectors meets that curve in at most k - 1 points.  A dual
+    vector f with f(M^i v) = [i = d - 1] cuts out an invariant complement
+    for the next chain.  Exact and polynomial in n; nothing is factored
+    and nothing is random.
     """
     n = p + q
     t = QMatrix._of(tuple(tuple(
         a[i, j - p] if i < p <= j else b[i - p, j] if j < p <= i else _ZERO
         for j in range(n)) for i in range(n)))
     # flag[l][v] spans ker T^l inside vertex v (0 for e1's 1-eigenspace),
-    # up to the Fitting index, where the kernels stop growing
+    # up to T^l = 0 or the Fitting index, where the kernels stop growing;
+    # xs[v] is X_v(l), whose rows sit at vertex v + l
     flag = [[[], []]]
-    power = QMatrix.identity(n)
-    while True:
-        power = power * t
-        rows = power.to_rows()
-        level = [
-            [[_ZERO] * lo + v + [_ZERO] * (n - hi)
-             for v in kernel_basis([r[lo:hi] for r in rows], hi - lo)]
-            for lo, hi in ((0, p), (p, n))
-        ]
+    xs = [QMatrix.identity(p), QMatrix.identity(q)]
+    while sum(map(len, flag[-1])) < n:
+        xs = [(b if (v + len(flag)) % 2 else a) * xs[v] for v in (0, 1)]
+        level = [[[_ZERO] * lo + k + [_ZERO] * (n - hi) for k in kernel_basis(xs[v].to_rows(), hi - lo)]
+                 for v, (lo, hi) in enumerate(((0, p), (p, n)))]
         if sum(map(len, level)) == sum(map(len, flag[-1])):
             break
         flag.append(level)
-    flag.append(level)
+    flag.append(flag[-1])
+    dim = [list(map(len, sides)) for sides in flag]
     strings, chains = [], []
     for v in (0, 1):
         for length in range(1, len(flag) - 1):
+            # the number of strings (v + 1, length)
+            if not (dim[length][v] - dim[length - 1][v]
+                    - dim[length + 1][1 - v] + dim[length][1 - v]):
+                continue
             below = flag[length - 1][v] + [t.apply(x) for x in flag[length + 1][1 - v]]
             for k in _new_span(below, flag[length][v]):
                 strings.append((v + 1, length))
                 chains.append((v, _chain(t, flag[length][v][k], length)))
-    # im T^l past the Fitting index, inside vertex 1, where M = T^2 is AB
-    image = [c for c in zip(*power.to_rows()) if not any(c[p:])]
-    w = [image[k] for k in _new_span([], image)]
+    # im T^l past the Fitting index, inside vertex 1, where M = T^2 is AB:
+    # the columns of the X whose rows sit at vertex 0; none if T^l = 0
+    w = []
+    if sum(dim[-1]) < n:
+        image = [list(c) + [_ZERO] * q for c in zip(*xs[(len(flag) - 1) % 2].to_rows())]
+        w = [image[k] for k in _new_span([], image)]
     tt = t.transpose()
     factors = []
     while w:

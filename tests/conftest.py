@@ -31,7 +31,8 @@ from weyldeform import (
 )
 from weyldeform import modules
 from weyldeform.ext import Ext1Result
-from weyldeform.linalg import reduce_row, rref_rows
+from weyldeform.linalg import kernel_basis, rank, reduce_row, rref_rows
+from weyldeform.linalg import solve as solve_linear
 from weyldeform.modules import (
     WINDOW_MARGIN,
     _ONE,
@@ -55,7 +56,7 @@ from weyldeform.modules import (
     divide_left,
     monomial_count,
 )
-from weyldeform.reps import FAMILIES
+from weyldeform.reps import FAMILIES, NormalForm, _chain, _new_span
 from weyldeform.weyl import (Monomial, leading_term, monomial_multiples, term_order,
                              truncated_monomials)
 
@@ -762,6 +763,68 @@ def grid_are_conjugate(rep1, rep2):
         if got is not None:
             return got
     return None
+
+
+def dense_block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
+    """``reps._block_normal_form`` before it built the kernel flag from
+    block products and skipped the levels with no string, kept verbatim
+    as a reference (its zero spelled Fraction(0)): one dense power T^l and
+    one kernel_basis per vertex at every level, and a complement at every
+    (vertex, length) pair."""
+    n = p + q
+    t = QMatrix._of(tuple(tuple(
+        a[i, j - p] if i < p <= j else b[i - p, j] if j < p <= i else Fraction(0)
+        for j in range(n)) for i in range(n)))
+    # flag[l][v] spans ker T^l inside vertex v (0 for e1's 1-eigenspace),
+    # up to the Fitting index, where the kernels stop growing
+    flag = [[[], []]]
+    power = QMatrix.identity(n)
+    while True:
+        power = power * t
+        rows = power.to_rows()
+        level = [
+            [[Fraction(0)] * lo + v + [Fraction(0)] * (n - hi)
+             for v in kernel_basis([r[lo:hi] for r in rows], hi - lo)]
+            for lo, hi in ((0, p), (p, n))
+        ]
+        if sum(map(len, level)) == sum(map(len, flag[-1])):
+            break
+        flag.append(level)
+    flag.append(level)
+    strings, chains = [], []
+    for v in (0, 1):
+        for length in range(1, len(flag) - 1):
+            below = flag[length - 1][v] + [t.apply(x) for x in flag[length + 1][1 - v]]
+            for k in _new_span(below, flag[length][v]):
+                strings.append((v + 1, length))
+                chains.append((v, _chain(t, flag[length][v][k], length)))
+    # im T^l past the Fitting index, inside vertex 1, where M = T^2 is AB
+    image = [c for c in zip(*power.to_rows()) if not any(c[p:])]
+    w = [image[k] for k in _new_span([], image)]
+    tt = t.transpose()
+    factors = []
+    while w:
+        k = len(w)
+        # d: the degree of M's minimal polynomial on span w
+        powers = [_chain(t, x, 2 * k + 1)[::2] for x in w]
+        d = rank([sum(col, []) for col in zip(*powers)])
+        for c in range(k * k + 1):
+            top = [sum(c ** i * x[j] for i, x in enumerate(w)) for j in range(n)]
+            chain = _chain(t, top, 2 * d + 1)
+            krylov = chain[::2]
+            if rank(krylov[:d]) == d:
+                break
+        coeffs = solve_linear([list(col) for col in zip(*krylov[:d])], krylov[d])
+        factors.append(tuple(-x for x in coeffs) + (Fraction(1),))
+        chains.append((0, chain[:2 * d]))
+        dual = _chain(tt, solve_linear(krylov[:d], [0] * (d - 1) + [1]), 2 * d - 1)
+        # the invariant complement: x in span w with f(M^i x) = 0 for i < d
+        cut = [[sum(a * b for a, b in zip(f, x)) for x in w] for f in dual[::2]]
+        w = [[sum(y[i] * x[j] for i, x in enumerate(w)) for j in range(n)]
+             for y in kernel_basis(cut, k)]
+    cols = [x for side in (0, 1) for v, chain in chains
+            for i, x in enumerate(chain) if (v + i) % 2 == side]
+    return NormalForm((p, q), tuple(strings), tuple(factors), QMatrix._of(tuple(zip(*cols))))
 
 
 def _combo(basis, coeffs, n):

@@ -122,6 +122,28 @@ def test_qmatrix_hashable_and_immutable():
     assert len({a, QMatrix.identity(2)}) == 1
 
 
+def test_qmatrix_without_rows_keeps_its_width():
+    empty = QMatrix.zeros(0, 3)
+    assert empty.shape == (0, 3)
+    assert (empty * QMatrix([[1, 2], [3, 4], [5, 6]])).shape == (0, 2)
+    assert QMatrix.zeros(2, 0) * empty == QMatrix.zeros(2, 3)
+    assert empty.transpose().shape == (3, 0)
+    assert (-empty).shape == (empty + empty).shape == (2 * empty).shape == (0, 3)
+    assert len(empty.kernel()) == 3
+    assert empty != QMatrix.zeros(0, 2)
+    with pytest.raises(ValueError, match="shape mismatch in product"):
+        empty * QMatrix.zeros(2, 2)
+
+
+def test_qmatrix_hash_reads_integers():
+    ints = QMatrix._of(((1, -2), (0, 3)))
+    fracs = QMatrix([[1, -2], [0, 3]])
+    assert ints == fracs and hash(ints) == hash(fracs)
+    halves = QMatrix([["1/2", 0], [0, "-7/3"]])
+    assert hash(halves) == hash(QMatrix([[Fraction(1, 2), 0], [0, Fraction(-7, 3)]]))
+    assert hash(QMatrix.zeros(0, 3)) != hash(QMatrix.zeros(0, 2))
+
+
 def test_qmatrix_kernel_and_rank():
     m = QMatrix([[1, 2, 3], [2, 4, 6]])
     assert m.rank() == 1
