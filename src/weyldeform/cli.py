@@ -32,7 +32,6 @@ from .reps import (
     find_proper_submodule,
     is_simple,
     representative,
-    validate,
 )
 from .versal import (
     SpecializationReport,
@@ -142,7 +141,6 @@ def _parse_rep(text: str, params: dict[str, Fraction]) -> Representation:
     rep = Representation(*mats)
     if "n" in data and (type(data["n"]) is not int or data["n"] != rep.n):
         raise CliError(f'"n" is {json.dumps(data["n"])} but the matrices are {rep.n}x{rep.n}')
-    validate(rep)
     return rep
 
 

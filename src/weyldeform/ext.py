@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .linalg import rref_rows
+from .linalg import mat_add, mat_mul, rref_rows
 from .modules import (
     CyclicModule,
     DEFAULT_MAX_DEGREE,
@@ -188,20 +188,12 @@ class PointedAlgebra:
     def component_dims(self, order: int) -> tuple[tuple[int, ...], ...]:
         """Path counts between points, lengths below the given order."""
         k = len(self.points)
-        total = [[0] * k for _ in range(k)]
-        power = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+        total = ((0,) * k,) * k
+        power = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
         for _ in range(max(0, order)):
-            for i in range(k):
-                for j in range(k):
-                    total[i][j] += power[i][j]
-            power = [
-                [
-                    sum(self.arrow_counts[i][l] * power[l][j] for l in range(k))
-                    for j in range(k)
-                ]
-                for i in range(k)
-            ]
-        return tuple(tuple(row) for row in total)
+            total = mat_add(total, power)
+            power = mat_mul(self.arrow_counts, power, k, 0)
+        return total
 
 
 def hull_unobstructed(table: ExtTable) -> PointedAlgebra:

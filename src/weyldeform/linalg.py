@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and matrix products and sums.
 
 ``rref_rows`` is the one elimination kernel.  It takes dense rows or
 sparse ``{column: value}`` dicts (the monomial systems are a few percent
@@ -14,8 +14,12 @@ one a dense Gauss-Jordan gives.  ``echelon_solution`` and
 ``echelon_kernel`` read a solution and a kernel basis off it, sparse;
 the public functions (rref, rank, kernel_basis, solve, inverse) keep
 taking and returning dense lists.  ``reduce_row`` reduces a sparse
-vector by echelon rows.  QMatrix is an immutable wrapper used by the
-representation-theory code.
+vector by echelon rows.  ``mat_mul`` and ``mat_add`` are the one sparse
+product and the one sum of matrices over any ring: here, in ``modules``
+(over the Weyl algebra, whose factor order they keep) and in ``ext``
+(path counts over the integers).  QMatrix is an immutable wrapper used
+by the representation-theory code; its ``apply`` keeps its own loop,
+over nonzeros found once, for the repeated T*x of the normal form.
 """
 
 from __future__ import annotations
@@ -49,6 +53,35 @@ def reduce_row(vec: Row, rows: Sequence[Row], pivots: Sequence[int]) -> Row:
                 else:
                     del out[c]
     return out
+
+
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], ncols: int, zero) -> tuple:
+    """a * b as row tuples, over the nonzero entries of b's rows.
+
+    Each term is x * y with x from a, so a noncommutative ring keeps its
+    factor order; each entry adds its terms in increasing k, and one with
+    no term is ``zero``, the ring's own.  ``ncols`` is b's width, which b
+    cannot show when it has no rows; the caller checks the shapes.
+    """
+    right = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc: dict = {}
+        for x, nonzeros in zip(row, right):
+            if x:
+                for j, y in nonzeros:
+                    s = acc.get(j)
+                    acc[j] = x * y if s is None else s + x * y
+        full = [zero] * ncols
+        for j, s in acc.items():
+            full[j] = s
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def mat_add(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
+    """a + b entrywise as row tuples, keeping a's entry where b's is zero."""
+    return tuple(tuple(x + y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _integer_row(items) -> dict[int, int]:
@@ -282,9 +315,7 @@ class QMatrix:
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return QMatrix._of(tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._rows, other._rows)
-        ), self.ncols)
+        return QMatrix._of(mat_add(self._rows, other._rows), self.ncols)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self + (-other)
@@ -296,17 +327,7 @@ class QMatrix:
         if isinstance(other, QMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in product")
-            right = [[(j, b) for j, b in enumerate(row) if b] for row in other._rows]
-            out = []
-            for row in self._rows:
-                acc: dict[int, Fraction] = {}
-                for a, nonzeros in zip(row, right):
-                    if a:
-                        for j, b in nonzeros:
-                            s = acc.get(j)
-                            acc[j] = a * b if s is None else s + a * b
-                out.append(tuple(acc.get(j, _ZERO) for j in range(other.ncols)))
-            return QMatrix._of(tuple(out), other.ncols)
+            return QMatrix._of(mat_mul(self._rows, other._rows, other.ncols, _ZERO), other.ncols)
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return QMatrix._of(tuple(tuple(c * x for x in row) for row in self._rows), self.ncols)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-from .linalg import echelon_kernel, echelon_solution, reduce_row, rref_rows
+from .linalg import echelon_kernel, echelon_solution, mat_add, mat_mul, reduce_row, rref_rows
 from .weyl import (
     WeylElement,
     _multiples,
@@ -192,24 +192,10 @@ def wmat_zero(nrows: int, ncols: int) -> Wmat:
 
 
 def wmat_mul(a: Wmat, b: Wmat) -> Wmat:
-    """a * b over the nonzero entries of b's rows, each sum in increasing k."""
+    """a * b by linalg.mat_mul; when b has no rows, each product row is empty."""
     if a and len(a[0]) != len(b):
         raise ValueError("shape mismatch in product")
-    ncols = range(len(b[0]) if b else 0)
-    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc: dict = {}
-        for x, brow in zip(row, sparse):
-            if x:
-                for j, y in brow:
-                    acc[j] = acc[j] + x * y if j in acc else x * y
-        out.append(tuple(acc.get(j, _ZERO) for j in ncols))
-    return tuple(out)
-
-
-def wmat_sub(a: Wmat, b: Wmat) -> Wmat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return mat_mul(a, b, len(b[0]) if b else 0, _ZERO)
 
 
 def wmat_deg(a: Wmat) -> int:
@@ -470,11 +456,12 @@ class HomBasis:
 
 
 def _stabilized_at(dims: tuple[int, ...]) -> int | None:
-    """First cutoff from which STABLE_RUN consecutive dims agree, or None."""
-    for n in range(len(dims) - STABLE_RUN + 1):
-        if len(set(dims[n : n + STABLE_RUN])) == 1:
-            return n
-    return None
+    """First cutoff from which every later dim agrees, when that run holds
+    at least STABLE_RUN dims, or None."""
+    n = len(dims)
+    while n and dims[n - 1] == dims[-1]:
+        n -= 1
+    return n if len(dims) - n >= STABLE_RUN else None
 
 
 def hom_search(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> HomBasis:
@@ -541,15 +528,11 @@ class IsoWitness:
     def verify(self) -> bool:
         da = as_presented(self.source).delta
         db = as_presented(self.target).delta
-        na = len(da)
-        nb = len(db)
         return (
             wmat_mul(da, self.r) == wmat_mul(self.u, db)
             and wmat_mul(db, self.s) == wmat_mul(self.v, da)
-            and wmat_sub(wmat_mul(self.r, self.s), wmat_identity(na))
-            == wmat_mul(self.c_a, da)
-            and wmat_sub(wmat_mul(self.s, self.r), wmat_identity(nb))
-            == wmat_mul(self.c_b, db)
+            and wmat_mul(self.r, self.s) == mat_add(wmat_identity(len(da)), wmat_mul(self.c_a, da))
+            and wmat_mul(self.s, self.r) == mat_add(wmat_identity(len(db)), wmat_mul(self.c_b, db))
         )
 
     def reversed(self) -> "IsoWitness":
@@ -592,14 +575,8 @@ def compose_iso(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
     s = wmat_mul(w2.s, w1.s)
     u = wmat_mul(w1.u, w2.u)
     v = wmat_mul(w2.v, w1.v)
-    c_a = tuple(
-        tuple(x + y if y else x for x, y in zip(ra, rb))
-        for ra, rb in zip(w1.c_a, wmat_mul(wmat_mul(w1.r, w2.c_a), w1.v))
-    )
-    c_b = tuple(
-        tuple(x + y if y else x for x, y in zip(ra, rb))
-        for ra, rb in zip(w2.c_b, wmat_mul(wmat_mul(w2.s, w1.c_b), w2.u))
-    )
+    c_a = mat_add(w1.c_a, wmat_mul(wmat_mul(w1.r, w2.c_a), w1.v))
+    c_b = mat_add(w2.c_b, wmat_mul(wmat_mul(w2.s, w1.c_b), w2.u))
     return IsoWitness(
         w1.source, w2.target, r, s, u, v, c_a, c_b,
         max(w1.max_degree, w2.max_degree),
@@ -722,10 +699,9 @@ def _certify_generator(a: CyclicModule, b: PresentedModule, g: tuple, u_row: tup
         for l in range(n):
             rd = b.row_degree(l)
             sys2.unknown(f"cb_{i}_{l}", cw - rd if rd >= 0 else -1)
-    gs = [
-        sum((g[j] * basis[k][f"s{j}"] for j in range(n)), _ZERO)
-        for k in range(len(basis))
-    ]
+    # the kernel basis as columns: s_mat[j][k] is the s_j of basis vector k
+    s_mat = tuple(tuple(x[f"s{j}"] for x in basis) for j in range(n))
+    gs = wmat_mul((tuple(g),), s_mat)[0]
     sys2.equate(
         [(gs[k], f"x{k}", _ONE, 1) for k in range(len(basis))]
         + [(_ONE, "ca", p, -1)],
@@ -744,15 +720,10 @@ def _certify_generator(a: CyclicModule, b: PresentedModule, g: tuple, u_row: tup
     sol = sys2.solve()
     if sol is None:
         return None
-    xs = [sol[f"x{k}"].coeff(0, 0) for k in range(len(basis))]
-    s_col = tuple(
-        (sum((basis[k][f"s{i}"] * xs[k] for k in range(len(basis))), _ZERO),)
-        for i in range(n)
-    )
-    v_col = tuple(
-        (sum((basis[k][f"v{i}"] * xs[k] for k in range(len(basis))), _ZERO),)
-        for i in range(n)
-    )
+    # the x_k have degree 0: constants, as a column
+    xs = tuple((sol[f"x{k}"],) for k in range(len(basis)))
+    s_col = wmat_mul(s_mat, xs)
+    v_col = wmat_mul(tuple(tuple(x[f"v{i}"] for x in basis) for i in range(n)), xs)
     c_b = tuple(
         tuple(sol[f"cb_{i}_{l}"] for l in range(n)) for i in range(n)
     )

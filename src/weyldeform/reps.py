@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Sequence
 
-from .linalg import QMatrix, echelon_kernel, kernel_basis, rank, rref_rows
+from .linalg import QMatrix, echelon_kernel, kernel_basis, mat_mul, rank, rref_rows
 from .linalg import solve as solve_linear
 from .modules import _memo
 
@@ -129,11 +129,9 @@ class Representation:
 def validate(rep: Representation) -> None:
     """Check all seven pointed relations, collecting every violation."""
     e1, s12, s21 = rep.triple()
-    n = rep.n
-    zero = QMatrix.zeros(n, n)
     checks = (
-        ("S12^2 = 0", s12 * s12 - zero),
-        ("S21^2 = 0", s21 * s21 - zero),
+        ("S12^2 = 0", s12 * s12),
+        ("S21^2 = 0", s21 * s21),
         ("E1^2 = E1", e1 * e1 - e1),
         ("E1*S12 = S12", e1 * s12 - s12),
         ("S21*E1 = S21", s21 * e1 - s21),
@@ -525,7 +523,7 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
         powers = [_chain(t, x, 2 * k + 1)[::2] for x in w]
         d = rank([sum(col, []) for col in zip(*powers)])
         for c in range(k * k + 1):
-            top = [sum(c ** i * x[j] for i, x in enumerate(w)) for j in range(n)]
+            top = mat_mul([[c ** i for i in range(k)]], w, n, _ZERO)[0]
             chain = _chain(t, top, 2 * d + 1)
             krylov = chain[::2]
             if rank(krylov[:d]) == d:
@@ -535,9 +533,8 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
         chains.append((0, chain[:2 * d]))
         dual = _chain(tt, solve_linear(krylov[:d], [0] * (d - 1) + [1]), 2 * d - 1)
         # the invariant complement: x in span w with f(M^i x) = 0 for i < d
-        cut = [[sum(a * b for a, b in zip(f, x)) for x in w] for f in dual[::2]]
-        w = [[sum(y[i] * x[j] for i, x in enumerate(w)) for j in range(n)]
-             for y in kernel_basis(cut, k)]
+        cut = mat_mul(dual[::2], list(zip(*w)), k, _ZERO)
+        w = mat_mul(kernel_basis(cut, k), w, n, _ZERO)
     cols = [x for side in (0, 1) for v, chain in chains
             for i, x in enumerate(chain) if (v + i) % 2 == side]
     return NormalForm((p, q), tuple(strings), tuple(factors), QMatrix._of(tuple(zip(*cols))))

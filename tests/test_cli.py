@@ -246,12 +246,19 @@ def test_validation_errors_exit_one(capsys):
 
 
 def test_relation_violation_reported(capsys):
+    # both commands that take a representation reach the memoized quiver
+    # form, which runs validate()
     rep = json.dumps({
         "n": 1, "e1": [["1"]], "s12": [["1"]], "s21": [["0"]],
     })
-    code, data = run_json(capsys, "simple", rep)
-    assert code == 1
-    assert data["violations"] == ["S12^2 = 0", "S12*E1 = 0"]
+    for command in ("simple", "specialize"):
+        code, data = run_json(capsys, command, rep)
+        assert code == 1
+        assert data["violations"] == ["S12^2 = 0", "S12*E1 = 0"]
+        code, out = run_cli(capsys, command, rep, "--format", "text")
+        assert code == 1
+        assert out == ("error: relations violated: S12^2 = 0, S12*E1 = 0\n"
+                       "violations:\n  S12^2 = 0, S12*E1 = 0\n")
 
 
 def test_bad_param_syntax(capsys):

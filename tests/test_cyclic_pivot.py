@@ -1,5 +1,6 @@
 """Cyclic forms by elimination at constant pivots, against the search."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -175,6 +176,21 @@ def test_iso_to_a_specialization_past_the_cap():
     w = iso_witness(CyclicModule("t*d*t*d"), delta, 0)
     assert w is not None and w.verify()
     assert as_presented(w.target).delta == delta.delta
+
+
+@pytest.mark.parametrize("field", ["r", "s", "u", "v", "c_a", "c_b"])
+def test_verify_rejects_a_changed_entry(field):
+    # the chain's witness for T_4_20 has 1 x 4 r and 4 x 1 s
+    _, w = cyclic_form(specialize(representative("T_4_20")), 2)
+    assert w.verify()
+    mat = getattr(w, field)
+    for i, row in enumerate(mat):
+        for j in range(len(row)):
+            for delta in (WeylElement.one(), WeylElement.t()):
+                changed = tuple(
+                    tuple(y + delta if (k, l) == (i, j) else y for l, y in enumerate(r))
+                    for k, r in enumerate(mat))
+                assert not dataclasses.replace(w, **{field: changed}).verify(), (i, j)
 
 
 def schur_pivot(delta):

@@ -25,6 +25,7 @@ from weyldeform import (
     specialize,
 )
 from weyldeform import modules
+from weyldeform.linalg import QMatrix, mat_add
 from weyldeform.modules import (
     TruncatedSpan,
     image_witness,
@@ -142,6 +143,24 @@ def test_hom_endomorphisms_of_m1():
     assert list(basis.basis) == [one]
 
 
+@pytest.mark.parametrize("dims, want", [
+    ((0, 0, 0, 0, 0, 0, 1, 1, 1), 6),
+    ((0, 0, 0, 0, 0, 1, 1), None),
+    ((2,) * 9, 0),
+    ((0,), None),
+    ((0, 0), None),
+])
+def test_stabilized_at_counts_only_the_final_run(dims, want):
+    # an earlier run of equal dims that later grow is not stable
+    assert modules._stabilized_at(dims) == want
+
+
+def test_hom_stabilizes_where_the_final_run_starts():
+    basis = hom_search(CyclicModule("t"), CyclicModule("t*d - 3"), 14)
+    assert basis.dims == (0,) * 4 + (1,) * 11
+    assert basis.stabilized_at() == 4
+
+
 def test_hom_m1_to_m2_vanishes():
     basis = hom_search(CyclicModule("d"), CyclicModule("t"), 8)
     assert basis.dim == 0
@@ -242,7 +261,7 @@ def rand_wmat(rng: random.Random, nrows: int, ncols: int) -> tuple:
 
 
 def test_sparse_wmat_mul_matches_the_dense_product():
-    rng = random.Random(1729)
+    rng, qrng = random.Random(1729), random.Random(1730)
     for _ in range(60):
         p, q, r = (rng.randint(1, 6) for _ in range(3))
         a, b = rand_wmat(rng, p, q), rand_wmat(rng, q, r)
@@ -251,8 +270,41 @@ def test_sparse_wmat_mul_matches_the_dense_product():
         assert len(got) == p and all(len(row) == r for row in got)
         assert all(isinstance(e, WeylElement) for row in got for e in row)
         assert all(type(c) is Fraction and c != 0 for row in got for e in row for _, c in e)
+        # the same routine over Q, against a dense Fraction product
+        qa, qb = rand_qmat(qrng, p, q), rand_qmat(qrng, q, r)
+        got = (qa * qb).to_rows()
+        assert got == [[sum((qa[i, k] * qb[k, j] for k in range(q)), Fraction(0))
+                        for j in range(r)] for i in range(p)]
+        assert all(type(x) is Fraction for row in got for x in row)
     # entries that cancel are zero elements
     assert wmat_mul(((t, t),), ((d,), (-d,))) == ((WeylElement.zero(),),)
+    # an entry with no term is the ring's own zero
+    zero = WeylElement.zero()
+    assert type(wmat_mul(((t, one),), ((zero,), (zero,)))[0][0]) is WeylElement
+    assert all(type(x) is Fraction for x in (QMatrix([[1, 0]]) * QMatrix([[0], [5]])).row(0))
+    # empty shapes: 0 x k times k x m, and k x 0 times 0 x m
+    for k, m in ((0, 0), (2, 3)):
+        assert (QMatrix.zeros(0, k) * QMatrix.zeros(k, m)).shape == (0, m)
+        prod = QMatrix.zeros(k, 0) * QMatrix.zeros(0, m)
+        assert prod == QMatrix.zeros(k, m)
+        assert all(type(x) is Fraction for row in prod.to_rows() for x in row)
+        assert wmat_mul((), rand_wmat(rng, k, m)) == ()
+        assert wmat_mul(((),) * k, ()) == ((),) * k
+
+
+def test_mat_add_keeps_the_left_entry_where_the_right_is_zero():
+    x, y = rand_weyl(random.Random(7), max_deg=2, terms=3), WeylElement.zero()
+    got = mat_add(((x, x),), ((y, t),))
+    assert got[0][0] is x and got[0][1] == x + t
+    a = QMatrix([[Fraction(1, 3), 2]])
+    assert (a + QMatrix.zeros(1, 2)).row(0)[0] is a.row(0)[0]
+    assert (a + QMatrix([[1, -2]])).to_rows() == [[Fraction(4, 3), 0]]
+
+
+def rand_qmat(rng: random.Random, nrows: int, ncols: int) -> QMatrix:
+    """Mostly zero rationals."""
+    return QMatrix([[0 if rng.random() < 0.55 else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(ncols)] for _ in range(nrows)])
 
 
 def test_cyclic_form_upper_triangular():
