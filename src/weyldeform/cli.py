@@ -13,7 +13,7 @@ import argparse
 import json
 from fractions import Fraction
 
-from .ext import ext_table, hull_trunc_dim, hull_unobstructed
+from .ext import ext_table, hull_unobstructed
 from .linalg import QMatrix
 from .modules import (
     CyclicModule,
@@ -273,7 +273,8 @@ def _cmd_hull(ns) -> tuple[dict, bool]:
             for a in hull.arrows
         ],
         "relations": [r.display for r in hull.relations],
-        "trunc_dims": {str(m): hull_trunc_dim(hull, m) for m in range(1, 9)},
+        "trunc_dims": {str(m): sum(map(sum, comp))
+                       for m, comp in enumerate(hull._component_sums(8)) if m},
     }
     return payload, table.stable
 

@@ -187,13 +187,18 @@ class PointedAlgebra:
 
     def component_dims(self, order: int) -> tuple[tuple[int, ...], ...]:
         """Path counts between points, lengths below the given order."""
+        return self._component_sums(order)[-1]
+
+    def _component_sums(self, order: int) -> list[tuple[tuple[int, ...], ...]]:
+        """component_dims for the orders 0, 1, ..., order, as one running
+        sum of the powers of the arrow counts."""
         k = len(self.points)
-        total = ((0,) * k,) * k
+        sums = [((0,) * k,) * k]
         power = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
         for _ in range(max(0, order)):
-            total = mat_add(total, power)
+            sums.append(mat_add(sums[-1], power))
             power = mat_mul(self.arrow_counts, power, k, 0)
-        return total
+        return sums
 
 
 def hull_unobstructed(table: ExtTable) -> PointedAlgebra:

@@ -344,7 +344,7 @@ class QMatrix:
 
     def apply(self, vec: Sequence) -> list:
         """Matrix-vector product, over the nonzero entries of each row."""
-        v = [Fraction(x) for x in vec]
+        v = [x if type(x) is Fraction else Fraction(x) for x in vec]
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
         if self._nonzeros is None:

@@ -769,11 +769,16 @@ def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitn
     no form, the other side's form is mapped by a generator straight into
     that presentation.  The witness is verified once before it is
     returned.  None means no witness was found within the degree bound,
-    a bounded negative, not a proof of non-isomorphism.
+    a bounded negative, not a proof of non-isomorphism.  Memoized on the
+    coerced modules and the cap, so a repeated question returns the same
+    witness; clear_caches() empties the memo.
     """
     n_cap = _check_degree(max_degree)
-    source = _coerce_module(source)
-    target = _coerce_module(target)
+    return _iso_witness(_coerce_module(source), _coerce_module(target), n_cap)
+
+
+@_memo
+def _iso_witness(source, target, n_cap: int) -> IsoWitness | None:
     if as_presented(source).delta == as_presented(target).delta:
         return _verified(_identity_witness(source, target, n_cap))
     side_a, side_b = (
@@ -783,7 +788,7 @@ def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitn
     if side_a is None:
         if side_b is None:
             return None
-        w = iso_witness(target, source, n_cap)
+        w = _iso_witness(target, source, n_cap)
         return None if w is None else w.reversed()
     cyc_a, w_a = side_a
     if side_b is None:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Sequence
 
-from .linalg import QMatrix, echelon_kernel, kernel_basis, mat_mul, rank, rref_rows
+from .linalg import QMatrix, echelon_kernel, echelon_solution, kernel_basis, mat_mul, rank, rref_rows
 from .linalg import solve as solve_linear
 from .modules import _memo
 
@@ -194,22 +194,48 @@ def quiver_form(rep: Representation) -> QuiverForm:
     checked by block shape; a broken one raises validate()'s full
     RelationViolation, on every call, since exceptions are not cached.
 
+    An e1 that is already diag(1, ..., 1, 0, ..., 0), as every
+    representative's is, has the identity for basis, and its blocks are
+    read off s12 and s21 as they stand.
+
     Memoized per triple for the life of the process: equal triples share
     one immutable form, and clear_caches() empties the memo.
     """
-    split = _eigenbasis(rep.e1)
-    if split is not None:
+    n, rows = rep.n, rep.e1._rows
+    p = sum(1 for i in range(n) if rows[i][i] == 1)
+    if all(x == (i == j < p) for i, row in enumerate(rows) for j, x in enumerate(row)):
+        s12, s21 = rep.s12._rows, rep.s21._rows
+        if all(s12[i][j] == 0 == s21[j][i] for i in range(n) for j in range(n) if not i < p <= j):
+            return QuiverForm((p, n - p), QMatrix._of(tuple(row[p:] for row in s12[:p]), n - p),
+                              QMatrix._of(tuple(row[:p] for row in s21[p:]), p), QMatrix.identity(n))
+    elif (split := _eigenbasis(rep.e1)) is not None:
         p, basis, binv = split
-        n, q = rep.n, rep.n - p
-        s12c = binv * rep.s12 * basis
-        s21c = binv * rep.s21 * basis
-        if all(s12c[i, j] == 0 == s21c[j, i]
-               for i in range(n) for j in range(n) if not i < p <= j):
-            a = QMatrix._of(tuple(tuple(s12c[i, p + j] for j in range(q)) for i in range(p)), q)
-            b = QMatrix._of(tuple(tuple(s21c[p + i, j] for j in range(p)) for i in range(q)), p)
-            return QuiverForm((p, q), a, b, basis)
+        blocks = _conjugated_blocks(rep, p, basis, binv)
+        if blocks is not None:
+            return QuiverForm((p, n - p), *blocks, basis)
     validate(rep)
     raise AssertionError("the relations hold but the blocks are out of shape")
+
+
+def _conjugated_blocks(rep: Representation, p: int, basis: QMatrix,
+                       binv: QMatrix) -> tuple[QMatrix, QMatrix] | None:
+    """a and b of binv s12 basis and binv s21 basis, or None when a block
+    that must be zero is not.
+
+    binv is invertible, so X = s12 basis and Y = s21 basis decide on their
+    own that the first p columns of binv X and the last q of binv Y are
+    zero; binv times the other columns gives a, b and the last two zero
+    blocks.  Only those columns are multiplied by binv.
+    """
+    n = rep.n
+    x, y = (rep.s12 * basis)._rows, (rep.s21 * basis)._rows
+    if any(any(row[:p]) or any(y_row[p:]) for row, y_row in zip(x, y)):
+        return None
+    xa = (binv * QMatrix._of(tuple(row[p:] for row in x), n - p))._rows
+    yb = (binv * QMatrix._of(tuple(row[:p] for row in y), p))._rows
+    if any(map(any, xa[p:])) or any(map(any, yb[:p])):
+        return None
+    return QMatrix._of(xa[:p], n - p), QMatrix._of(yb[p:], p)
 
 
 def _eigenbasis(e1: QMatrix) -> tuple[int, QMatrix, QMatrix] | None:
@@ -420,12 +446,33 @@ class NormalForm:
     factors: tuple[tuple[Fraction, ...], ...]
     basis: QMatrix = field(compare=False)
 
-    def blocks(self) -> list[tuple[int, ...]]:
-        """Basis positions of each summand's chain, strings then factors; the
-        basis is sorted by (vertex, chain, step), as _block_normal_form has it."""
+    def _steps(self) -> list[tuple[int, int, int]]:
+        """(vertex, chain, step) of each basis position, in order: chains are
+        the strings then the factors, and the basis is sorted by those keys,
+        as _block_normal_form has it."""
         chains = [(v - 1, n) for v, n in self.strings] + [(0, 2 * len(f) - 2) for f in self.factors]
-        order = sorted(((v + i) % 2, c, i) for c, (v, n) in enumerate(chains) for i in range(n))
-        return [tuple(k for k, x in enumerate(order) if x[1] == c) for c in range(len(chains))]
+        return sorted(((v + i) % 2, c, i) for c, (v, n) in enumerate(chains) for i in range(n))
+
+    def blocks(self) -> list[tuple[int, ...]]:
+        """Basis positions of each summand's chain, strings then factors."""
+        order = self._steps()
+        return [tuple(k for k, x in enumerate(order) if x[1] == c)
+                for c in range(len(self.strings) + len(self.factors))]
+
+    def _images(self) -> list[dict[int, Fraction]]:
+        """T = s12 + s21 in the basis, read off the invariants: column k as
+        {position: coefficient}.  T maps each chain vector to the next, a
+        string's last vector to 0, and a factor chain's last vector,
+        M^d x, to -sum f_i M^i x."""
+        order = self._steps()
+        at = {(c, i): k for k, (_, c, i) in enumerate(order)}
+        out = []
+        for _, c, i in order:
+            f = self.factors[c - len(self.strings)] if c >= len(self.strings) else ()
+            nxt = at.get((c, i + 1))
+            out.append({nxt: _ONE} if nxt is not None else
+                       {at[c, 2 * j]: -x for j, x in enumerate(f[:-1]) if x})
+        return out
 
 
 def _new_span(below: list, vectors: list) -> list[int]:
@@ -454,6 +501,8 @@ def normal_form(rep: Representation) -> NormalForm:
     """
     form = quiver_form(rep)
     nf = _block_normal_form(form.dims[0], form.dims[1], form.a, form.b)
+    if form.basis == QMatrix.identity(rep.n):  # a split e1's
+        return nf
     return replace(nf, basis=form.basis * nf.basis)
 
 
@@ -488,9 +537,10 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
     # up to T^l = 0 or the Fitting index, where the kernels stop growing;
     # xs[v] is X_v(l), whose rows sit at vertex v + l
     flag = [[[], []]]
-    xs = [QMatrix.identity(p), QMatrix.identity(q)]
+    xs = [b, a]
     while sum(map(len, flag[-1])) < n:
-        xs = [(b if (v + len(flag)) % 2 else a) * xs[v] for v in (0, 1)]
+        if len(flag) > 1:
+            xs = [(b if (v + len(flag)) % 2 else a) * xs[v] for v in (0, 1)]
         level = [[[_ZERO] * lo + k + [_ZERO] * (n - hi) for k in kernel_basis(xs[v].to_rows(), hi - lo)]
                  for v, (lo, hi) in enumerate(((0, p), (p, n)))]
         if sum(map(len, level)) == sum(map(len, flag[-1])):
@@ -526,11 +576,17 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
             top = mat_mul([[c ** i for i in range(k)]], w, n, _ZERO)[0]
             chain = _chain(t, top, 2 * d + 1)
             krylov = chain[::2]
-            if rank(krylov[:d]) == d:
+            # one elimination of the columns top, M top, ..., M^d top: the
+            # first d are independent exactly when they are all pivots, and
+            # then M^d top's coefficients on them are unique
+            red, pivots = rref_rows(zip(*krylov))
+            if pivots[:d] == list(range(d)):
                 break
-        coeffs = solve_linear([list(col) for col in zip(*krylov[:d])], krylov[d])
-        factors.append(tuple(-x for x in coeffs) + (Fraction(1),))
+        coeffs = echelon_solution(red, pivots, d)
+        factors.append(tuple(-coeffs.get(i, _ZERO) for i in range(d)) + (_ONE,))
         chains.append((0, chain[:2 * d]))
+        if d == k:  # the chain fills span w
+            break
         dual = _chain(tt, solve_linear(krylov[:d], [0] * (d - 1) + [1]), 2 * d - 1)
         # the invariant complement: x in span w with f(M^i x) = 0 for i < d
         cut = mat_mul(dual[::2], list(zip(*w)), k, _ZERO)

@@ -24,10 +24,14 @@ for v = 1, in t for v = 2: (1, 2) -> t*d, (2, 3) -> t*d*t).  An
 invariant factor f of AB of degree k has a chain of length 2k from
 vertex 1 ending in T x_(2k-1) = -sum f_i x_(2i); as x_(2i) = theta^i
 x_0, t*x_(2k-1) = theta^k x_0 for theta = t*d, it gives D/D(f(theta)).
-cyclic_form's pivot chain makes these eliminations, so its search is
-never reached and another form raises; the chain's witness sends x_i to
-degree i < deg w, the multiplicity of D/Dw, and is kept whatever that
-degree, so every block is identified.
+The invariants fix those rows, so Delta' is read off them and never
+multiplied out.  cyclic_form's pivot chain makes these eliminations, so
+its search is never reached and another form raises; the chain's
+witness sends x_i to degree i < deg w, the multiplicity of D/Dw, and is
+kept whatever that degree, so every block is identified.  Each witness
+handed out is verified once: a single block's chain witness only as its
+composite with the conjugation, a direct sum's block witnesses and its
+conjugation each on their own.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .modules import (
     IsoWitness,
     PresentedModule,
     _check_degree,
+    _find_cyclic_form,
     _memo,
     _verified,
     compose_iso,
@@ -55,7 +60,9 @@ from .weyl import WeylElement, print_weyl
 _D = WeylElement.d()
 _T = WeylElement.t()
 _ONE = WeylElement.one()
+_ZERO = WeylElement.zero()
 _THETA = WeylElement.monomial(1, 1)  # t*d
+_ALIASES = {_D: "M1", _T: "M2"}
 
 def specialize(rep: Representation) -> PresentedModule:
     """Presentation matrix obtained by specializing the differential.
@@ -70,13 +77,40 @@ def specialize(rep: Representation) -> PresentedModule:
 
 def _delta(e1: QMatrix, s12: QMatrix, s21: QMatrix) -> PresentedModule:
     """The specialized differential of a triple, which must be valid."""
-    n = e1.nrows
+    cols = zip(zip(*e1._rows), zip(*s12._rows), zip(*s21._rows))
     return PresentedModule(tuple(
-        tuple(WeylElement({(0, 1): e1[k, l], (0, 0): -(s12[k, l] + s21[k, l]),
-                           (1, 0): int(k == l) - e1[k, l]})
-              for k in range(n))
-        for l in range(n)
+        tuple(_entry(e, x + y if x and y else x or y, int(k == l))
+              for k, (e, x, y) in enumerate(zip(*col)))
+        for l, col in enumerate(cols)
     ))
+
+
+def _entry(e: Fraction, s: Fraction, diag: int) -> WeylElement:
+    """d*e - s + t*(diag - e) from Fractions, with no zero term."""
+    terms = {}
+    if e:
+        terms[0, 1] = e
+    if s:
+        terms[0, 0] = -s
+    if e != diag:
+        terms[1, 0] = diag - e
+    return WeylElement._of(terms)
+
+
+def _form_delta(form: NormalForm) -> PresentedModule:
+    """Delta' = g^T Delta g^-T, read off the invariants: g^-1 e1 g is 1 on
+    the first p basis vectors and 0 on the rest, and g^-1 (s12 + s21) g is
+    T in the basis (NormalForm._images), so row l is d or t on the
+    diagonal and minus T x_l's coordinates elsewhere."""
+    p = form.dims[0]
+    rows = []
+    for l, image in enumerate(form._images()):
+        row = [_ZERO] * sum(form.dims)
+        row[l] = _D if l < p else _T
+        for k, c in image.items():
+            row[k] = WeylElement._of({(0, 0): -c})
+        rows.append(tuple(row))
+    return PresentedModule(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -129,13 +163,13 @@ def _rule_target(form: NormalForm, k: int) -> CyclicModule:
     return CyclicModule(p)
 
 
-def _block_report(block: PresentedModule, want: CyclicModule, n_cap: int,
+def _block_report(block: PresentedModule, found, want: CyclicModule, n_cap: int,
                   base: Fraction | None) -> SpecializationReport:
-    found = cyclic_form(block, n_cap)
+    """The report of a block whose pivot chain found (form, witness)."""
     if found is None or found[0] != want:
         raise RuntimeError("normal-form target failed verification")
     cyc, witness = found
-    alias = {_D: "M1", _T: "M2"}.get(cyc.p)
+    alias = _ALIASES.get(cyc.p)
     rest = cyc.p - _THETA
     shift = None if base is None or rest.degree() else base + rest.coeff(0, 0)
     shift = int(shift) if shift is not None and shift.denominator == 1 else None
@@ -149,24 +183,31 @@ def _identify_rep(rep: Representation, n_cap: int, base: Fraction | None,
                   point: CommutativePoint | None = None) -> SpecializationReport:
     form = normal_form(rep)  # raises validate()'s RelationViolation on a bad rep
     delta = _delta(*rep.triple())
-    ginv = form.basis.inverse()
-    nf = _delta(*(ginv * x * form.basis for x in rep.triple()))
-    gt, gti = (tuple(tuple(WeylElement.constant(x) for x in col) for col in zip(*m.to_rows()))
-               for m in (form.basis, ginv))
-    zero = wmat_zero(rep.n, rep.n)
-    conj = IsoWitness(nf, delta, gt, gti, gt, gti, zero, zero, n_cap)
-    subs = tuple(
-        _block_report(PresentedModule(tuple(tuple(nf.delta[i][j] for j in idx) for i in idx)),
-                      _rule_target(form, k), n_cap, base)
-        for k, idx in enumerate(form.blocks())
-    )
-    if len(subs) == 1:  # cyclic_form verified the block's own witness
-        w = _verified(compose_iso(subs[0].witness, conj)) if nf != delta else subs[0].witness
-        return replace(subs[0], presentation=delta, witness=w, point=point)
-    _verified(conj)  # each block's witness was verified by cyclic_form
+    nf = _form_delta(form)
+    idxs = form.blocks()
+    if len(idxs) == 1:
+        # one block is Delta' itself: its unverified chain witness, composed
+        # with the conjugation when there is one, is verified once
+        sub = _block_report(nf, _find_cyclic_form(nf, n_cap), _rule_target(form, 0), n_cap, base)
+        w = sub.witness if nf == delta else compose_iso(sub.witness, _conjugation(form, nf, delta, n_cap))
+        return replace(sub, presentation=delta, witness=_verified(w), point=point)
+    # each block's witness is handed out, so cyclic_form verifies it
+    blocks = [PresentedModule(tuple(tuple(nf.delta[i][j] for j in idx) for i in idx)) for idx in idxs]
+    subs = tuple(_block_report(b, cyclic_form(b, n_cap), _rule_target(form, k), n_cap, base)
+                 for k, b in enumerate(blocks))
     message = f"direct sum of {len(subs)} blocks: " + ", ".join(s.message for s in subs)
-    return SpecializationReport(delta, True, "direct_sum", subs,
-                                None, None, conj, n_cap, message, point)
+    return SpecializationReport(delta, True, "direct_sum", subs, None, None,
+                                _verified(_conjugation(form, nf, delta, n_cap)),
+                                n_cap, message, point)
+
+
+def _conjugation(form: NormalForm, nf: PresentedModule, delta: PresentedModule,
+                 n_cap: int) -> IsoWitness:
+    """The witness Delta' -> Delta: r = u = g^T, s = v = g^-T, c_a = c_b = 0."""
+    gt, gti = (tuple(tuple(WeylElement._of({(0, 0): x} if x else {}) for x in col)
+                     for col in zip(*m._rows)) for m in (form.basis, form.basis.inverse()))
+    zero = wmat_zero(len(gt), len(gt))
+    return IsoWitness(nf, delta, gt, gti, gt, gti, zero, zero, n_cap)
 
 
 def identify_specialization(rep: Representation,
@@ -200,14 +241,17 @@ def cross_certify(rep: Representation, point,
     """Certified isomorphism between the two specializations, or None.
 
     Both recognitions must land on cyclic targets; the witnesses are
-    then composed through iso_witness between the two targets, which is
-    the identity when they are equal and a bounded search otherwise.
+    then composed directly when the targets are equal, and through
+    iso_witness's bounded search between them otherwise.
     """
     r1 = identify_specialization(rep, max_degree)
     r2 = commutative_specialize(point, max_degree)
     if r1.target_kind != "cyclic" or r2.target_kind != "cyclic":
         return None
-    w_mid = iso_witness(r1.target, r2.target, max_degree)
-    if w_mid is None:
-        return None
-    return _verified(compose_iso(r1.witness.reversed(), compose_iso(w_mid, r2.witness)))
+    w = r2.witness
+    if r1.target != r2.target:
+        w_mid = iso_witness(r1.target, r2.target, max_degree)
+        if w_mid is None:
+            return None
+        w = compose_iso(w_mid, w)
+    return _verified(compose_iso(r1.witness.reversed(), w))

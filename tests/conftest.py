@@ -24,6 +24,7 @@ from weyldeform import (
     intertwiners,
     inverse,
     iso_witness,
+    normal_form,
     print_weyl,
     quiver_form,
     representative,
@@ -56,7 +57,7 @@ from weyldeform.modules import (
     divide_left,
     monomial_count,
 )
-from weyldeform.reps import FAMILIES, NormalForm, _chain, _new_span
+from weyldeform.reps import FAMILIES, NormalForm, QuiverForm, _chain, _eigenbasis, _new_span
 from weyldeform.weyl import (Monomial, leading_term, monomial_multiples, term_order,
                              truncated_monomials)
 
@@ -825,6 +826,42 @@ def dense_block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalFor
     cols = [x for side in (0, 1) for v, chain in chains
             for i, x in enumerate(chain) if (v + i) % 2 == side]
     return NormalForm((p, q), tuple(strings), tuple(factors), QMatrix._of(tuple(zip(*cols))))
+
+
+def four_product_quiver_form(rep) -> QuiverForm | None:
+    """``reps.quiver_form`` before it read a split e1's blocks as they stand
+    and multiplied binv only into the columns it reads, kept as a
+    reference: the eigenbasis of every e1, then binv*s12*basis and
+    binv*s21*basis in full.  None where the eigenvectors do not span or a
+    block is out of shape."""
+    split = _eigenbasis(rep.e1)
+    if split is None:
+        return None
+    p, basis, binv = split
+    n, q = rep.n, rep.n - p
+    s12c = binv * rep.s12 * basis
+    s21c = binv * rep.s21 * basis
+    if not all(s12c[i, j] == 0 == s21c[j, i]
+               for i in range(n) for j in range(n) if not i < p <= j):
+        return None
+    a = QMatrix._of(tuple(tuple(s12c[i, p + j] for j in range(q)) for i in range(p)), q)
+    b = QMatrix._of(tuple(tuple(s21c[p + i, j] for j in range(p)) for i in range(q)), p)
+    return QuiverForm((p, q), a, b, basis)
+
+
+def product_form_delta(rep) -> PresentedModule:
+    """Delta' as ``versal._identify_rep`` multiplied it out before reading it
+    off the invariants: the specialized differential of g^-1 x g for the
+    normal form's basis g, each entry built through WeylElement's checks."""
+    basis = normal_form(rep).basis
+    ginv = basis.inverse()
+    e1, s12, s21 = (ginv * x * basis for x in rep.triple())
+    n = rep.n
+    return PresentedModule(tuple(
+        tuple(WeylElement({(0, 1): e1[k, l], (0, 0): -(s12[k, l] + s21[k, l]),
+                           (1, 0): int(k == l) - e1[k, l]})
+              for k in range(n))
+        for l in range(n)))
 
 
 def _combo(basis, coeffs, n):

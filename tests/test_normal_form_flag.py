@@ -89,12 +89,15 @@ def test_quiver_basis_inverse_is_read_off_the_free_columns():
     assert _eigenbasis(QMatrix([[0, 1], [0, 0]])) is None
 
 
-@pytest.mark.parametrize("triple", [
-    pytest.param(([[2]], [[1]], [[0]]), id="e1 not idempotent"),
-    pytest.param(([[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]), id="e1 nilpotent"),
-    pytest.param(([[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]), id="s12 out of block"),
-    pytest.param(([[1, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 1], [0, 0]]), id="s21 out of block"),
-])
+BROKEN_TRIPLES = {
+    "e1 not idempotent": ([[2]], [[1]], [[0]]),
+    "e1 nilpotent": ([[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]),
+    "s12 out of block": ([[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]),
+    "s21 out of block": ([[1, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 1], [0, 0]]),
+}
+
+
+@pytest.mark.parametrize("triple", BROKEN_TRIPLES.values(), ids=BROKEN_TRIPLES.keys())
 def test_broken_triples_still_raise(triple):
     clear_caches()
     for _ in range(2):
