@@ -631,12 +631,10 @@ def _cyclic_iso(a: CyclicModule, b: CyclicModule, max_degree: int) -> IsoWitness
                 break
             candidates.append(hab.basis[i] + hab.basis[j])
     s_all = sorted(hba.basis, key=_deg)
-    rungs = sorted({(min(2, max_degree),) * 2, (min(4, max_degree),) * 2,
-                    (max_degree,) * 2})
     tried = set()
-    for dr_cap, ds_cap in rungs:
-        rs = [r for r in candidates if 0 <= _deg(r) <= dr_cap]
-        ss = [s for s in s_all if 0 <= _deg(s) <= ds_cap]
+    for cap in sorted({min(2, max_degree), min(4, max_degree), max_degree}):
+        rs = [r for r in candidates if 0 <= _deg(r) <= cap]
+        ss = [s for s in s_all if 0 <= _deg(s) <= cap]
         key = (tuple(rs), tuple(ss))
         if not rs or not ss or key in tried:
             continue
@@ -735,29 +733,6 @@ def _certify_generator(a: CyclicModule, b: PresentedModule, g: tuple, u_row: tup
     )
 
 
-def _generator_witness(a: CyclicModule, b: PresentedModule, g: tuple,
-                       s_degrees: Iterable[int], max_degree: int) -> IsoWitness | None:
-    """Certify D/Dp = b through the generator g, once p*g lies in the image."""
-    window = max_degree + WINDOW_MARGIN
-    u_row = image_witness(b, tuple(a.p * e for e in g), window)
-    if u_row is None:
-        return None
-    for sd in s_degrees:
-        w = _certify_generator(a, b, g, u_row, sd, max_degree)
-        if w is not None:
-            return w
-    return None
-
-
-def _cyclic_to_presented_iso(a: CyclicModule, b: PresentedModule,
-                             max_degree: int) -> IsoWitness | None:
-    for g in _generator_candidates(b):
-        w = _generator_witness(a, b, g, _s_rungs(max_degree), max_degree)
-        if w is not None:
-            return w
-    return None
-
-
 def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitness | None:
     """Search for a certified isomorphism between two modules.
 
@@ -766,9 +741,9 @@ def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitn
     (a CyclicModule is its own form, a PresentedModule uses cyclic_form,
     whose chain witness may pass the cap); the cyclic search runs between
     the two forms and is composed with their witnesses.  When one side has
-    no form, the other side's form is mapped by a generator straight into
-    that presentation.  The witness is verified once before it is
-    returned.  None means no witness was found within the degree bound,
+    no form, that presentation's own generator loop (cyclic_form's) runs
+    with the other form's relation.  The witness is verified once before
+    it is returned.  None means no witness was found within the degree bound,
     a bounded negative, not a proof of non-isomorphism.  Memoized on the
     coerced modules and the cap, so a repeated question returns the same
     witness; clear_caches() empties the memo.
@@ -792,7 +767,8 @@ def _iso_witness(source, target, n_cap: int) -> IsoWitness | None:
         return None if w is None else w.reversed()
     cyc_a, w_a = side_a
     if side_b is None:
-        w = _cyclic_to_presented_iso(cyc_a, target, n_cap)
+        found = _own_form(target, n_cap, cyc_a.p)
+        w = None if found is None else found[1]
     else:
         cyc_b, w_b = side_b
         w = _cyclic_iso(cyc_a, cyc_b, n_cap)
@@ -821,7 +797,9 @@ def cyclic_form(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE):
     certificate through g makes ann(g) = Dp, and D is a domain with a
     graded order, so the elements of Dp of degree deg p are the multiples
     of p.  None is a bounded negative; the witness is verified once, at
-    the top of the chain, before it is returned.
+    the top of the chain, before it is returned.  The unverified chain is
+    memoized on its own, so versal's one-block identifications read the
+    same one.
     """
     return _cyclic_form_search(m, _check_degree(max_degree))
 
@@ -887,6 +865,7 @@ def _cyclic_form_search(m: PresentedModule, n_cap: int):
     return None if found is None else (found[0], _verified(found[1]))
 
 
+@_memo
 def _find_cyclic_form(m: PresentedModule, n_cap: int):
     # keep W: residual -> m down the chain; a step composed on top has one
     # nonzero c_b entry, a rank-one update of W's c_b, and compose_iso is
@@ -904,11 +883,14 @@ def _find_cyclic_form(m: PresentedModule, n_cap: int):
     return None
 
 
-def _own_form(m: PresentedModule, n_cap: int):
+def _own_form(m: PresentedModule, n_cap: int, p: WeylElement | None = None):
+    """(D/Dp, witness D/Dp -> m) through the short generators, rung by rung:
+    with p given, each generator is certified with that relation, else
+    with its one annihilator (_generator_form); None when none passes."""
     if m.n == 1:
         return None if m.delta[0][0].is_zero() else _scaling_witness(m, n_cap)
     gens = _generator_candidates(m)
-    forms = functools.cache(lambda gi: _generator_form(m, gens[gi], n_cap))
+    forms = functools.cache(lambda gi: _generator_form(m, gens[gi], n_cap, p))
     for sd in _s_rungs(n_cap):
         for gi, g in enumerate(gens):
             form = forms(gi)
@@ -920,11 +902,11 @@ def _own_form(m: PresentedModule, n_cap: int):
     return None
 
 
-def _generator_form(m: PresentedModule, g: tuple, n_cap: int):
-    """(D/Dp, u_row with u_row * delta = p*g) for the one annihilator p
-    of g that cyclic_form can certify, or None."""
+def _generator_form(m: PresentedModule, g: tuple, n_cap: int, p: WeylElement | None = None):
+    """(D/Dp, u_row with u_row * delta = p*g) for the given p, else for the
+    one annihilator p of g that cyclic_form can certify, or None."""
     g_deg = max(0, max(_deg(e) for e in g))
-    for k in _s_rungs(n_cap):
+    for k in _s_rungs(n_cap) if p is None else ():
         sys = WeylLinearSystem()
         sys.unknown("a", k)
         for i in range(m.n):
@@ -942,10 +924,13 @@ def _generator_form(m: PresentedModule, g: tuple, n_cap: int):
         degrees = span.pivot_degrees()
         if degrees.count(min(degrees)) > 1:
             return None
-        cyc = CyclicModule(span.basis_vectors()[degrees.index(min(degrees))][0])
-        u_row = image_witness(m, tuple(cyc.p * e for e in g), n_cap + WINDOW_MARGIN)
-        return None if u_row is None else (cyc, u_row)
-    return None
+        p = span.basis_vectors()[degrees.index(min(degrees))][0]
+        break
+    if p is None:
+        return None
+    cyc = CyclicModule(p)
+    u_row = image_witness(m, tuple(cyc.p * e for e in g), n_cap + WINDOW_MARGIN)
+    return None if u_row is None else (cyc, u_row)
 
 
 def clear_caches() -> None:

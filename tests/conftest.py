@@ -11,6 +11,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 
@@ -47,7 +48,6 @@ from weyldeform.modules import (
     _deg,
     _generator_candidates,
     _generator_form,
-    _generator_witness,
     _pivot_step,
     _s_rungs,
     _scaling_witness,
@@ -55,6 +55,7 @@ from weyldeform.modules import (
     clear_caches,
     compose_iso,
     divide_left,
+    image_witness,
     monomial_count,
 )
 from weyldeform.reps import FAMILIES, NormalForm, QuiverForm, _chain, _eigenbasis, _new_span
@@ -364,6 +365,36 @@ def windowed_hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -
         if divide_left(p * r, q) is None:
             raise RuntimeError("hom basis element failed the exact recheck")
     return HomBasis(source, target, n_cap, dims, basis)
+
+
+def _generator_witness(a: CyclicModule, b: PresentedModule, g: tuple,
+                       s_degrees: Iterable[int], max_degree: int) -> IsoWitness | None:
+    """Certify D/Dp = b through the generator g, once p*g lies in the image.
+
+    ``modules._generator_witness`` before iso_witness's presentation branch
+    went through the cyclic form's own generator loop, kept verbatim as a
+    reference.
+    """
+    window = max_degree + WINDOW_MARGIN
+    u_row = image_witness(b, tuple(a.p * e for e in g), window)
+    if u_row is None:
+        return None
+    for sd in s_degrees:
+        w = _certify_generator(a, b, g, u_row, sd, max_degree)
+        if w is not None:
+            return w
+    return None
+
+
+def cyclic_to_presented_iso(a: CyclicModule, b: PresentedModule,
+                            max_degree: int) -> IsoWitness | None:
+    """``modules._cyclic_to_presented_iso``, kept verbatim as a reference:
+    each generator in turn, at every s rung, through _generator_witness."""
+    for g in _generator_candidates(b):
+        w = _generator_witness(a, b, g, _s_rungs(max_degree), max_degree)
+        if w is not None:
+            return w
+    return None
 
 
 _CFORM_ATTEMPT_CAP = 60

@@ -26,7 +26,6 @@ from weyldeform.modules import (
     _deg,
     _generator_candidates,
     _generator_form,
-    _generator_witness,
     _pivot_step,
     _s_rungs,
     wmat_deg,
@@ -34,6 +33,7 @@ from weyldeform.modules import (
 
 from conftest import (
     _annihilator_candidates,
+    _generator_witness,
     block_decompose,
     parent_cyclic_form,
     search_cyclic_form,

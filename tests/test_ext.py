@@ -17,7 +17,7 @@ from weyldeform import (
     quiver_form,
     representative,
 )
-from weyldeform.modules import module_image_span
+from weyldeform.modules import _find_cyclic_form, module_image_span
 
 one = WeylElement.one()
 
@@ -47,6 +47,7 @@ PAIR = PresentedModule((("d", "-1"), ("-1", "t")))
     pytest.param(lambda: ext1_dim("t*d", "t", 6), lambda r: r, id="ext1_dim"),
     pytest.param(lambda: hom_search("t*d", "t*d", 6), lambda r: r, id="hom_search"),
     pytest.param(lambda: cyclic_form(PAIR, 6), lambda r: r, id="cyclic_form"),
+    pytest.param(lambda: _find_cyclic_form(PAIR, 6), lambda r: r, id="_find_cyclic_form"),
     pytest.param(lambda: module_image_span(PAIR, 6),
                  lambda span: span.basis_vectors(), id="module_image_span"),
     pytest.param(lambda: classify(3), lambda r: r, id="classify"),
