@@ -401,15 +401,15 @@ def image_witness(m: PresentedModule, vec: tuple, window: int):
 def divide_left(r: WeylElement, q: WeylElement) -> WeylElement | None:
     """The unique s with s*q = r, or None when q does not divide r.
 
-    Divides by leading terms: the term order is graded, so {q} is already
-    a Groebner basis of Dq.
+    Divides by leading terms under term_order, which is graded, so {q} is
+    already a Groebner basis of Dq.
     """
     if q.is_zero():
         raise ValueError("division by the zero element")
-    (k, l), lead_q = q.items()[-1]
+    (k, l), lead_q = leading_term(q)
     s = _ZERO
     while not r.is_zero():
-        (i, j), lead_r = r.items()[-1]
+        (i, j), lead_r = leading_term(r)
         if i < k or j < l:
             return None
         term = WeylElement.monomial(i - k, j - l, lead_r / lead_q)
@@ -631,14 +631,14 @@ def _cyclic_iso(a: CyclicModule, b: CyclicModule, max_degree: int) -> IsoWitness
                 break
             candidates.append(hab.basis[i] + hab.basis[j])
     s_all = sorted(hba.basis, key=_deg)
-    tried = set()
+    # rs and ss filter fixed lists by a growing cap: equal sizes, equal lists
+    tried = None
     for cap in sorted({min(2, max_degree), min(4, max_degree), max_degree}):
         rs = [r for r in candidates if 0 <= _deg(r) <= cap]
         ss = [s for s in s_all if 0 <= _deg(s) <= cap]
-        key = (tuple(rs), tuple(ss))
-        if not rs or not ss or key in tried:
+        if not rs or not ss or (len(rs), len(ss)) == tried:
             continue
-        tried.add(key)
+        tried = (len(rs), len(ss))
         for r in rs:
             w = _finish_cyclic_iso(a, b, r, ss, max_degree)
             if w is not None:

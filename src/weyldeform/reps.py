@@ -19,9 +19,10 @@ over the rationals.
 match_label reads the family off the normal form, and classify reads
 each listed family's flags and summands off one normal form of its
 representative.  match_label, the family tables and
-find_proper_submodule are complete up to dimension 3, classify(4) is a
-documented best effort, and anything larger is refused rather than
-approximated.  Everything here is exact Fraction arithmetic.
+find_proper_submodule (a vertex line, off one kernel per e1 eigenvalue)
+are complete up to dimension 3, classify(4) is a documented best
+effort, and anything larger is refused rather than approximated.
+Everything here is exact Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -664,24 +665,14 @@ def _form_is_simple(form: QuiverForm) -> bool:
         form.dims == (1, 1) and form.a[0, 0] != 0 != form.b[0, 0])
 
 
-def _eigen_kernels(e1: QMatrix, s12: QMatrix, s21: QMatrix) -> tuple[list, list]:
-    """Kernel bases of the stacked maps, one per e1 eigenvalue.
-
-    A vector in either kernel spans an invariant line: the s-matrices
-    kill it and e1 scales it by 0 or 1.
-    """
-    n = e1.nrows
-    eye = QMatrix.identity(n)
-    k0 = QMatrix.from_blocks([[s12], [s21], [e1]]).kernel()
-    k1 = QMatrix.from_blocks([[s12], [s21], [e1 - eye]]).kernel()
-    return k0, k1
-
-
 def find_proper_submodule(rep: Representation):
     """A basis of a proper nonzero invariant subspace, or None.
 
     Only vertex lines are checked: by is_simple's argument every
     representation of dimension at most 3 that is not simple has one.
+    A nonzero vector killed by s12 and s21 with e1 v = 0 or e1 v = v spans
+    an invariant line, so the answer is the first kernel vector of the
+    stacked rows s12, s21, e1, else of s12, s21, e1 - I.
     The relations are checked first, through the memoized quiver_form;
     larger dimensions are refused after that.
     """
@@ -693,20 +684,12 @@ def find_proper_submodule(rep: Representation):
         )
     if n == 1:
         return None
-    k0, k1 = _eigen_kernels(rep.e1, rep.s12, rep.s21)
-    for vec in k0 + k1:
-        sub = (tuple(vec),)
-        if _invariant(rep, sub):
-            return sub
+    e1, s12, s21 = rep.triple()
+    for m in (e1, e1 - QMatrix.identity(n)):
+        vecs = kernel_basis([*s12._rows, *s21._rows, *m._rows], n)
+        if vecs:
+            return (tuple(vecs[0]),)
     return None
-
-
-def _invariant(rep: Representation, basis: tuple) -> bool:
-    dim = rank(basis)
-    for m in rep.triple():
-        if rank([*basis, *(m.apply(v) for v in basis)]) != dim:
-            return False
-    return True
 
 
 def _is_primary(factor: tuple) -> bool:

@@ -228,6 +228,27 @@ def solve_divide_left(r: WeylElement, q: WeylElement):
     return None if sol is None else sol["s"]
 
 
+def items_order_divide_left(r: WeylElement, q: WeylElement):
+    """The unique s with s*q = r, or None.
+
+    The package's division before it took leading terms by term_order,
+    kept verbatim as a reference: it leads with the last of items(), which
+    prefers the d-power.
+    """
+    if q.is_zero():
+        raise ValueError("division by the zero element")
+    (k, l), lead_q = q.items()[-1]
+    s = _ZERO
+    while not r.is_zero():
+        (i, j), lead_r = r.items()[-1]
+        if i < k or j < l:
+            return None
+        term = WeylElement.monomial(i - k, j - l, lead_r / lead_q)
+        s = s + term
+        r = r - term * q
+    return s
+
+
 def windowed_finish_cyclic_iso(a: CyclicModule, b: CyclicModule, r: WeylElement,
                                s_pool: list[WeylElement], max_degree: int):
     """Cyclic witness through r, with the cofactor c_a solved in a window.
@@ -1068,6 +1089,50 @@ def burnside_is_simple(rep) -> bool:
             break
         candidates = [m for w in frontier for g in gens for m in (g * w, w * g)]
     return len(reduced) == target
+
+
+def _eigen_kernels(e1: QMatrix, s12: QMatrix, s21: QMatrix) -> tuple[list, list]:
+    """Kernel bases of the stacked maps, one per e1 eigenvalue.
+
+    A vector in either kernel spans an invariant line: the s-matrices
+    kill it and e1 scales it by 0 or 1.
+    """
+    n = e1.nrows
+    eye = QMatrix.identity(n)
+    k0 = QMatrix.from_blocks([[s12], [s21], [e1]]).kernel()
+    k1 = QMatrix.from_blocks([[s12], [s21], [e1 - eye]]).kernel()
+    return k0, k1
+
+
+def invariant_checked_submodule(rep):
+    """A basis of a proper nonzero invariant subspace, or None.
+
+    The package's submodule search before it read the answer off one
+    kernel per vertex line, kept verbatim as a reference: both kernels
+    are built, and each candidate line is re-proved invariant by rank.
+    """
+    quiver_form(rep)
+    n = rep.n
+    if n > 3:
+        raise UnsupportedDimensionError(
+            "submodule search is complete only up to dimension 3"
+        )
+    if n == 1:
+        return None
+    k0, k1 = _eigen_kernels(rep.e1, rep.s12, rep.s21)
+    for vec in k0 + k1:
+        sub = (tuple(vec),)
+        if _invariant(rep, sub):
+            return sub
+    return None
+
+
+def _invariant(rep, basis: tuple) -> bool:
+    dim = rank(basis)
+    for m in rep.triple():
+        if rank([*basis, *(m.apply(v) for v in basis)]) != dim:
+            return False
+    return True
 
 
 def path_count_dims(arrow_counts, order):

@@ -679,6 +679,8 @@ def test_broken_triple_raises_the_full_violation_on_every_call(call):
 def test_submodule_search_checks_relations_before_refusing_the_dimension():
     with pytest.raises(RelationViolation):
         find_proper_submodule(Representation(*(QMatrix.identity(4) * 2,) * 3))
+    with pytest.raises(UnsupportedDimensionError):
+        find_proper_submodule(block_rep(2, 2, [[1, 0], [0, 0]], [[0, 0], [0, 1]]))
 
 
 def test_memoized_normal_form_equals_a_fresh_one():

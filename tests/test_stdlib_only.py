@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and its modules
+import no name they do not use."""
 
 import ast
 import sys
@@ -23,3 +24,24 @@ def test_modules_import_only_the_standard_library():
         roots = set(imported_roots(ast.parse(path.read_text(), str(path))))
         foreign = {r for r in roots if r != "weyldeform" and r not in sys.stdlib_module_names}
         assert not foreign, (path.name, sorted(foreign))
+
+
+def unused_imports(tree):
+    """Names an import binds that the module never reads; __future__
+    imports bind nothing the module reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_modules_use_every_name_they_import():
+    paths = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    assert paths
+    for path in paths:
+        unused = unused_imports(ast.parse(path.read_text(), str(path)))
+        assert not unused, (path.name, unused)
