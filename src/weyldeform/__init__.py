@@ -15,19 +15,16 @@ are rechecked by multiplication.
 from .weyl import (
     WeylElement,
     WeylSyntaxError,
-    add,
     bernstein_degree,
     nf_mul,
     parse_weyl,
     print_weyl,
-    scale,
 )
 from .linalg import (
     QMatrix,
     inverse,
     kernel_basis,
     rank,
-    rref,
     solve,
 )
 from .modules import (
@@ -93,17 +90,14 @@ __version__ = "0.1.0"
 __all__ = [
     "WeylElement",
     "WeylSyntaxError",
-    "add",
     "bernstein_degree",
     "nf_mul",
     "parse_weyl",
     "print_weyl",
-    "scale",
     "QMatrix",
     "inverse",
     "kernel_basis",
     "rank",
-    "rref",
     "solve",
     "CyclicModule",
     "DEFAULT_MAX_DEGREE",

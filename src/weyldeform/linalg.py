@@ -12,14 +12,15 @@ leftmost nonzero column of its row, so the result is the unique reduced
 row echelon form in ``Fraction``s, and every basis and solution is the
 one a dense Gauss-Jordan gives.  ``echelon_solution`` and
 ``echelon_kernel`` read a solution and a kernel basis off it, sparse;
-the public functions (rref, rank, kernel_basis, solve, inverse) keep
-taking and returning dense lists.  ``reduce_row`` reduces a sparse
-vector by echelon rows.  ``mat_mul`` and ``mat_add`` are the one sparse
-product and the one sum of matrices over any ring: here, in ``modules``
-(over the Weyl algebra, whose factor order they keep) and in ``ext``
-(path counts over the integers).  QMatrix is an immutable wrapper used
-by the representation-theory code; its ``apply`` keeps its own loop,
-over nonzeros found once, for the repeated T*x of the normal form.
+the public functions (rank, kernel_basis, solve, inverse) keep taking
+and returning dense lists.  ``reduce_row`` reduces a sparse vector by
+echelon rows.  ``mat_mul`` and ``mat_add`` are the one sparse product
+and the one sum of matrices over any ring: here, in ``modules`` (over
+the Weyl algebra, whose factor order they keep) and in ``ext`` (path
+counts over the integers).  QMatrix is an immutable wrapper used by the
+representation-theory code; its rank and kernel are ``rank`` and
+``kernel_basis`` of its rows.  Its ``apply`` keeps its own loop, over
+nonzeros found once, for the repeated T*x of the normal form.
 """
 
 from __future__ import annotations
@@ -179,24 +180,6 @@ def echelon_kernel(red: Sequence[Row], pivots: Sequence[int], ncols: int) -> lis
     return list(basis.values())
 
 
-def rref(a) -> tuple:
-    """Full-shape reduced row echelon form.
-
-    Accepts a QMatrix or an iterable of rows and returns ``(R, rank,
-    pivots)`` where ``R`` has the same shape as the input with the zero
-    rows retained at the bottom.  ``R`` matches the input type.
-    """
-    is_qmatrix = isinstance(a, QMatrix)
-    rows = list(a._rows if is_qmatrix else a)
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = rref_rows(rows)
-    full = [[row.get(c, _ZERO) for c in range(ncols)] for row in red]
-    full += [[_ZERO] * ncols for _ in range(len(rows) - len(red))]
-    if is_qmatrix:
-        return QMatrix(full), len(pivots), pivots
-    return full, len(pivots), pivots
-
-
 def rank(rows: Iterable[Sequence]) -> int:
     return len(rref_rows(rows)[1])
 
@@ -292,12 +275,6 @@ class QMatrix:
             raise ValueError("ragged matrix")
         return cls._of(tuple(rows), sum(b.ncols for b in blocks[0]) if blocks else 0)
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence], nrows: int) -> "QMatrix":
-        if not cols:
-            return cls.zeros(nrows, 0)
-        return cls([[col[i] for col in cols] for i in range(nrows)])
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
@@ -351,12 +328,6 @@ class QMatrix:
             # the rows never change, so their nonzero entries are found once
             self._nonzeros = [[(j, a) for j, a in enumerate(row) if a] for row in self._rows]
         return [sum((a * v[j] for j, a in row if v[j]), _ZERO) for row in self._nonzeros]
-
-    def rank(self) -> int:
-        return rank(self._rows)
-
-    def kernel(self) -> list[Vec]:
-        return kernel_basis(self._rows, self.ncols)
 
     def inverse(self) -> "QMatrix | None":
         inv = inverse(self._rows)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, islice
 from typing import Iterable, Sequence, Tuple
 
 from .linalg import echelon_kernel, echelon_solution, mat_add, mat_mul, reduce_row, rref_rows
@@ -216,7 +217,6 @@ class TruncatedSpan:
 
     def __init__(self, vectors: Sequence[tuple], ngens: int, window: int):
         self.ngens = ngens
-        self.window = window
         monos = truncated_monomials(window)
         cols = sorted(
             ((g, m) for g in range(ngens) for m in monos),
@@ -249,10 +249,6 @@ class TruncatedSpan:
             parts[g][ij] = row[k]
         return tuple(WeylElement(p) for p in parts)
 
-    @property
-    def dim(self) -> int:
-        return len(self._pivots)
-
     def pivot_degrees(self) -> list[int]:
         return list(self._pivot_degree)
 
@@ -261,9 +257,6 @@ class TruncatedSpan:
 
     def reduce(self, vec: tuple) -> tuple:
         return self._elements(reduce_row(self._coords(vec), self._rows, self._pivots))
-
-    def contains(self, vec: tuple) -> bool:
-        return all(e.is_zero() for e in self.reduce(vec))
 
 
 # -- linear systems with algebra-element unknowns -------------------------
@@ -358,6 +351,7 @@ class WeylLinearSystem:
 # -- membership in presentation images ------------------------------------
 
 
+@_memo
 def module_image_span(m: PresentedModule, window: int) -> TruncatedSpan:
     """Truncated span of {mono * row_i : all rows, mono within the window}.
 
@@ -366,11 +360,6 @@ def module_image_span(m: PresentedModule, window: int) -> TruncatedSpan:
     memoized view of the image, which the tests compare with
     image_witness and clear_caches(), and the bench tracer wraps by name.
     """
-    return _image_span(m, window)
-
-
-@_memo
-def _image_span(m: PresentedModule, window: int) -> TruncatedSpan:
     vectors = []
     for i in range(m.n):
         rd = m.row_degree(i)
@@ -624,12 +613,8 @@ def _cyclic_iso(a: CyclicModule, b: CyclicModule, max_degree: int) -> IsoWitness
     hba = hom_search(b, a, max_degree)
     if hba.dim == 0:
         return None
-    candidates = list(hab.basis)
-    for i in range(len(hab.basis)):
-        for j in range(i + 1, len(hab.basis)):
-            if len(candidates) >= 12:
-                break
-            candidates.append(hab.basis[i] + hab.basis[j])
+    pair_sums = (x + y for x, y in combinations(hab.basis, 2))
+    candidates = [*hab.basis, *islice(pair_sums, max(0, 12 - len(hab.basis)))]
     s_all = sorted(hba.basis, key=_deg)
     # rs and ss filter fixed lists by a growing cap: equal sizes, equal lists
     tried = None

@@ -570,9 +570,13 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
     factors = []
     while w:
         k = len(w)
-        # d: the degree of M's minimal polynomial on span w
-        powers = [_chain(t, x, 2 * k + 1)[::2] for x in w]
-        d = rank([sum(col, []) for col in zip(*powers)])
+        # d: the degree of M's minimal polynomial on span w, which M maps
+        # into itself, so a line is an eigenline and d = 1
+        if k == 1:
+            d = 1
+        else:
+            powers = [_chain(t, x, 2 * k + 1)[::2] for x in w]
+            d = rank([sum(col, []) for col in zip(*powers)])
         for c in range(k * k + 1):
             top = mat_mul([[c ** i for i in range(k)]], w, n, _ZERO)[0]
             chain = _chain(t, top, 2 * d + 1)

@@ -27,7 +27,6 @@ _ZERO = Fraction(0)
 __all__ = [
     "WeylElement",
     "WeylSyntaxError",
-    "add",
     "bernstein_degree",
     "leading_term",
     "monomial_multiples",
@@ -35,7 +34,6 @@ __all__ = [
     "normal_forms",
     "parse_weyl",
     "print_weyl",
-    "scale",
     "term_order",
     "truncated_monomials",
 ]
@@ -59,7 +57,7 @@ class WeylElement:
     than building the dict by hand.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: dict[Monomial, Fraction] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -72,12 +70,15 @@ class WeylElement:
                 if c:
                     clean[(i, j)] = c
         self._terms = clean
+        self._hash = None
 
     @classmethod
     def _of(cls, terms: dict[Monomial, Fraction]) -> "WeylElement":
-        """Wrap nonzero Fraction coefficients as they are, unconverted."""
+        """Wrap nonzero Fraction coefficients as they are, unconverted;
+        the caller hands over ``terms`` and no longer touches it."""
         w = object.__new__(cls)
         w._terms = terms
+        w._hash = None
         return w
 
     # -- constructors ------------------------------------------------
@@ -222,7 +223,10 @@ class WeylElement:
         return self._terms == w._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # the terms never change after construction, so hash them once
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
 
     def __str__(self) -> str:
         return print_weyl(self)
@@ -237,14 +241,6 @@ class WeylElement:
 def nf_mul(p: WeylElement, q: WeylElement) -> WeylElement:
     """Product of two elements, in normal form."""
     return p * q
-
-
-def add(p: WeylElement, q: WeylElement) -> WeylElement:
-    return p + q
-
-
-def scale(c: int | Fraction, p: WeylElement) -> WeylElement:
-    return p * Fraction(c)
 
 
 def bernstein_degree(p: WeylElement) -> int | None:

@@ -1099,8 +1099,8 @@ def _eigen_kernels(e1: QMatrix, s12: QMatrix, s21: QMatrix) -> tuple[list, list]
     """
     n = e1.nrows
     eye = QMatrix.identity(n)
-    k0 = QMatrix.from_blocks([[s12], [s21], [e1]]).kernel()
-    k1 = QMatrix.from_blocks([[s12], [s21], [e1 - eye]]).kernel()
+    k0 = kernel_basis(QMatrix.from_blocks([[s12], [s21], [e1]]).to_rows(), n)
+    k1 = kernel_basis(QMatrix.from_blocks([[s12], [s21], [e1 - eye]]).to_rows(), n)
     return k0, k1
 
 

@@ -126,7 +126,7 @@ def test_cold_identification_work(work):
     report = identify_specialization(representative("T_2_6", {"a": Fraction(1, 2)}))
     assert report.target_kind == "cyclic"
     assert work["verify"] == 1
-    assert work["rref_rows"] <= 6
+    assert work["rref_rows"] <= 5
     assert work["product"] <= 3
 
 

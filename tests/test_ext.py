@@ -102,6 +102,14 @@ def test_full_table():
     assert table.representatives[1][0] == (one,)
 
 
+def test_table_with_a_late_jump_has_not_stabilized():
+    # Ext^1 into D/D(t*d^2 - 5*d + 1) grows at degree 6, one short of the
+    # run of equal values that stabilization needs below the cap 7
+    table = ext_table(["t", "t*d^2 - 5*d + 1"], 7)
+    assert table.dims1 == ((0, 1), (1, 2))
+    assert table.stabilized_at is None and not table.stable
+
+
 def test_three_point_table_has_no_second_extensions():
     table = ext_table(("d", "t", "t*d - 1/2"), max_degree=8)
     assert table.dims2 == ((0, 0, 0), (0, 0, 0), (0, 0, 0))

@@ -3,6 +3,7 @@
 import inspect
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from weyldeform import (
     compose_iso,
     cyclic_form,
     divide_left,
+    ext1_dim,
     hom_search,
     identify_specialization,
     iso_witness,
@@ -80,11 +82,11 @@ def test_block_decompose():
 
 def test_truncated_span_membership_window():
     span = TruncatedSpan([(d,), (t,)], 1, 2)
-    assert span.dim == 2
-    assert span.contains((t * 2 - d,))
-    assert not span.contains((one,))
+    assert len(span.pivot_degrees()) == 2
+    assert not any(span.reduce((t * 2 - d,)))
+    assert any(span.reduce((one,)))
     with pytest.raises(ValueError):
-        span.contains((t ** 3,))
+        span.reduce((t ** 3,))
 
 
 def test_divide_left_examples():
@@ -333,7 +335,7 @@ def test_image_span_and_witness():
     span = module_image_span(m, 4)
     p = t * d - one
     vec = (p, WeylElement.zero())
-    assert span.contains(vec)
+    assert not any(span.reduce(vec))
     coeffs = image_witness(m, vec, 4)
     assert coeffs is not None
     for k in range(2):
@@ -400,8 +402,8 @@ def test_systems_and_spans_eliminate_through_rref_rows(monkeypatch):
     assert hom.kernel() == []
     assert len(calls) == 2
     span = TruncatedSpan([(t,), (t * d,)], 1, 3)
-    assert span.dim == 2 and len(calls) == 3
-    assert span.contains((t * 2,)) and len(calls) == 3
+    assert len(span.pivot_degrees()) == 2 and len(calls) == 3
+    assert not any(span.reduce((t * 2,))) and len(calls) == 3
 
 
 def test_assemble_matches_product_oracle(monkeypatch):
@@ -452,10 +454,10 @@ def test_image_witness_answers_span_membership():
                 c = [rand_weyl(rng, max_deg=2) for _ in range(2)]
                 vec = tuple(sum((c[i] * m.delta[i][k] for i in range(2)), zero)
                             for k in range(2))
-                assert span.contains(vec)
+                assert not any(span.reduce(vec))
             else:
                 vec = (rand_weyl(rng), rand_weyl(rng))
-            assert (image_witness(m, vec, 6) is not None) == span.contains(vec)
+            assert (image_witness(m, vec, 6) is not None) == (not any(span.reduce(vec)))
 
 
 def test_degree_bound_validation():
@@ -468,6 +470,37 @@ def test_degree_bound_validation():
     # a refused bool left no memo entry for the equal int to read
     basis = hom_search("t*d", "t*d - 1", 1)
     assert basis.max_degree == 1 and type(basis.max_degree) is int
+
+
+def test_cyclic_searches_refuse_presented_modules():
+    for search in (hom_search, ext1_dim):
+        with pytest.raises(TypeError, match="expects cyclic modules"):
+            search(PresentedModule((("t",),)), "d", 4)
+
+
+def test_iso_witness_without_cyclic_forms_is_none():
+    # D/Dt + D/Dd in either order: neither side has a cyclic form at these
+    # caps, so there is nothing to search between and the answer is None
+    a = PresentedModule((("t", "0"), ("0", "d")))
+    b = PresentedModule((("d", "0"), ("0", "t")))
+    for cap in range(3):
+        assert cyclic_form(a, cap) is None and cyclic_form(b, cap) is None
+        assert iso_witness(a, b, cap) is None
+
+
+def test_cyclic_iso_tries_at_most_twelve_candidates(monkeypatch):
+    # six Hom generators have fifteen pair sums; the first six, in (i, j)
+    # order, join them, and all twelve have degree <= 2, so the first rung
+    # tries every one and the later rungs, with the same lists, none
+    basis = (one, t, d, t ** 2, t * d, d ** 2)
+    monkeypatch.setattr(modules, "hom_search",
+                        lambda a, b, cap: SimpleNamespace(dim=len(basis), basis=basis))
+    tried = []
+    monkeypatch.setattr(modules, "_finish_cyclic_iso",
+                        lambda a, b, r, s_pool, cap: tried.append(r))
+    assert modules._cyclic_iso(CyclicModule("t*d - 1"), CyclicModule("t*d - 2"), 8) is None
+    pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2)]
+    assert tried == [*basis, *(basis[i] + basis[j] for i, j in pairs)]
 
 
 def test_iso_presented_to_presented():

@@ -21,6 +21,7 @@ from weyldeform import (
     match_label,
     normal_form,
     quiver_form,
+    rank,
     representative,
     validate,
 )
@@ -290,8 +291,7 @@ def test_simple_agrees_with_submodule_search():
             sub = find_proper_submodule(rep)
             assert is_simple(rep) == (sub is None), (label, value)
             if sub is not None:
-                mat = QMatrix([list(v) for v in sub])
-                assert 0 < mat.rank() < rep.n
+                assert 0 < rank([list(v) for v in sub]) < rep.n
 
 
 def test_endomorphisms_of_simple_are_scalar():
@@ -397,6 +397,11 @@ def test_completeness_random_quiver_reps():
         assert are_conjugate(scrambled, canonical) is not None
 
 
+def test_conjugacy_refuses_different_dimensions():
+    with pytest.raises(ValueError, match="different dimensions"):
+        are_conjugate(rep_for("T_2_6"), rep_for("T_3_1"))
+
+
 def test_conjugate_requires_invertible():
     rep = rep_for("T_2_6")
     with pytest.raises(ValueError):
@@ -496,7 +501,7 @@ def test_conjugacy_beyond_dimension_four(n):
     p = n // 2
     a_rows = [[rng.randint(-2, 2) for _ in range(n - p)] for _ in range(p)]
     low = [[0] * (n - p)] + a_rows[1:]
-    assert QMatrix(a_rows).rank() != QMatrix(low).rank()
+    assert rank(a_rows) != rank(low)
     zero = [[0] * p] * (n - p)
     conj = block_rep(p, n - p, low, zero).conjugate(rand_invertible(rng, n))
     assert are_conjugate(block_rep(p, n - p, a_rows, zero), conj) is None

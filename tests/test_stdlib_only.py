@@ -45,3 +45,21 @@ def test_modules_use_every_name_they_import():
     for path in paths:
         unused = unused_imports(ast.parse(path.read_text(), str(path)))
         assert not unused, (path.name, unused)
+
+
+def test_every_export_resolves():
+    import weyldeform
+    from weyldeform import weyl
+
+    for module in (weyldeform, weyl):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+
+
+def test_package_exports_exactly_what_it_imports():
+    import weyldeform
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(weyldeform.__all__) == sorted(imported | {"__version__"})

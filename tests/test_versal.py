@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import weyldeform.versal
 from weyldeform import (
     CommutativePoint,
     CyclicModule,
@@ -215,6 +216,23 @@ def test_cross_certification():
 
 def test_cross_certification_mismatch_is_none():
     assert cross_certify(representative("T_1_1"), (1, 1)) is None
+    # the origin splits as M1 + M2, so it has no cyclic target
+    assert cross_certify(representative("T_2_6", {"a": Fraction(1, 2)}), (0, 0)) is None
+
+
+def test_cross_certification_searches_between_distinct_targets(monkeypatch):
+    rep = representative("T_2_6", {"a": Fraction(1, 2)})
+    searched = []
+
+    def recorded(source, target, max_degree):
+        searched.append((source.p, target.p))
+        return iso_witness(source, target, max_degree)
+
+    monkeypatch.setattr(weyldeform.versal, "iso_witness", recorded)
+    w = cross_certify(rep, (2, Fraction(-1, 4)))
+    assert searched == [(t * d - Fraction(1, 2), t * d + Fraction(1, 2))]
+    assert w is not None and w.verify()
+    assert as_presented(w.source).delta == specialize(rep).delta
 
 
 def test_witness_past_the_cap_is_identified():

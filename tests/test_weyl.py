@@ -122,6 +122,19 @@ def test_hash_and_equality():
     assert len({a, b}) == 1
 
 
+def test_hash_is_computed_once_from_the_terms():
+    built = WeylElement({(1, 1): 2, (0, 0): -1})
+    wrapped = WeylElement._of({(1, 1): Fraction(2), (0, 0): Fraction(-1)})
+    computed = t * d * 2 - one
+    for w in (built, wrapped, computed, d * t - t * d):
+        assert w._hash is None
+        assert hash(w) == hash(frozenset(w._terms.items()))
+        assert w._hash == hash(w)
+    assert built == wrapped == computed
+    assert hash(built) == hash(wrapped) == hash(computed)
+    assert hash(d * t - t * d) == hash(one)
+
+
 def test_items_ordering():
     w = d + t + t * t * d
     keys = [k for k, _ in w.items()]
