@@ -15,8 +15,6 @@ are rechecked by multiplication.
 from .weyl import (
     WeylElement,
     WeylSyntaxError,
-    bernstein_degree,
-    nf_mul,
     parse_weyl,
     print_weyl,
 )
@@ -90,8 +88,6 @@ __version__ = "0.1.0"
 __all__ = [
     "WeylElement",
     "WeylSyntaxError",
-    "bernstein_degree",
-    "nf_mul",
     "parse_weyl",
     "print_weyl",
     "QMatrix",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .ext import ext_table, hull_unobstructed
 from .linalg import QMatrix
@@ -204,10 +205,42 @@ def _report_json(report: SpecializationReport) -> dict:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         for line in _text_lines(payload, 0):
             print(line)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """The bytes of json.dumps(value, sort_keys=True, indent=2) for the
+    types a payload holds: str-keyed dicts, lists, str, int, bool and None.
+    That call always runs the pure-Python encoder, since the C one takes
+    no indent, and it yields each piece through a chain of generators;
+    this writes each container's string in one join."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"payload keys must be str, not {type(key).__name__}")
+            items.append(f"{inner}{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}")
+        return "{" + ",".join(items) + pad + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + ",".join([inner + _json_text(x, inner) for x in value]) + pad + "]"
+    raise TypeError(f"{type(value).__name__} is not a payload type")
 
 
 def _text_lines(value, depth: int) -> list[str]:

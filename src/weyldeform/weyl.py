@@ -27,10 +27,8 @@ _ZERO = Fraction(0)
 __all__ = [
     "WeylElement",
     "WeylSyntaxError",
-    "bernstein_degree",
     "leading_term",
     "monomial_multiples",
-    "nf_mul",
     "normal_forms",
     "parse_weyl",
     "print_weyl",
@@ -57,7 +55,8 @@ class WeylElement:
     than building the dict by hand.
     """
 
-    __slots__ = ("_terms", "_hash")
+    # _text, print_weyl's string, is left unset until it is first asked for
+    __slots__ = ("_terms", "_hash", "_text")
 
     def __init__(self, terms: dict[Monomial, Fraction] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -223,9 +222,14 @@ class WeylElement:
         return self._terms == w._terms
 
     def __hash__(self) -> int:
-        # the terms never change after construction, so hash them once
+        # the terms never change after construction, so hash them once; a
+        # scalar element hashes as the scalar, which __eq__ finds equal
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            terms = self._terms
+            if not terms.keys() - {(0, 0)}:
+                self._hash = hash(terms.get((0, 0), 0))
+            else:
+                self._hash = hash(frozenset(terms.items()))
         return self._hash
 
     def __str__(self) -> str:
@@ -236,16 +240,6 @@ class WeylElement:
 
 
 # -- named operations --------------------------------------------------
-
-
-def nf_mul(p: WeylElement, q: WeylElement) -> WeylElement:
-    """Product of two elements, in normal form."""
-    return p * q
-
-
-def bernstein_degree(p: WeylElement) -> int | None:
-    """Total degree of the normal form; None for the zero element."""
-    return p.degree()
 
 
 def truncated_monomials(n: int) -> list[Monomial]:
@@ -362,9 +356,12 @@ def _pow_str(sym: str, e: int) -> str:
 
 def print_weyl(w: WeylElement) -> str:
     """Canonical string form: terms by descending total degree, then
-    ascending d-degree; ``t`` factors before ``d``; explicit ``*``."""
-    if w.is_zero():
-        return "0"
+    ascending d-degree; ``t`` factors before ``d``; explicit ``*``.
+    Elements are immutable, so each is formatted once and keeps its text."""
+    try:
+        return w._text
+    except AttributeError:
+        pass
     ordered = sorted(w._terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), kv[0][1]))
     parts: list[str] = []
     for (i, j), c in ordered:
@@ -378,7 +375,8 @@ def print_weyl(w: WeylElement) -> str:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    w._text = text = " ".join(parts) or "0"
+    return text
 
 
 # -- parsing ----------------------------------------------------------

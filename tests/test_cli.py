@@ -3,12 +3,15 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from weyldeform import cli
 from weyldeform.cli import main
 
 
@@ -298,6 +301,77 @@ def test_reps_output_bytes_pinned(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+# arguments whose payloads cover every subcommand, both exit codes of a
+# search, and each of the three error shapes
+_ORACLE_ARGVS = [list(argv) for argv in GOLDEN_SHA256] + [
+    ["iso", "t*d - 1/2", "t*d - 3/2"],
+    ["iso", "d", "t"],
+    ["iso", "t*d + 1", '{"type": "presented", "delta": [["d", "2"], ["-1", "t"]]}'],
+    ["hom", "d", "d"],
+    ["hom", "d", "t"],
+    ["specialize", "T_2_3"],
+    ["specialize", "T_2_6", "--param", "a=1/2"],
+    ["commutative", "2", "1"],
+    ["iso", "t*(", "d"],
+    ["iso", '{"type": "presented", "n": true, "delta": [["d"]]}', "d"],
+    ["simple", '{"n": 1, "e1": [["1"]], "s12": [["1"]], "s21": [["0"]]}'],
+]
+
+
+def test_json_writer_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
+    payloads = []
+    emit = cli._emit
+
+    def record(payload, fmt):
+        payloads.append(payload)
+        emit(payload, fmt)
+
+    monkeypatch.setattr(cli, "_emit", record)
+    for argv in _ORACLE_ARGVS:
+        main(argv)
+    capsys.readouterr()
+    assert len(payloads) == len(_ORACLE_ARGVS)
+    for payload in payloads:
+        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+_TEXT = 'ab"\\ \x00\x1f\n\t\x7fΔé\u2028\U0001d400'
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(6)))
+
+
+def _random_payload(rng: random.Random, depth: int):
+    """A payload value holding at most depth levels of containers."""
+    kind = rng.randrange(7 if depth else 3)
+    if kind == 0:
+        return rng.choice([True, False, None])
+    if kind == 1:
+        return rng.choice([0, 1, -1, 7, -(10 ** 39) - rng.randrange(10 ** 39), 10 ** 39 + 1])
+    if kind == 2:
+        return _random_text(rng)
+    if kind in (3, 4):
+        return [_random_payload(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {_random_text(rng): _random_payload(rng, depth - 1) for _ in range(rng.randrange(4))}
+
+
+def test_json_writer_matches_json_dumps_on_random_payloads():
+    rng = random.Random(4602)
+    fixed = {"flags": [True, False, None], "true": True, "false": False, "none": None,
+             "empty": {"dict": {}, "list": []}, "big": [10 ** 39, -(10 ** 39)]}
+    payloads = [fixed, {}, []] + [_random_payload(rng, 4) for _ in range(400)]
+    for payload in payloads:
+        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), (1, 2), {1: "one"}, {"a": [{2: 0}]}],
+                         ids=["float", "Fraction", "tuple", "int key", "nested int key"])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text({"value": value})
 
 
 def test_text_format_smoke(capsys):

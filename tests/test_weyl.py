@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weyldeform import WeylElement, bernstein_degree, nf_mul, parse_weyl
+from weyldeform import WeylElement, parse_weyl, print_weyl
 from weyldeform.weyl import monomial_multiples, truncated_monomials
 
 from conftest import _mono_mul, apply_to_poly, poly_eq, rand_poly, rand_weyl, weyl_mul
@@ -67,10 +67,11 @@ def test_degree_additive_on_products():
 
 
 def test_bernstein_degree_values():
-    assert bernstein_degree(t * t * d) == 3
-    assert bernstein_degree(one) == 0
-    assert bernstein_degree(WeylElement.zero()) is None
-    assert bernstein_degree(t * d - WeylElement.constant(7)) == 2
+    # the Bernstein degree of an element is the total degree of its normal form
+    assert (t * t * d).degree() == 3
+    assert one.degree() == 0
+    assert WeylElement.zero().degree() is None
+    assert (t * d - WeylElement.constant(7)).degree() == 2
 
 
 def test_zero_degree_is_none():
@@ -103,10 +104,6 @@ def test_pow_matches_repeated_product(monkeypatch):
         assert max(degrees) == k
 
 
-def test_nf_mul_wrapper():
-    assert nf_mul(d, t) == t * d + one
-
-
 def test_scalar_and_fraction_coefficients():
     w = t * Fraction(1, 2) + d * 3
     assert w.coeff(1, 0) == Fraction(1, 2)
@@ -126,13 +123,40 @@ def test_hash_is_computed_once_from_the_terms():
     built = WeylElement({(1, 1): 2, (0, 0): -1})
     wrapped = WeylElement._of({(1, 1): Fraction(2), (0, 0): Fraction(-1)})
     computed = t * d * 2 - one
-    for w in (built, wrapped, computed, d * t - t * d):
+    for w in (built, wrapped, computed):
         assert w._hash is None
         assert hash(w) == hash(frozenset(w._terms.items()))
         assert w._hash == hash(w)
     assert built == wrapped == computed
     assert hash(built) == hash(wrapped) == hash(computed)
-    assert hash(d * t - t * d) == hash(one)
+    # a scalar element hashes as the scalar it equals
+    scalar = d * t - t * d
+    assert scalar._hash is None
+    assert hash(scalar) == hash(one) == hash(1)
+    assert scalar._hash == hash(scalar)
+
+
+def test_print_weyl_formats_each_element_once():
+    rng = random.Random(4601)
+    elements = [WeylElement.zero(), one, t, d]
+    for _ in range(80):
+        a, b = rand_weyl(rng), rand_weyl(rng)
+        k = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        i, j = rng.randint(0, 3), rng.randint(0, 3)
+        elements += [
+            WeylElement({(i, j): k, (j, i): 1}), WeylElement.constant(k),
+            WeylElement.monomial(i, j, k), parse_weyl(f"t^{i}*d^{j} - {k}"),
+            a * b, a + b, a - b, -a, a * k, k - a, a ** 2,
+        ]
+    for w in elements:
+        with pytest.raises(AttributeError):
+            w._text  # no element is formatted before it is printed
+        text = print_weyl(w)
+        assert text == print_weyl(WeylElement(dict(w)))
+        assert print_weyl(w) is text
+        assert str(w) is text
+        assert repr(w) == f"WeylElement({text!r})"
+        assert parse_weyl(text) == w
 
 
 def test_items_ordering():
