@@ -104,6 +104,11 @@ def test_pow_matches_repeated_product(monkeypatch):
         assert max(degrees) == k
 
 
+def test_nf_mul_wrapper():
+    # the normal-form product of d and t, now spelled with *
+    assert d * t == t * d + one
+
+
 def test_scalar_and_fraction_coefficients():
     w = t * Fraction(1, 2) + d * 3
     assert w.coeff(1, 0) == Fraction(1, 2)
