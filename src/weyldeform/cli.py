@@ -5,12 +5,21 @@ with --format text) and exits 0 on success, 2 when a bounded search
 came back empty (no witness up to the degree cap, an unstabilized
 dimension), and 1 on bad input.  The split keeps honest negatives
 distinguishable from crashes in scripts.
+
+An answer is a pure function of the argument list, so it is rendered
+once per distinct argv per process: main keeps the printed text and the
+exit code in one memo, which clear_caches() empties, and answers a
+repeated argv from it.  The key is the raw argv, so an equal question
+spelled differently (a=0.5 against a=1/2) is parsed and answered again,
+from the library's own memos.  Only in-process callers of main gain;
+the weyldeform entry point makes one call per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -22,6 +31,7 @@ from .modules import (
     HARD_CAP,
     IsoWitness,
     PresentedModule,
+    _memo,
     iso_witness,
     hom_search,
 )
@@ -203,12 +213,10 @@ def _report_json(report: SpecializationReport) -> dict:
     return out
 
 
-def _emit(payload: dict, fmt: str) -> None:
+def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        print(_json_text(payload))
-    else:
-        for line in _text_lines(payload, 0):
-            print(line)
+        return _json_text(payload) + "\n"
+    return "".join(line + "\n" for line in _text_lines(payload, 0))
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -470,7 +478,10 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def main(argv=None) -> int:
+@_memo
+def _answer(argv: tuple[str, ...]) -> tuple[str, int]:
+    """The text main prints for argv, and its exit code.  An exception
+    that escapes (argparse's SystemExit on --help) is not cached."""
     fmt = "json"
     try:
         ns = _PARSER.parse_args(argv)
@@ -478,19 +489,25 @@ def main(argv=None) -> int:
         ns.params = _collect_params(ns.param)
         payload, ok = ns.handler(ns)
     except WeylSyntaxError as exc:
-        _emit({"error": exc.message, "position": exc.pos}, fmt)
+        payload, code = {"error": exc.message, "position": exc.pos}, 1
     except RelationViolation as exc:
-        _emit({
+        payload, code = {
             "error": str(exc),
             "violations": [name for name, _ in exc.violations],
-        }, fmt)
+        }, 1
     except (CliError, ValueError, KeyError, TypeError) as exc:
         # every one is raised with a single message; KeyError's str() would quote it
-        _emit({"error": str(exc.args[0] if exc.args else exc)}, fmt)
+        payload, code = {"error": str(exc.args[0] if exc.args else exc)}, 1
     else:
-        _emit(payload, fmt)
-        return 0 if ok else 2
-    return 1
+        code = 0 if ok else 2
+    return _render(payload, fmt), code
+
+
+def main(argv=None) -> int:
+    text, code = _answer(tuple(sys.argv[1:] if argv is None else argv))
+    # looked up at call time, so redirect_stdout and capsys see the text
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

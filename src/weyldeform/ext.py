@@ -120,11 +120,14 @@ class ExtTable:
         return self.stabilized_at is not None
 
 
+# M1 = D/Dd and M2 = D/Dt, the table's modules when none are given;
+# parsed once rather than on every call
+_PAIR = (CyclicModule("d"), CyclicModule("t"))
+
+
 def ext_table(modules: Iterable | None = None,
               max_degree: int = DEFAULT_MAX_DEGREE) -> ExtTable:
-    if modules is None:
-        modules = (CyclicModule("d"), CyclicModule("t"))
-    mods = tuple(_coerce_module(m) for m in modules)
+    mods = _PAIR if modules is None else tuple(_coerce_module(m) for m in modules)
     n_cap = _check_degree(max_degree)
     results = [
         [ext1_dim(mods[j], mods[i], n_cap) for j in range(len(mods))]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from weyldeform import cli
+from weyldeform import cli, clear_caches
 from weyldeform.cli import main
 
 
@@ -321,20 +321,78 @@ _ORACLE_ARGVS = [list(argv) for argv in GOLDEN_SHA256] + [
 
 
 def test_json_writer_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
+    # answers are memoized per argv: start cold, so that every argv renders
+    clear_caches()
     payloads = []
-    emit = cli._emit
+    render = cli._render
 
     def record(payload, fmt):
         payloads.append(payload)
-        emit(payload, fmt)
+        return render(payload, fmt)
 
-    monkeypatch.setattr(cli, "_emit", record)
+    monkeypatch.setattr(cli, "_render", record)
     for argv in _ORACLE_ARGVS:
         main(argv)
     capsys.readouterr()
     assert len(payloads) == len(_ORACLE_ARGVS)
     for payload in payloads:
         assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+# every oracle argv, and a --format text variant of each one that has none
+_MEMO_ARGVS = _ORACLE_ARGVS + [
+    argv + ["--format", "text"] for argv in _ORACLE_ARGVS if "--format" not in argv
+]
+
+
+def test_warm_answer_prints_what_the_cold_one_printed(capsys):
+    codes = set()
+    for argv in _MEMO_ARGVS:
+        clear_caches()
+        cold = run_cli(capsys, *argv)
+        warm = run_cli(capsys, *argv)
+        assert warm == cold, argv
+        codes.add(cold[0])
+    assert codes == {0, 1, 2}
+
+
+def test_each_distinct_argv_is_parsed_once(capsys, monkeypatch):
+    clear_caches()
+    parses = []
+    parse = cli._PARSER.parse_args
+
+    def counted(args):
+        parses.append(tuple(args))
+        return parse(args)
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", counted)
+    for _ in range(2):
+        for argv in _MEMO_ARGVS:
+            main(argv)
+    capsys.readouterr()
+    assert sorted(parses) == sorted({tuple(argv) for argv in _MEMO_ARGVS})
+
+
+def test_main_without_arguments_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["weyldeform", "hom", "d", "t"])
+    code = main()
+    assert (code, capsys.readouterr().out) == run_cli(capsys, "hom", "d", "t")
+
+
+def test_help_exits_and_prints_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: weyldeform")
+
+
+def test_answer_does_not_follow_the_callers_argv_list(capsys):
+    argv = ["classify", "1"]
+    first = (main(argv), capsys.readouterr().out)
+    argv[1] = "2"
+    assert (main(argv), capsys.readouterr().out) == run_cli(capsys, "classify", "2") != first
+    assert run_cli(capsys, "classify", "1") == first
 
 
 _TEXT = 'ab"\\ \x00\x1f\n\t\x7fΔé\u2028\U0001d400'

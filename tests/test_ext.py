@@ -3,6 +3,7 @@
 import pytest
 
 import weyldeform
+from weyldeform import cli, modules
 from weyldeform import (
     CyclicModule,
     PresentedModule,
@@ -57,6 +58,7 @@ PAIR = PresentedModule((("d", "-1"), ("-1", "t")))
                  lambda r: (r, r.basis), id="normal_form"),
     pytest.param(lambda: identify_specialization(representative("T_3_6"), 2),
                  lambda r: (r.target, r.witness), id="identify_specialization"),
+    pytest.param(lambda: cli._answer(("ext",)), lambda r: r, id="cli._answer"),
 ])
 def test_clear_caches_empties_every_memo(call, value):
     first = call()
@@ -88,6 +90,18 @@ def test_inputs_coerce_from_elements_and_modules():
     a = ext1_dim(CyclicModule("d"), CyclicModule("t"), 8)
     b = ext1_dim("d", "t", 8)
     assert a.dim == b.dim and a.representatives == b.representatives
+
+
+def test_default_table_parses_its_pair_once(monkeypatch):
+    first = ext_table()
+    assert first.modules == (CyclicModule("d"), CyclicModule("t"))
+    parses = []
+    parse = modules.parse_weyl
+    monkeypatch.setattr(modules, "parse_weyl", lambda s: parses.append(s) or parse(s))
+    second = ext_table()
+    assert parses == []
+    assert all(a is b for a, b in zip(first.modules, second.modules, strict=True))
+    assert second == first
 
 
 def test_full_table():

@@ -27,7 +27,7 @@ from weyldeform import (
     iso_witness,
     representative,
 )
-from weyldeform import modules
+from weyldeform import cli, modules
 from weyldeform.cli import _witness_json
 
 from conftest import cyclic_to_presented_iso
@@ -132,8 +132,10 @@ def test_cross_certify_builds_one_chain(monkeypatch):
 PAIR = PresentedModule((("d", "-1"), ("-1", "t")))
 
 
-def test_every_memo_is_reached_and_cleared():
+def test_every_memo_is_reached_and_cleared(capsys):
     clear_caches()
+    cli.main(["ext"])
+    capsys.readouterr()
     iso_witness("t*d - 1", "t*d - 2", 6)
     hom_search("t*d", "t", 6)
     cyclic_form(PAIR, 6)
