@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .linalg import mat_add, mat_mul, rref_rows
+from .linalg import mat_add, mat_mul, pivot_columns
 from .modules import (
     CyclicModule,
     DEFAULT_MAX_DEGREE,
@@ -33,7 +33,8 @@ from .modules import (
     _stabilized_at,
     monomial_count,
 )
-from .weyl import WeylElement, _multiples, leading_term, normal_forms, truncated_monomials
+from .weyl import WeylElement, _multiples, leading_term, truncated_monomials
+from .weyl import _integer_multiple, _integer_normal_forms
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,10 @@ def _ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
     # for a nonstandard m, p*m - p*nf(m) = p*(m - nf(m)) lies in Dq and
     # nf(m) sums standard monomials of no higher degree: only those add
     std = [m for m in truncated_monomials(span) if m[0] < k or m[1] < l]
-    nfs = normal_forms(_multiples(p, std, _ONE), q, window)
-    pivots = set(rref_rows({col(m): c for m, c in w} for w in nfs)[1])
+    # p' = p up to a constant factor and a row up to its denominator: a
+    # row's scale moves no pivot
+    nfs = _integer_normal_forms(_multiples(_integer_multiple(p), std, _ONE), q, window)
+    pivots = set(pivot_columns({col(m): c for m, c in num.items()} for num, _ in nfs))
     free = [m for m in truncated_monomials(n_cap)
             if (m[0] < k or m[1] < l) and col(m) not in pivots]
     dims = tuple(sum(1 for i, j in free if i + j <= n) for n in range(n_cap + 1))

@@ -1,16 +1,19 @@
 """Exact linear algebra over the rationals, and matrix products and sums.
 
-``rref_rows`` is the one elimination kernel.  It takes dense rows or
-sparse ``{column: value}`` dicts (the monomial systems are a few percent
-dense and arrive as dicts), scales each row once to a primitive integer
-row, and runs Gauss-Jordan fraction-free on those (after Bareiss, Math.
-Comp. 22, 1968): a combination cross-multiplies by the pivot entries
-over their gcd and divides the content out, so a stored row is always
-the primitive multiple of an echelon row of the rows seen so far.  Rows
-are divided by their pivot entry only on output.  Each pivot is the
-leftmost nonzero column of its row, so the result is the unique reduced
-row echelon form in ``Fraction``s, and every basis and solution is the
-one a dense Gauss-Jordan gives.  ``echelon_solution`` and
+One elimination kernel, two exits.  ``_echelon``, the forward pass,
+takes dense rows or sparse ``{column: value}`` dicts (the monomial
+systems are a few percent dense and arrive as dicts), scales each row
+once to a primitive integer row, and eliminates fraction-free (after
+Bareiss, Math. Comp. 22, 1968): a combination cross-multiplies by the
+pivot entries over their gcd and divides the content out, so a stored
+row is always the primitive multiple of an echelon row of the rows seen
+so far, keyed by its pivot, its leftmost nonzero column.
+``pivot_columns`` and ``rank`` exit there, as scaling and
+back-substitution move no pivot.  ``rref_rows`` goes on: back-substitution
+from the last pivot up, then each row divided by its pivot entry, once,
+on output.  The result is the unique reduced row echelon form in
+``Fraction``s, so every basis and solution is the one a dense
+Gauss-Jordan gives.  ``echelon_solution`` and
 ``echelon_kernel`` read a solution and a kernel basis off it, sparse;
 the public functions (rank, kernel_basis, solve, inverse) keep taking
 and returning dense lists.  ``reduce_row`` reduces a sparse vector by
@@ -88,16 +91,21 @@ def mat_add(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
 def _integer_row(items) -> dict[int, int]:
     """The primitive integer row proportional to ``(column, value)`` pairs."""
     row = {}
+    ints = True
     for c, x in items:
-        # entries are converted before the zero test: "0" is truthy
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
+        if type(x) is not int:
+            ints = False
+            # entries are converted before the zero test: "0" is truthy
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
         if x:
             row[c] = x
     if not row:
         return row
-    den = lcm(*(x.denominator for x in row.values()))
-    return _primitive({c: x.numerator * (den // x.denominator) for c, x in row.items()})
+    if not ints:
+        den = lcm(*(x.denominator for x in row.values()))
+        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    return _primitive(row)
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -119,6 +127,57 @@ def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> dict[int, in
     return _primitive(out) if out else out
 
 
+def _echelon(rows: Iterable[Sequence | Row]) -> dict[int, dict[int, int]]:
+    """The forward pass: primitive integer echelon rows keyed by pivot.
+
+    Each input row is reduced at the pivots it meets, leftmost first, and
+    kept under its leftmost remaining column when one is left.  A row
+    keyed c is zero left of c, so eliminating c touches only columns to
+    its right.  Dense rows must share one length.  Input is not modified.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    width = None
+    for row in rows:
+        if isinstance(row, dict):
+            vec = _integer_row(row.items())
+        else:
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ValueError("ragged matrix")
+            vec = _integer_row(enumerate(row))
+        while vec:
+            c = min(vec)
+            other = echelon.get(c)
+            if other is None:
+                echelon[c] = vec
+                break
+            vec = _eliminate(vec, other, c)
+    return echelon
+
+
+def _back_substitute(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Echelon rows reduced at every other pivot, from the last pivot up.
+
+    The rows below a pivot are reduced first, and a reduced row is zero
+    at every other pivot, so eliminating one pivot never brings back
+    another.
+    """
+    reduced: dict[int, dict[int, int]] = {}
+    for p in sorted(echelon, reverse=True):
+        vec = echelon[p]
+        for c in [c for c in vec if c in reduced]:
+            vec = _eliminate(vec, reduced[c], c)
+        reduced[p] = vec
+    return reduced
+
+
+def pivot_columns(rows: Iterable[Sequence | Row]) -> list[int]:
+    """The pivot columns of ``rref_rows(rows)``, ascending, read off the
+    forward pass alone: scaling and back-substitution move no pivot."""
+    return sorted(_echelon(rows))
+
+
 def rref_rows(rows: Iterable[Sequence | Row]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form of dense or sparse rows, eliminated fraction-free.
 
@@ -126,30 +185,9 @@ def rref_rows(rows: Iterable[Sequence | Row]) -> tuple[list[Row], list[int]]:
     (nonzero reduced rows as ``{column: Fraction}`` dicts, pivot column
     indices), both in ascending pivot order.  Input is not modified.
     """
-    rows = list(rows)
-    dense = [row for row in rows if not isinstance(row, dict)]
-    if dense and any(len(row) != len(dense[0]) for row in dense):
-        raise ValueError("ragged matrix")
-    red: list[dict[int, int]] = []
-    pivots: list[int] = []
-    where: dict[int, int] = {}
-    for row in rows:
-        vec = _integer_row(row.items() if isinstance(row, dict) else enumerate(row))
-        # an echelon row is zero at every other pivot, so eliminating one
-        # pivot of vec never brings back another
-        for p in [c for c in vec if c in where]:
-            vec = _eliminate(vec, red[where[p]], p)
-        if not vec:
-            continue
-        c = min(vec)
-        for k, other in enumerate(red):
-            if c in other:
-                red[k] = _eliminate(other, vec, c)
-        where[c] = len(red)
-        red.append(vec)
-        pivots.append(c)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [_scaled(red[k], pivots[k]) for k in order], [pivots[k] for k in order]
+    reduced = _back_substitute(_echelon(rows))
+    pivots = sorted(reduced)
+    return [_scaled(reduced[p], p) for p in pivots], pivots
 
 
 def _scaled(row: dict[int, int], p: int) -> Row:
@@ -181,7 +219,7 @@ def echelon_kernel(red: Sequence[Row], pivots: Sequence[int], ncols: int) -> lis
 
 
 def rank(rows: Iterable[Sequence]) -> int:
-    return len(rref_rows(rows)[1])
+    return len(_echelon(rows))
 
 
 def kernel_basis(rows: Iterable[Sequence], ncols: int) -> list[Vec]:

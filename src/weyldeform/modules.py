@@ -26,15 +26,17 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
+from math import lcm
 from typing import Iterable, Sequence, Tuple
 
 from .linalg import echelon_kernel, echelon_solution, mat_add, mat_mul, reduce_row, rref_rows
 from .weyl import (
     WeylElement,
+    _integer_multiple,
+    _integer_normal_forms,
     _multiples,
     leading_term,
     monomial_multiples,
-    normal_forms,
     parse_weyl,
     print_weyl,
     term_order,
@@ -407,13 +409,17 @@ def divide_left(r: WeylElement, q: WeylElement) -> WeylElement | None:
     return s
 
 
-def _nf_rows(xs: list[WeylElement], q: WeylElement) -> list[dict[int, Fraction]]:
-    """Sparse rows, one per standard monomial, of the matrix whose column
-    j is the normal form of xs[j] modulo Dq."""
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for col, w in enumerate(normal_forms(xs, q, max([0, *map(_deg, xs)]))):
-        for mono, c in w:
-            rows.setdefault(mono, {})[col] = c
+def _nf_rows(xs: list[WeylElement], q: WeylElement) -> list[dict[int, int]]:
+    """Sparse integer rows, one per standard monomial, of L times the
+    matrix whose column j is the normal form of xs[j] modulo Dq, L the lcm
+    of the columns' denominators: the same kernel and the same solutions."""
+    nfs = _integer_normal_forms(xs, q, max([0, *map(_deg, xs)]))
+    scale = lcm(*(den for _, den in nfs))
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for col, (num, den) in enumerate(nfs):
+        f = scale // den
+        for mono, c in num.items():
+            rows.setdefault(mono, {})[col] = c * f
     return list(rows.values())
 
 
@@ -476,7 +482,9 @@ def _hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBas
     # as the reduced basis in TruncatedSpan's order
     std = sorted((m for m in truncated_monomials(n_cap) if m[0] < k or m[1] < l),
                  key=term_order)
-    kernel = echelon_kernel(*rref_rows(_nf_rows(_multiples(p, std, _ONE), q)), len(std))
+    # p' = p up to a constant factor, which scales every column alike
+    rows = _nf_rows(_multiples(_integer_multiple(p), std, _ONE), q)
+    kernel = echelon_kernel(*rref_rows(rows), len(std))
     # a kernel vector's last column is its free one
     dims = tuple(sum(1 for v in kernel if sum(std[max(v)]) <= n) for n in range(n_cap + 1))
     basis = tuple(WeylElement({std[c]: x for c, x in v.items()}) for v in reversed(kernel))

@@ -33,6 +33,7 @@ from math import isqrt
 from typing import Callable, Sequence
 
 from .linalg import QMatrix, echelon_kernel, echelon_solution, kernel_basis, mat_mul, rank, rref_rows
+from .linalg import pivot_columns
 from .linalg import solve as solve_linear
 from .modules import _memo
 
@@ -480,7 +481,7 @@ def _new_span(below: list, vectors: list) -> list[int]:
     """Indices of the vectors outside the span of below and the vectors
     before them: the pivot columns, past below's, of the matrix whose
     columns are below followed by the vectors."""
-    _, pivots = rref_rows(zip(*below, *vectors))
+    pivots = pivot_columns(zip(*below, *vectors))
     return [c - len(below) for c in pivots if c >= len(below)]
 
 

@@ -299,19 +299,48 @@ def leading_term(w: WeylElement) -> tuple[Monomial, Fraction]:
     return max(w._terms.items(), key=lambda kv: term_order(kv[0]))
 
 
+def _numerators(w: WeylElement) -> tuple[dict[Monomial, int], int]:
+    """(numerators, den): w's coefficients over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in w._terms.values()))
+    return {mono: c.numerator * (den // c.denominator) for mono, c in w._terms.items()}, den
+
+
+def _integer_multiple(w: WeylElement) -> WeylElement:
+    """The multiple of a nonzero w whose coefficients are coprime integers,
+    the leading one positive.  Its coefficients are ints, not Fractions, so
+    it stays private: _multiples, _shift and _d_times keep it over the
+    integers, and _integer_normal_forms reads it."""
+    nums, _ = _numerators(w)
+    g = math.gcd(*nums.values())
+    g = g if leading_term(w)[1] > 0 else -g
+    return WeylElement._of({mono: c // g for mono, c in nums.items()})
+
+
 def normal_forms(xs: Iterable[WeylElement], q: WeylElement, n: int) -> list[WeylElement]:
     """The normal form modulo Dq of each x of degree <= n: congruent to x,
     on the standard monomials (those lm(q) does not divide), of degree at
-    most deg x.  t^a d^b * q is built only for the monomials the xs reach,
-    directly or through another multiple, and each of those is reduced
-    once per call."""
-    (k, l), lead = leading_term(q)
+    most deg x.  _integer_normal_forms computes them over the integers;
+    each is converted to Fractions here, once, in the same storage order."""
+    return [WeylElement._of({mono: Fraction(c, den) for mono, c in num.items()})
+            for num, den in _integer_normal_forms(xs, q, n)]
+
+
+def _integer_normal_forms(xs: Iterable[WeylElement], q: WeylElement,
+                          n: int) -> list[tuple[dict[Monomial, int], int]]:
+    """normal_forms over the integers: each as (numerators, den), den > 0
+    and coprime to the numerators.  The xs may have int coefficients, as
+    the _multiples of an _integer_multiple do.  t^a d^b * q is built only
+    for the monomials the xs reach, directly or through another multiple,
+    and each of those is reduced once per call, over one common
+    denominator."""
+    (k, l), _ = leading_term(q)
     xs = list(xs)
     if any((x.degree() or 0) > n for x in xs):
         raise ValueError("element exceeds the degree of the normal forms")
-    steps = [q]  # d^b * q, as far as a reached monomial needs it
+    steps = [_integer_multiple(q)]  # d^b * q', and Dq' = Dq
+    lead = steps[0]._terms[k, l]
 
-    # the multiple t^a d^b * q led by each non-standard monomial the xs
+    # the multiple t^a d^b * q' led by each non-standard monomial the xs
     # reach; none exceeds the degree of the x it came from
     multiples: dict[Monomial, WeylElement] = {}
     todo = [mono for x in xs for mono in x._terms]
@@ -324,23 +353,29 @@ def normal_forms(xs: Iterable[WeylElement], q: WeylElement, n: int) -> list[Weyl
             w = multiples[mono] = _shift(steps[j - l], i - k, 0)
             todo.extend(w._terms)
 
-    reduced: dict[Monomial, dict[Monomial, Fraction]] = {}
+    reduced: dict[Monomial, tuple[dict[Monomial, int], int]] = {}
 
-    def reduce(terms) -> dict[Monomial, Fraction]:
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in terms:
-            r = reduced.get(mono)
+    def reduce(terms: list[tuple[Monomial, int]], den: int) -> tuple[dict[Monomial, int], int]:
+        # the normal form of sum(c * mono) / den, over one common denominator
+        rows = [reduced.get(mono) for mono, _ in terms]
+        common = math.lcm(*(r[1] for r in rows if r))
+        out: dict[Monomial, int] = {}
+        for (mono, c), r in zip(terms, rows):
             if r is None:
-                out[mono] = out.get(mono, 0) + c
+                out[mono] = out.get(mono, 0) + c * common
             else:
-                for key, x in r.items():
-                    out[key] = out.get(key, 0) + c * x
-        return {key: c for key, c in out.items() if c}
+                num, rden = r
+                f = c * (common // rden)
+                for key, x in num.items():
+                    out[key] = out.get(key, 0) + f * x
+        den *= common
+        g = math.gcd(den, *out.values())
+        return {key: c // g for key, c in out.items() if c}, den // g
 
-    # every other term of t^a d^b * q is smaller, so it is reduced already
+    # every other term of t^a d^b * q' is smaller, so it is reduced already
     for mono in sorted(multiples, key=term_order):
-        reduced[mono] = reduce((key, -c / lead) for key, c in multiples[mono] if key != mono)
-    return [WeylElement._of(reduce(x)) for x in xs]
+        reduced[mono] = reduce([(key, -c) for key, c in multiples[mono] if key != mono], lead)
+    return [reduce(list(num.items()), den) for num, den in map(_numerators, xs)]
 
 
 # -- printing ---------------------------------------------------------

@@ -50,7 +50,15 @@ def test_lazy_normal_forms_match_the_full_window(q, xs, n):
     assert _terms(normal_forms(xs, q, n)) == _terms(reference_normal_forms(xs, q, n))
 
 
-@pytest.mark.parametrize("q", ["d", "t*d - 1/2", "7/3*t^2*d + d^2 - t + 5", "-2/9"])
+# the dense relation of the benchmark's Ext^1 queries, one of height 10^12
+# and one with a leading coefficient other than 1
+DENSE = "t*d^2 + 3/4*d^2 - 2/5*t*d + 5/7*d - 7/3"
+TALL = "t*d^2 - 123456789013/987654321097*t + 987654321098/123456789011*d"
+NON_UNIT = "-14/3*t^2*d + 5*t*d - 10/9"
+
+
+@pytest.mark.parametrize("q", ["d", "t*d - 1/2", "7/3*t^2*d + d^2 - t + 5", "-2/9",
+                               DENSE, TALL, NON_UNIT])
 def test_deep_and_empty_inputs_match_the_full_window(q):
     q = parse_weyl(q)
     deep = [WeylElement.monomial(i, 12 - i, Fraction(i + 1, 3)) for i in range(13)]

@@ -3,11 +3,12 @@
 import copy
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from weyldeform import QMatrix, WeylElement, inverse, kernel_basis, parse_weyl, rank, solve
-from weyldeform.linalg import rref_rows
+from weyldeform.linalg import pivot_columns, rref_rows
 
 from conftest import bareiss_rank, dense_rref_rows
 
@@ -230,6 +231,7 @@ def check_against_oracle(rng, rows):
     for given in (rows, [{c: x for c, x in enumerate(row) if x} for row in rows]):
         got, piv = rref_rows(given)
         assert piv == pivots
+        assert pivot_columns(given) == pivots
         assert [[row.get(c, 0) for c in range(ncols)] for row in got] == red
         assert all(type(x) is Fraction and x for row in got for x in row.values())
     assert rank(rows) == len(pivots)
@@ -359,3 +361,58 @@ def test_tuple_and_qmatrix_rows_agree_with_lists():
     assert rank(m.to_rows()) == rank(rows)
     assert kernel_basis(m.to_rows(), m.ncols) == kernel_basis(rows, 40)
     assert m.to_rows() == rows
+
+
+# -- the pivot exit -------------------------------------------------------
+
+
+def _integer_scaled(rows):
+    """Each row times the lcm of its denominators: the same rank."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(Fraction(x) * den) for x in row])
+    return out
+
+
+def _pivot_cases():
+    rng = random.Random(2254)
+    cases = [[], [[], []], [[0, 0, 0]], [[1, 2], [2, 4], [1, 2]],
+             [[0, Fraction(1, 2)], [0, 0], [0, Fraction(1, 2)]]]
+    for k in range(120):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 12)
+        if k % 3 == 0:
+            rows = rand_int_rows(rng, nrows, ncols, bound=3)
+        elif k % 3 == 1:
+            rows = [[rand_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        else:
+            rows = rand_sparse_rows(rng, nrows, ncols, rng.uniform(0.1, 0.4))
+        if rng.random() < 0.5:
+            rows.append(list(rows[rng.randrange(nrows)]))
+        if rng.random() < 0.5:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        cases.append(rows)
+    return cases
+
+
+def test_pivot_exit_matches_the_dense_oracle():
+    for rows in _pivot_cases():
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        before = copy.deepcopy((rows, sparse))
+        want = dense_rref_rows(rows)[1]
+        assert pivot_columns(rows) == pivot_columns(sparse) == want
+        assert pivot_columns(iter(rows)) == want
+        assert rref_rows(sparse)[1] == want
+        assert rank(rows) == bareiss_rank(_integer_scaled(rows)) == len(want)
+        assert (rows, sparse) == before
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [3]],
+    [{0: 1}, [1, 2], {5: 1}, (3,)],
+    [[], [0]],
+])
+def test_every_exit_rejects_ragged_rows(rows):
+    for call in (rref_rows, rank, pivot_columns):
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            call(rows)

@@ -127,7 +127,7 @@ def test_cold_string_normal_form_work(monkeypatch):
     # made 246 eliminations here
     length = 60
     calls = 0
-    real = weyldeform.linalg.rref_rows
+    real = weyldeform.linalg._echelon
 
     def counted(rows):
         nonlocal calls
@@ -136,8 +136,8 @@ def test_cold_string_normal_form_work(monkeypatch):
 
     rep = string_rep(1, length)
     clear_caches()
-    monkeypatch.setattr(weyldeform.linalg, "rref_rows", counted)
-    monkeypatch.setattr(weyldeform.reps, "rref_rows", counted)
+    # every exit of the elimination kernel runs its forward pass
+    monkeypatch.setattr(weyldeform.linalg, "_echelon", counted)
     form = normal_form(rep)
     monkeypatch.undo()
     clear_caches()

@@ -13,11 +13,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weyldeform import WeylElement, divide_left, ext1_dim, hom_search, parse_weyl
-from weyldeform.modules import CyclicModule
+from weyldeform import WeylElement, divide_left, ext, ext1_dim, hom_search, linalg, modules, parse_weyl, weyl
+from weyldeform.modules import CyclicModule, clear_caches
 from weyldeform.weyl import leading_term, monomial_multiples, normal_forms, truncated_monomials
 
 from conftest import windowed_ext1, windowed_hom_basis
+from test_lazy_multiples import DENSE, NON_UNIT, TALL
 
 t = WeylElement.t()
 d = WeylElement.d()
@@ -132,6 +133,40 @@ def test_targets_above_the_cap_match_the_windowed_spans(p, q, cap):
     ("d^2 + 1/3", "d", 12),
     ("t*d^2 + (3/4)*d^2 + (-2/5)*t*d + (5/7)*d + (-7/3)", "d", 12),
     ("t*d^2 + (-7/3)*d^2 + (4/9)*t*d + (-5/6)*d + (7/4)", "d", 12),
+    (DENSE, "d", 12),
+    ("t*d - 1/2", DENSE, 10),
+    (TALL, "d", 12),
+    ("d^2 - 1", TALL, 8),
+    (NON_UNIT, "t*d + 1", 12),
+    ("t", NON_UNIT, 10),
 ])
 def test_benchmark_relations_match_the_windowed_spans(p, q, cap):
     _assert_same(parse_weyl(p), parse_weyl(q), cap)
+
+
+def test_cold_ext1_and_hom_stay_over_the_integers(monkeypatch):
+    # Ext^1 reads only pivots, so it makes no back-substitution and divides
+    # no row by its pivot; neither search builds a normal form in Fractions
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_back_substitute", counted("back", linalg._back_substitute))
+    monkeypatch.setattr(linalg, "_scaled", counted("scaled", linalg._scaled))
+    wrapper = weyl.normal_forms
+    for mod in (weyl, modules, ext):
+        for attr, value in list(vars(mod).items()):
+            if value is wrapper:
+                monkeypatch.setattr(mod, attr, counted("normal_forms", wrapper))
+    clear_caches()
+    try:
+        assert ext1_dim("t^2*d - 3/2", "d", 12).dim == 1
+        assert calls == []
+        assert hom_search("t*d - 3", "t*d - 4", 12).dim == 1
+        assert "normal_forms" not in calls and "back" in calls
+    finally:
+        clear_caches()

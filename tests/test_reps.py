@@ -648,15 +648,15 @@ def test_repeat_questions_on_an_equal_triple_eliminate_nothing(monkeypatch):
         copy = Representation(*(QMatrix(m.to_rows()) for m in conj.triple()))
         assert copy == conj and copy is not conj
         cases.append((copy, want))
-    real = weyldeform.linalg.rref_rows
+    real = weyldeform.linalg._echelon
     calls = []
 
     def counted(rows):
         calls.append(rows)
         return real(rows)
 
-    monkeypatch.setattr("weyldeform.linalg.rref_rows", counted)
-    monkeypatch.setattr("weyldeform.reps.rref_rows", counted)
+    # every exit of the elimination kernel runs its forward pass
+    monkeypatch.setattr("weyldeform.linalg._echelon", counted)
     for copy, want in cases:
         assert (is_simple(copy), is_indecomposable(copy), match_label(copy)) == want
     assert calls == []

@@ -5,7 +5,7 @@ invariant line by construction, so the search takes the first vector of
 the first nonempty kernel and re-proves nothing.  The answers are held
 byte for byte to the search that built both kernels and checked each
 candidate by rank, kept in conftest, and the work is counted in
-rref_rows calls with the quiver form already warm.
+forward passes of the elimination kernel with the quiver form already warm.
 """
 
 import random
@@ -33,15 +33,15 @@ INPUTS = _inputs()
 
 
 def _counting(monkeypatch) -> list:
-    real = weyldeform.linalg.rref_rows
+    # every exit of the elimination kernel runs its forward pass once
+    real = weyldeform.linalg._echelon
     calls = []
 
     def counted(rows):
         calls.append(None)
         return real(rows)
 
-    monkeypatch.setattr("weyldeform.linalg.rref_rows", counted)
-    monkeypatch.setattr("weyldeform.reps.rref_rows", counted)
+    monkeypatch.setattr("weyldeform.linalg._echelon", counted)
     return calls
 
 
