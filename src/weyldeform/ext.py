@@ -139,13 +139,8 @@ def ext_table(modules: Iterable | None = None,
     dims1 = tuple(tuple(r.dim for r in row) for row in results)
     dims2 = tuple((0,) * len(mods) for _ in mods)
     reps = tuple(tuple(r.representatives for r in row) for row in results)
-    stab: int | None = 0
-    for row in results:
-        for r in row:
-            if r.stabilized_at is None:
-                stab = None
-            elif stab is not None:
-                stab = max(stab, r.stabilized_at)
+    stabs = [r.stabilized_at for row in results for r in row]
+    stab = None if None in stabs else max(stabs, default=0)
     return ExtTable(mods, n_cap, dims1, dims2, reps, stab)
 
 

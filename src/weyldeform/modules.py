@@ -780,19 +780,19 @@ def cyclic_form(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE):
     certifiable principal annihilator is found within the bounds, else None.
 
     A nonzero constant c = delta[i][j] eliminates generator j by relation
-    i (see _pivot_step); the residual's form, composed with that step's
-    witness, is returned whatever its degree: the cap bounds searches,
-    never built witnesses.  One generator is finished by scaling.  With
-    no step, or a residual without a form, the search tries the short
-    generator combinations ([:12]) at each s rung and certifies one
-    annihilator per generator g: the lowest-degree a with a*g in the
-    image, when it is unique up to a scalar.  No other can pass: a
-    certificate through g makes ann(g) = Dp, and D is a domain with a
-    graded order, so the elements of Dp of degree deg p are the multiples
-    of p.  None is a bounded negative; the witness is verified once, at
-    the top of the chain, before it is returned.  The unverified chain is
-    memoized on its own, so versal's one-block identifications read the
-    same one.
+    i, all in one Gauss–Jordan pass that writes the chain's witness down
+    (_pivot_chain); the residual's form composed with it is returned
+    whatever its degree: the cap bounds searches, never built witnesses.
+    One generator is finished by scaling.  With no pivot, or a residual
+    without a form, the search tries the short generator combinations
+    ([:12]) at each s rung and certifies one annihilator per generator g:
+    the lowest-degree a with a*g in the image, when it is unique up to a
+    scalar.  No other can pass: a certificate through g makes ann(g) = Dp,
+    and D is a domain with a graded order, so the elements of Dp of degree
+    deg p are the multiples of p.  None is a bounded negative; the witness
+    is verified once, at the top of the chain, before it is returned.  The
+    unverified chain is memoized on its own, so versal's one-block
+    identifications read the same one.
     """
     return _cyclic_form_search(m, _check_degree(max_degree))
 
@@ -812,42 +812,45 @@ def _scaling_witness(m: PresentedModule, max_degree: int):
     )
 
 
-def _pivot_step(m: PresentedModule, n_cap: int) -> IsoWitness | None:
-    """Witness residual -> m, where the residual eliminates generator j by
-    relation i at the constant entry c = delta[i][j] (last column first,
-    then first row); None when m has no nonzero constant entry."""
-    dl = m.delta
+def _pivot_chain(m: PresentedModule, n_cap: int, steps: int | None = None):
+    """(residual, witness residual -> m, or None with no pivot) by one
+    Gauss–Jordan pass over D on the rows [delta | 1], while two generators
+    are kept and fewer than steps pivots are made: the pivot, the first
+    constant c of the residual by columns from the last and rows from the
+    first, has its row scaled by 1/c, and f times that row is taken from
+    every other row, f the other row's entry in the pivot column.  With
+    P = delta_IJ on the pivots, the witness identities force
+    s_J = -P^-1 delta_IK, u = [-delta_RJ P^-1 | 1] and c_b = -P^-1 on
+    (J, I): the reduced rows, as in the one-pivot witnesses' product."""
     n = m.n
-    i, j = next(((i, j) for j in reversed(range(n)) for i in range(n)
-                 if _deg(dl[i][j]) == 0), (None, None))
-    if i is None:
-        return None
-    inv = 1 / dl[i][j].coeff(0, 0)
-    rows = [l for l in range(n) if l != i]
-    cols = [k for k in range(n) if k != j]
-    # the Schur complement: row l minus delta[l][j] * c^-1 times row i
-    factor = {l: dl[l][j] * inv for l in rows}
-    residual = PresentedModule(tuple(
-        tuple(dl[l][k] - factor[l] * dl[i][k] if factor[l] else dl[l][k] for k in cols)
-        for l in rows
-    ))
-    # e_j = -c^-1 * sum of delta[i][k] * e_k over k != j
-    s = tuple(
-        tuple(-inv * dl[i][k] if x == j else _ONE if x == k else _ZERO for k in cols)
-        for x in range(n)
-    )
-    u = tuple(
-        tuple(-factor[l] if x == i else _ONE if x == l else _ZERO for x in range(n))
-        for l in rows
-    )
-    return IsoWitness(
+    rows = [[*row, *(_ONE if x == l else _ZERO for x in range(n))] for l, row in enumerate(m.delta)]
+    kept_rows, kept_cols, pivots = list(range(n)), list(range(n)), {}
+    while len(kept_cols) > 1 and len(pivots) != steps:
+        i, j = next(((i, j) for j in reversed(kept_cols) for i in kept_rows
+                     if _deg(rows[i][j]) == 0), (None, None))
+        if i is None:
+            break
+        inv = 1 / rows[i][j].coeff(0, 0)
+        pivots[j] = rows[i] = [x * inv if x else x for x in rows[i]]
+        nonzero = [(k, x) for k, x in enumerate(rows[i]) if x]
+        for row in rows:
+            if (f := row[j]) and row is not rows[i]:
+                for k, x in nonzero:
+                    row[k] -= f * x
+        kept_rows.remove(i)
+        kept_cols.remove(j)
+    if not pivots:
+        return m, None
+    residual = PresentedModule(tuple(tuple(rows[l][k] for k in kept_cols) for l in kept_rows))
+    return residual, IsoWitness(
         residual, m,
-        tuple(tuple(_ONE if x == k else _ZERO for x in range(n)) for k in cols),
-        s, u,
-        tuple(tuple(_ONE if x == l else _ZERO for l in rows) for x in range(n)),
-        wmat_zero(n - 1, n - 1),
-        tuple(tuple(WeylElement.constant(-inv) if (x, y) == (j, i) else _ZERO for y in range(n))
+        tuple(tuple(_ONE if x == k else _ZERO for x in range(n)) for k in kept_cols),
+        tuple(tuple(-pivots[x][k] if x in pivots else _ONE if x == k else _ZERO for k in kept_cols)
               for x in range(n)),
+        tuple(tuple(rows[l][n:]) for l in kept_rows),
+        tuple(tuple(_ONE if x == l else _ZERO for l in kept_rows) for x in range(n)),
+        wmat_zero(n - len(pivots), n - len(pivots)),
+        tuple(tuple(-y for y in pivots[x][n:]) if x in pivots else (_ZERO,) * n for x in range(n)),
         n_cap,
     )
 
@@ -860,20 +863,15 @@ def _cyclic_form_search(m: PresentedModule, n_cap: int):
 
 @_memo
 def _find_cyclic_form(m: PresentedModule, n_cap: int):
-    # keep W: residual -> m down the chain; a step composed on top has one
-    # nonzero c_b entry, a rank-one update of W's c_b, and compose_iso is
-    # associative, so this builds the bottom-up composite exactly
-    chain = [(m, None)]
-    while chain[-1][0].n > 1 and (step := _pivot_step(chain[-1][0], n_cap)) is not None:
-        w = chain[-1][1]
-        chain.append((step.source, step if w is None else compose_iso(step, w)))
-    # else each module's own search, from the bottom up: a residual's short
-    # generators are not its parent's
-    for mod, w in reversed(chain):
-        found = _own_form(mod, n_cap)
-        if found is not None:
-            return found[0], found[1] if w is None else compose_iso(found[1], w)
-    return None
+    # each level's own search, from the chain's bottom up (a residual's
+    # short generators are not its parent's); a level is eliminated again,
+    # with one pivot fewer, only when the one below it has no form
+    mod, w = _pivot_chain(m, n_cap)
+    while (found := _own_form(mod, n_cap)) is None:
+        if w is None:
+            return None
+        mod, w = _pivot_chain(m, n_cap, m.n - mod.n - 1)
+    return found[0], found[1] if w is None else compose_iso(found[1], w)
 
 
 def _own_form(m: PresentedModule, n_cap: int, p: WeylElement | None = None):

@@ -25,13 +25,14 @@ invariant factor f of AB of degree k has a chain of length 2k from
 vertex 1 ending in T x_(2k-1) = -sum f_i x_(2i); as x_(2i) = theta^i
 x_0, t*x_(2k-1) = theta^k x_0 for theta = t*d, it gives D/D(f(theta)).
 The invariants fix those rows, so Delta' is read off them and never
-multiplied out.  cyclic_form's pivot chain makes these eliminations, so
-its search is never reached and another form raises; the chain's
-witness sends x_i to degree i < deg w, the multiplicity of D/Dw, and is
-kept whatever that degree, so every block is identified.  Each witness
-handed out is verified once: a single block's chain witness only as its
-composite with the conjugation, a direct sum's block witnesses and its
-conjugation each on their own.
+multiplied out.  cyclic_form's pivot chain makes these eliminations in
+one Gauss–Jordan pass over [Delta' | 1], so its search is never reached
+and another form raises; the witness read off the reduced rows sends x_i
+to degree i < deg w, the multiplicity of D/Dw, and is kept whatever that
+degree, so every block is identified.  Each witness handed out is
+verified once: a single block's chain witness only as its composite with
+the conjugation, a direct sum's block witnesses and its conjugation each
+on their own.
 """
 
 from __future__ import annotations
@@ -215,10 +216,10 @@ def identify_specialization(rep: Representation,
     """Specialize at a representation and recognize the result.
 
     Each normal-form summand is one block; the rule in the module docstring
-    reads its target and the pivot chain builds its witness by elimination,
-    with no degree cap, so the report is always identified.  max_degree is
-    validated and recorded in the report.  shift is set against the
-    representation's parameter, if it has one.
+    reads its target and the pivot chain's one Gauss–Jordan pass writes its
+    witness down, with no degree cap, so the report is always identified.
+    max_degree is validated and recorded in the report; shift is set
+    against the representation's parameter, if it has one.
     """
     base = next((Fraction(v) for v in rep.params.values() if v is not None), None)
     return _identify_rep(rep, _check_degree(max_degree), base)

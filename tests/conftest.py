@@ -48,7 +48,6 @@ from weyldeform.modules import (
     _deg,
     _generator_candidates,
     _generator_form,
-    _pivot_step,
     _s_rungs,
     _scaling_witness,
     _stabilized_at,
@@ -57,6 +56,7 @@ from weyldeform.modules import (
     divide_left,
     image_witness,
     monomial_count,
+    wmat_zero,
 )
 from weyldeform.reps import FAMILIES, NormalForm, QuiverForm, _chain, _eigenbasis, _new_span
 from weyldeform.weyl import (Monomial, leading_term, monomial_multiples, term_order,
@@ -486,6 +486,62 @@ def search_cyclic_form(m: PresentedModule, n_cap: int):
                 if w is not None:
                     return cyc, w
     return None
+
+
+def _pivot_step(m: PresentedModule, n_cap: int) -> IsoWitness | None:
+    """Witness residual -> m, where the residual eliminates generator j by
+    relation i at the constant entry c = delta[i][j] (last column first,
+    then first row); None when m has no nonzero constant entry.
+
+    ``modules._pivot_step`` before the chain became one Gauss–Jordan pass
+    (``modules._pivot_chain``), kept verbatim as a reference: one pivot's
+    witness, dense n x n.
+    """
+    dl = m.delta
+    n = m.n
+    i, j = next(((i, j) for j in reversed(range(n)) for i in range(n)
+                 if _deg(dl[i][j]) == 0), (None, None))
+    if i is None:
+        return None
+    inv = 1 / dl[i][j].coeff(0, 0)
+    rows = [l for l in range(n) if l != i]
+    cols = [k for k in range(n) if k != j]
+    # the Schur complement: row l minus delta[l][j] * c^-1 times row i
+    factor = {l: dl[l][j] * inv for l in rows}
+    residual = PresentedModule(tuple(
+        tuple(dl[l][k] - factor[l] * dl[i][k] if factor[l] else dl[l][k] for k in cols)
+        for l in rows
+    ))
+    # e_j = -c^-1 * sum of delta[i][k] * e_k over k != j
+    s = tuple(
+        tuple(-inv * dl[i][k] if x == j else _ONE if x == k else _ZERO for k in cols)
+        for x in range(n)
+    )
+    u = tuple(
+        tuple(-factor[l] if x == i else _ONE if x == l else _ZERO for x in range(n))
+        for l in rows
+    )
+    return IsoWitness(
+        residual, m,
+        tuple(tuple(_ONE if x == k else _ZERO for x in range(n)) for k in cols),
+        s, u,
+        tuple(tuple(_ONE if x == l else _ZERO for l in rows) for x in range(n)),
+        wmat_zero(n - 1, n - 1),
+        tuple(tuple(WeylElement.constant(-inv) if (x, y) == (j, i) else _ZERO for y in range(n))
+              for x in range(n)),
+        n_cap,
+    )
+
+
+def step_chain(m: PresentedModule, n_cap: int):
+    """(bottom residual, witness bottom -> m or None): the one-pivot
+    witnesses of ``_pivot_step`` composed from the top while two generators
+    are kept, as ``modules._find_cyclic_form`` built its chain before the
+    chain became one Gauss–Jordan pass."""
+    w = None
+    while m.n > 1 and (step := _pivot_step(m, n_cap)) is not None:
+        w, m = (step if w is None else compose_iso(step, w)), step.source
+    return m, w
 
 
 def parent_cyclic_form(m: PresentedModule, n_cap: int):

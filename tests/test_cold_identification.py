@@ -28,7 +28,7 @@ from weyldeform import (
     quiver_form,
     representative,
 )
-from weyldeform import linalg, modules
+from weyldeform import linalg, modules, versal
 from weyldeform.cli import _witness_json
 from weyldeform.reps import _conjugated_blocks, _eigenbasis
 from weyldeform.versal import _form_delta
@@ -100,12 +100,13 @@ def test_block_reads_match_the_four_products():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Cold caches and counters of verify, eliminations and QMatrix products.
+    """Cold caches and counters of verify, eliminations, QMatrix products,
+    witness compositions and the matrix products modules makes.
 
     An elimination is one forward pass of the kernel, which every exit
     (rref_rows, pivot_columns, rank) runs once.
     """
-    counts = {"verify": 0, "eliminations": 0, "product": 0}
+    counts = {"verify": 0, "eliminations": 0, "product": 0, "compose": 0, "mat_mul": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -116,6 +117,10 @@ def work(monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", counted("eliminations", linalg._echelon))
     monkeypatch.setattr(IsoWitness, "verify", counted("verify", IsoWitness.verify))
     monkeypatch.setattr(QMatrix, "__mul__", counted("product", QMatrix.__mul__))
+    compose = counted("compose", modules.compose_iso)
+    monkeypatch.setattr(modules, "compose_iso", compose)
+    monkeypatch.setattr(versal, "compose_iso", compose)
+    monkeypatch.setattr(modules, "mat_mul", counted("mat_mul", modules.mat_mul))
     clear_caches()
     yield counts
     clear_caches()
@@ -128,6 +133,17 @@ def test_cold_identification_work(work):
     assert work["verify"] == 1
     assert work["eliminations"] <= 5
     assert work["product"] <= 3
+
+
+def test_cold_string_identification_composes_once(work):
+    # the chain's witness is read off one elimination and composed once,
+    # with the scaling witness: 59 compositions and 480 products when each
+    # pivot's witness was composed into the chain's
+    report = identify_specialization(string_rep(1, 60), 0)
+    assert report.identified
+    # 8 products compose, and 8 more verify the composite once
+    assert (work["compose"], work["verify"]) == (1, 1)
+    assert work["mat_mul"] <= 16
 
 
 def test_cold_cross_certify_verifies_three_times(work):

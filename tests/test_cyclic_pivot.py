@@ -26,7 +26,7 @@ from weyldeform.modules import (
     _deg,
     _generator_candidates,
     _generator_form,
-    _pivot_step,
+    _pivot_chain,
     _s_rungs,
     wmat_deg,
 )
@@ -37,6 +37,7 @@ from conftest import (
     block_decompose,
     parent_cyclic_form,
     search_cyclic_form,
+    step_chain,
 )
 
 zero = WeylElement.zero()
@@ -51,6 +52,20 @@ def rand_entry(rng: random.Random) -> WeylElement:
         j = rng.randint(0, 2 - i)
         w = w + WeylElement.monomial(i, j, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
     return w
+
+
+def chain_presentation(rng: random.Random, n: int, zero_row: bool) -> PresentedModule:
+    """Sparser entries than rand_presentation, n of them forced to nonzero
+    constants (two may land on one), and with zero_row one relation set to
+    zero, so that delta is not injective."""
+    rows = [[rand_entry(rng) if rng.random() < 0.4 else zero for _ in range(n)]
+            for _ in range(n)]
+    for _ in range(n):
+        rows[rng.randrange(n)][rng.randrange(n)] = WeylElement.constant(
+            rng.choice((-2, -1, 1, 2, Fraction(1, 2))))
+    if zero_row:
+        rows[rng.randrange(n)] = [zero] * n
+    return PresentedModule(rows)
 
 
 def rand_presentation(rng: random.Random, n: int) -> PresentedModule:
@@ -130,8 +145,8 @@ def test_residual_miss_falls_back_to_the_search(rows, composed):
     # a built witness, so that composite is the answer.  rows1: the
     # residual has no form within degree 4, so m itself is searched.
     m = PresentedModule(rows)
-    step = _pivot_step(m, 4)
-    found = cyclic_form(step.source, 4)
+    residual, _ = _pivot_chain(m, 4, 1)
+    found = cyclic_form(residual, 4)
     want = search_cyclic_form(m, 4)
     got = cyclic_form(m, 4)
     assert want is not None and got[0].p == want[0].p
@@ -209,7 +224,7 @@ def test_step_witness_eliminates_the_pivot(n):
         m = rand_presentation(rng, n)
         i, j = schur_pivot(m.delta)
         c = m.delta[i][j].coeff(0, 0)
-        step = _pivot_step(m, 8)
+        _, step = _pivot_chain(m, 8, 1)
         assert step.verify()
         assert as_presented(step.target).delta == m.delta
         want = tuple(
@@ -224,13 +239,13 @@ def test_step_witness_eliminates_the_pivot(n):
 
 def test_step_keeps_the_first_generator():
     m = PresentedModule((("d", "2", "-1"), ("1", "t", "0"), ("0", "t*d", "d")))
-    step = _pivot_step(m, 8)
+    _, step = _pivot_chain(m, 8, 1)
     # columns are scanned from the last: e2 goes, by relation 0
     assert step.source.delta == (
         (parse_weyl("1"), parse_weyl("t")),
         (parse_weyl("d^2"), parse_weyl("t*d + 2*d")),
     )
-    assert _pivot_step(PresentedModule((("d", "t"), ("t", "d"))), 8) is None
+    assert _pivot_chain(PresentedModule((("d", "t"), ("t", "d"))), 8, 1)[1] is None
 
 
 @pytest.mark.parametrize("label, word", [("T_4_20", "t*d*t*d"), ("T_4_24", "d*t*d*t")])
@@ -333,14 +348,34 @@ def rows1_under_a_unit_pivot() -> PresentedModule:
 
 
 def test_top_down_chain_keeps_the_bottom_up_bytes(both_chains):
-    # compose_iso is associative, so composing the chain from the top
-    # builds the bottom-up witness exactly, also where a search ends it
+    # one Gauss-Jordan pass writes down the product of the one-pivot
+    # witnesses, so it builds the bottom-up witness exactly, also where a
+    # search ends the chain; the seeded chains of dimension 2-5 add inputs
+    # with a zero row, and inputs whose bottom residual has no form
     middle = rows1_under_a_unit_pivot()
-    assert _pivot_step(middle, 4).source == PresentedModule(ROWS1)
+    assert _pivot_chain(middle, 4, 1)[0] == PresentedModule(ROWS1)
     cases = [("rows0", PresentedModule(ROWS0)), ("rows1", PresentedModule(ROWS1)),
              ("rows1 under a unit pivot", middle),
              ("Random(99)-24", nth_presentation(99, 24)), *_search_cases()]
-    got, want = both_chains(lambda: [cyclic_form(m, 4) for _, m in cases])
+    rng = random.Random(5)
+    seeded = [(f"chain {k + 1}", chain_presentation(rng, 2 + k % 4, k % 3 == 2))
+              for k in range(12)]
+    got, want = both_chains(lambda: [cyclic_form(m, 4) for _, m in cases + seeded])
     for (key, _), g, w in zip(cases, got, want):
-        assert g is not None and w is not None and g[0] == w[0], key
-        assert json.dumps(_witness_json(g[1])) == json.dumps(_witness_json(w[1])), key
+        assert g is not None and w is not None, key
+    pivoted = []
+    for (key, m), g, w in zip(cases + seeded, got, want):
+        assert (g is None) == (w is None), key
+        if g is not None:
+            assert g[0] == w[0], key
+            assert json.dumps(_witness_json(g[1])) == json.dumps(_witness_json(w[1])), key
+        bottom, chain = _pivot_chain(m, 4)
+        ref_bottom, ref_chain = step_chain(m, 4)
+        assert bottom == ref_bottom and (chain is None) == (ref_chain is None), key
+        if chain is not None:
+            assert json.dumps(_witness_json(chain)) == json.dumps(_witness_json(ref_chain)), key
+            pivoted.append(key)
+    # every seeded chain pivots, and where its form is None the bottom
+    # residual, and each level above it, has none
+    assert pivoted[-len(seeded):] == [key for key, _ in seeded]
+    assert [g is not None for g in got[len(cases):]].count(True) == 2

@@ -111,18 +111,18 @@ def _counted(monkeypatch, counts, owner, name):
 
 
 def test_cross_certify_builds_one_chain(monkeypatch):
-    counts = {"_pivot_step": 0, "verify": 0}
-    _counted(monkeypatch, counts, modules, "_pivot_step")
+    counts = {"_pivot_chain": 0, "verify": 0}
+    _counted(monkeypatch, counts, modules, "_pivot_chain")
     _counted(monkeypatch, counts, IsoWitness, "verify")
     digest = hashlib.sha256()
     for a in SAMPLES:
         clear_caches()
-        counts.update(_pivot_step=0, verify=0)
+        counts.update(_pivot_chain=0, verify=0)
         w = cross_certify(representative("T_2_6", {"a": a}), (2, a / 2), 8)
         assert w is not None
         # one chain for the two identifications of one Delta': 2 before
         # the chain was memoized
-        assert counts == {"_pivot_step": 1, "verify": 3}, a
+        assert counts == {"_pivot_chain": 1, "verify": 3}, a
         digest.update(_bytes(w).encode())
     clear_caches()
     # the witnesses' bytes before the chain was memoized
