@@ -49,7 +49,6 @@ from .ext import (
     Relation,
     ext1_dim,
     ext_table,
-    hull_trunc_dim,
     hull_unobstructed,
 )
 from .reps import (
@@ -116,7 +115,6 @@ __all__ = [
     "Relation",
     "ext1_dim",
     "ext_table",
-    "hull_trunc_dim",
     "hull_unobstructed",
     "ClassificationResult",
     "Family",

@@ -184,15 +184,14 @@ class PointedAlgebra:
     arrow_counts: tuple[tuple[int, ...], ...]
 
     def trunc_dim(self, order: int) -> int:
-        return hull_trunc_dim(self, order)
-
-    def component_dims(self, order: int) -> tuple[tuple[int, ...], ...]:
-        """Path counts between points, lengths below the given order."""
-        return self._component_sums(order)[-1]
+        """Dimension of the hull modulo the order-th power of the arrow ideal."""
+        if order < 0:
+            raise ValueError("truncation order must be nonnegative")
+        return sum(map(sum, self._component_sums(order)[-1]))
 
     def _component_sums(self, order: int) -> list[tuple[tuple[int, ...], ...]]:
-        """component_dims for the orders 0, 1, ..., order, as one running
-        sum of the powers of the arrow counts."""
+        """Path counts between points, lengths below each order 0, 1, ...,
+        order: one running sum of the powers of the arrow counts."""
         k = len(self.points)
         sums = [((0,) * k,) * k]
         power = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
@@ -263,11 +262,3 @@ def _pointed_relations(arrows: tuple[Arrow, ...]) -> tuple[Relation, ...]:
                 ((("e1", a.name), None),),
             ))
     return tuple(out)
-
-
-def hull_trunc_dim(hull: PointedAlgebra, order: int) -> int:
-    """Dimension of the hull modulo the order-th power of the arrow ideal."""
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    comp = hull.component_dims(order)
-    return sum(sum(row) for row in comp)

@@ -731,14 +731,14 @@ def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitn
 
     The one isomorphism planner.  Equal presentations get the identity.
     Otherwise each side is brought to a cyclic form D/Dp plus a witness
-    (a CyclicModule is its own form, a PresentedModule uses cyclic_form,
-    whose chain witness may pass the cap); the cyclic search runs between
-    the two forms and is composed with their witnesses.  When one side has
-    no form, that presentation's own generator loop (cyclic_form's) runs
-    with the other form's relation.  The witness is verified once before
-    it is returned.  None means no witness was found within the degree bound,
-    a bounded negative, not a proof of non-isomorphism.  Memoized on the
-    coerced modules and the cap, so a repeated question returns the same
+    (a CyclicModule is its own form, a PresentedModule reads cyclic_form's
+    unverified chain, whose witness may pass the cap); the cyclic search
+    runs between the two forms and is composed with their witnesses.  When
+    one side has no form, that presentation's own generator loop runs with
+    the other form's relation.  Only the composite is verified, once.  None
+    means no witness was found within the degree bound, a bounded
+    negative, not a proof of non-isomorphism.  Memoized on the coerced
+    modules and the cap, so a repeated question returns the same
     witness; clear_caches() empties the memo.
     """
     n_cap = _check_degree(max_degree)
@@ -750,7 +750,7 @@ def _iso_witness(source, target, n_cap: int) -> IsoWitness | None:
     if as_presented(source).delta == as_presented(target).delta:
         return _verified(_identity_witness(source, target, n_cap))
     side_a, side_b = (
-        (m, None) if isinstance(m, CyclicModule) else cyclic_form(m, n_cap)
+        (m, None) if isinstance(m, CyclicModule) else _find_cyclic_form(m, n_cap)
         for m in (source, target)
     )
     if side_a is None:
@@ -781,39 +781,26 @@ def cyclic_form(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE):
 
     A nonzero constant c = delta[i][j] eliminates generator j by relation
     i, all in one Gauss–Jordan pass that writes the chain's witness down
-    (_pivot_chain); the residual's form composed with it is returned
-    whatever its degree: the cap bounds searches, never built witnesses.
-    One generator is finished by scaling.  With no pivot, or a residual
-    without a form, the search tries the short generator combinations
-    ([:12]) at each s rung and certifies one annihilator per generator g:
-    the lowest-degree a with a*g in the image, when it is unique up to a
-    scalar.  No other can pass: a certificate through g makes ann(g) = Dp,
-    and D is a domain with a graded order, so the elements of Dp of degree
-    deg p are the multiples of p.  None is a bounded negative; the witness
-    is verified once, at the top of the chain, before it is returned.  The
-    unverified chain is memoized on its own, so versal's one-block
-    identifications read the same one.
+    (_pivot_chain) and ends at D/Dp, p monic, when one generator with a
+    nonzero relation is left.  That witness, or a residual's form composed
+    with it, is returned whatever its degree: the cap bounds searches,
+    never built witnesses.  A residual with a zero row or column has rank
+    >= 1 and no form.  Otherwise, from the residual up, the search tries
+    the short generator combinations ([:12]) at each s rung and certifies
+    one annihilator per generator g: the lowest-degree a with a*g in the
+    image, when it is unique up to a scalar.  No other can pass: a
+    certificate through g makes ann(g) = Dp, and D is a domain with a
+    graded order, so the elements of Dp of degree deg p are the multiples
+    of p.  None is a bounded negative; the witness is verified once, at
+    the top of the chain, before it is returned.  The unverified chain is
+    memoized on its own, so versal's one-block identifications and
+    iso_witness read the same one.
     """
     return _cyclic_form_search(m, _check_degree(max_degree))
 
 
-def _scaling_witness(m: PresentedModule, max_degree: int):
-    p = m.delta[0][0]
-    cyc = CyclicModule(p)
-    lead = p.items()[-1][1]
-    one = ((_ONE,),)
-    return cyc, IsoWitness(
-        cyc, m,
-        one, one,
-        ((WeylElement.constant(1 / lead),),),
-        ((WeylElement.constant(lead),),),
-        ((_ZERO,),), ((_ZERO,),),
-        max_degree,
-    )
-
-
 def _pivot_chain(m: PresentedModule, n_cap: int, steps: int | None = None):
-    """(residual, witness residual -> m, or None with no pivot) by one
+    """(residual, witness residual -> m, or None for m itself) by one
     Gauss–Jordan pass over D on the rows [delta | 1], while two generators
     are kept and fewer than steps pivots are made: the pivot, the first
     constant c of the residual by columns from the last and rows from the
@@ -821,7 +808,9 @@ def _pivot_chain(m: PresentedModule, n_cap: int, steps: int | None = None):
     every other row, f the other row's entry in the pivot column.  With
     P = delta_IJ on the pivots, the witness identities force
     s_J = -P^-1 delta_IK, u = [-delta_RJ P^-1 | 1] and c_b = -P^-1 on
-    (J, I): the reduced rows, as in the one-pivot witnesses' product."""
+    (J, I): the reduced rows, as in the one-pivot witnesses' product.  One
+    generator left with a nonzero relation ends at D/Dp: its row is scaled
+    by 1/lead to a monic p, and v holds lead."""
     n = m.n
     rows = [[*row, *(_ONE if x == l else _ZERO for x in range(n))] for l, row in enumerate(m.delta)]
     kept_rows, kept_cols, pivots = list(range(n)), list(range(n)), {}
@@ -839,16 +828,22 @@ def _pivot_chain(m: PresentedModule, n_cap: int, steps: int | None = None):
                     row[k] -= f * x
         kept_rows.remove(i)
         kept_cols.remove(j)
-    if not pivots:
+    last = rows[kept_rows[0]][kept_cols[0]] if len(kept_cols) == 1 else None
+    if not (pivots or last):
         return m, None
-    residual = PresentedModule(tuple(tuple(rows[l][k] for k in kept_cols) for l in kept_rows))
+    lead = last.items()[-1][1] if last else 1
+    if last:
+        rows[kept_rows[0]] = [x * (1 / lead) if x else x for x in rows[kept_rows[0]]]
+    scale = WeylElement.constant(lead) if last else _ONE
+    delta = tuple(tuple(rows[l][k] for k in kept_cols) for l in kept_rows)
+    residual = CyclicModule(delta[0][0]) if last else PresentedModule(delta)
     return residual, IsoWitness(
         residual, m,
         tuple(tuple(_ONE if x == k else _ZERO for x in range(n)) for k in kept_cols),
         tuple(tuple(-pivots[x][k] if x in pivots else _ONE if x == k else _ZERO for k in kept_cols)
               for x in range(n)),
         tuple(tuple(rows[l][n:]) for l in kept_rows),
-        tuple(tuple(_ONE if x == l else _ZERO for l in kept_rows) for x in range(n)),
+        tuple(tuple(scale if x == l else _ZERO for l in kept_rows) for x in range(n)),
         wmat_zero(n - len(pivots), n - len(pivots)),
         tuple(tuple(-y for y in pivots[x][n:]) if x in pivots else (_ZERO,) * n for x in range(n)),
         n_cap,
@@ -865,8 +860,13 @@ def _cyclic_form_search(m: PresentedModule, n_cap: int):
 def _find_cyclic_form(m: PresentedModule, n_cap: int):
     # each level's own search, from the chain's bottom up (a residual's
     # short generators are not its parent's); a level is eliminated again,
-    # with one pivot fewer, only when the one below it has no form
+    # with one pivot fewer, only when the one below it has no form.  The
+    # levels are isomorphic, so a bottom of positive rank ends the search
     mod, w = _pivot_chain(m, n_cap)
+    if isinstance(mod, CyclicModule):
+        return mod, w
+    if _positive_rank(mod):
+        return None
     while (found := _own_form(mod, n_cap)) is None:
         if w is None:
             return None
@@ -878,8 +878,8 @@ def _own_form(m: PresentedModule, n_cap: int, p: WeylElement | None = None):
     """(D/Dp, witness D/Dp -> m) through the short generators, rung by rung:
     with p given, each generator is certified with that relation, else
     with its one annihilator (_generator_form); None when none passes."""
-    if m.n == 1:
-        return None if m.delta[0][0].is_zero() else _scaling_witness(m, n_cap)
+    if _positive_rank(m):
+        return None
     gens = _generator_candidates(m)
     forms = functools.cache(lambda gi: _generator_form(m, gens[gi], n_cap, p))
     for sd in _s_rungs(n_cap):
@@ -891,6 +891,12 @@ def _own_form(m: PresentedModule, n_cap: int, p: WeylElement | None = None):
             if w is not None:
                 return form[0], w
     return None
+
+
+def _positive_rank(m: PresentedModule) -> bool:
+    """Whether delta has a zero row (a missing relation) or column (an
+    untouched generator): then m has rank >= 1, unlike any D/Dp."""
+    return not (all(map(any, m.delta)) and all(map(any, zip(*m.delta))))
 
 
 def _generator_form(m: PresentedModule, g: tuple, n_cap: int, p: WeylElement | None = None):

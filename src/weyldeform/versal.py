@@ -26,13 +26,14 @@ vertex 1 ending in T x_(2k-1) = -sum f_i x_(2i); as x_(2i) = theta^i
 x_0, t*x_(2k-1) = theta^k x_0 for theta = t*d, it gives D/D(f(theta)).
 The invariants fix those rows, so Delta' is read off them and never
 multiplied out.  cyclic_form's pivot chain makes these eliminations in
-one Gauss–Jordan pass over [Delta' | 1], so its search is never reached
-and another form raises; the witness read off the reduced rows sends x_i
-to degree i < deg w, the multiplicity of D/Dw, and is kept whatever that
-degree, so every block is identified.  Each witness handed out is
-verified once: a single block's chain witness only as its composite with
-the conjugation, a direct sum's block witnesses and its conjugation each
-on their own.
+one Gauss–Jordan pass over [Delta' | 1] and ends at D/Dw, scaling the
+last relation to monic, so its search is never reached and another form
+raises; the witness read off the reduced rows sends x_i to degree
+i < deg w, the multiplicity of D/Dw, and is kept whatever that degree,
+so every block is identified.  Each witness handed out is verified once:
+a single block's chain witness only as its composite with the
+conjugation, a direct sum's block witnesses and its conjugation each on
+their own.
 """
 
 from __future__ import annotations

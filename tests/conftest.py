@@ -49,7 +49,6 @@ from weyldeform.modules import (
     _generator_candidates,
     _generator_form,
     _s_rungs,
-    _scaling_witness,
     _stabilized_at,
     clear_caches,
     compose_iso,
@@ -460,6 +459,27 @@ def _annihilator_candidates(m: PresentedModule, g: tuple, rungs: list[int]) -> l
     return out[:6]
 
 
+def _scaling_witness(m: PresentedModule, max_degree: int):
+    """(D/Dp, witness D/Dp -> m) for a 1 x 1 presentation (p) with p != 0.
+
+    ``modules._scaling_witness`` before the pivot chain scaled its last
+    relation itself (``modules._pivot_chain``), kept verbatim as a
+    reference.
+    """
+    p = m.delta[0][0]
+    cyc = CyclicModule(p)
+    lead = p.items()[-1][1]
+    one = ((_ONE,),)
+    return cyc, IsoWitness(
+        cyc, m,
+        one, one,
+        ((WeylElement.constant(1 / lead),),),
+        ((WeylElement.constant(lead),),),
+        ((_ZERO,),), ((_ZERO,),),
+        max_degree,
+    )
+
+
 def search_cyclic_form(m: PresentedModule, n_cap: int):
     """Cyclic form by the annihilator search on every presentation.
 
@@ -537,10 +557,15 @@ def step_chain(m: PresentedModule, n_cap: int):
     """(bottom residual, witness bottom -> m or None): the one-pivot
     witnesses of ``_pivot_step`` composed from the top while two generators
     are kept, as ``modules._find_cyclic_form`` built its chain before the
-    chain became one Gauss–Jordan pass."""
+    chain became one Gauss–Jordan pass; one generator left with a nonzero
+    relation is finished by ``_scaling_witness``, composed last, as before
+    the pass scaled that relation itself."""
     w = None
     while m.n > 1 and (step := _pivot_step(m, n_cap)) is not None:
         w, m = (step if w is None else compose_iso(step, w)), step.source
+    if m.n == 1 and not m.delta[0][0].is_zero():
+        cyc, scaling = _scaling_witness(m, n_cap)
+        return cyc, scaling if w is None else compose_iso(scaling, w)
     return m, w
 
 

@@ -136,14 +136,15 @@ def test_cold_identification_work(work):
 
 
 def test_cold_string_identification_composes_once(work):
-    # the chain's witness is read off one elimination and composed once,
-    # with the scaling witness: 59 compositions and 480 products when each
-    # pivot's witness was composed into the chain's
+    # the chain's witness, the last relation's scaling included, is read
+    # off one elimination and composed with nothing: 59 compositions and
+    # 480 products when each pivot's witness was composed into the chain's,
+    # and 1 and 16 when the scaling witness was composed last
     report = identify_specialization(string_rep(1, 60), 0)
     assert report.identified
-    # 8 products compose, and 8 more verify the composite once
-    assert (work["compose"], work["verify"]) == (1, 1)
-    assert work["mat_mul"] <= 16
+    # the 8 products verify the witness once
+    assert (work["compose"], work["verify"]) == (0, 1)
+    assert work["mat_mul"] <= 8
 
 
 def test_cold_cross_certify_verifies_three_times(work):

@@ -11,8 +11,10 @@ from weyldeform import (
     CyclicModule,
     PresentedModule,
     WeylElement,
+    WeylLinearSystem,
     as_presented,
     classify,
+    clear_caches,
     commutative_specialize,
     cyclic_form,
     identify_specialization,
@@ -232,6 +234,13 @@ def test_step_witness_eliminates_the_pivot(n):
                   for k in range(n) if k != j)
             for l in range(n) if l != i
         )
+        if n == 2:
+            # the pivot leaves one generator, whose relation the pass scales
+            # to monic: the step is step_chain's, whose scaling witness is
+            # composed last
+            assert (json.dumps(_witness_json(step))
+                    == json.dumps(_witness_json(step_chain(m, 8)[1])))
+            want = as_presented(CyclicModule(want[0][0])).delta
         assert as_presented(step.source).delta == want
         assert step.c_a == tuple((zero,) * (n - 1) for _ in range(n - 1))
         assert [(x, y) for x in range(n) for y in range(n) if step.c_b[x][y]] == [(j, i)]
@@ -347,6 +356,14 @@ def rows1_under_a_unit_pivot() -> PresentedModule:
     return PresentedModule(rows + [r3 + ("1",)])
 
 
+def seeded_chains() -> list[tuple[str, PresentedModule]]:
+    """Twelve seeded chain_presentations of dimension 2-5, every third
+    with a zero row."""
+    rng = random.Random(5)
+    return [(f"chain {k + 1}", chain_presentation(rng, 2 + k % 4, k % 3 == 2))
+            for k in range(12)]
+
+
 def test_top_down_chain_keeps_the_bottom_up_bytes(both_chains):
     # one Gauss-Jordan pass writes down the product of the one-pivot
     # witnesses, so it builds the bottom-up witness exactly, also where a
@@ -357,9 +374,7 @@ def test_top_down_chain_keeps_the_bottom_up_bytes(both_chains):
     cases = [("rows0", PresentedModule(ROWS0)), ("rows1", PresentedModule(ROWS1)),
              ("rows1 under a unit pivot", middle),
              ("Random(99)-24", nth_presentation(99, 24)), *_search_cases()]
-    rng = random.Random(5)
-    seeded = [(f"chain {k + 1}", chain_presentation(rng, 2 + k % 4, k % 3 == 2))
-              for k in range(12)]
+    seeded = seeded_chains()
     got, want = both_chains(lambda: [cyclic_form(m, 4) for _, m in cases + seeded])
     for (key, _), g, w in zip(cases, got, want):
         assert g is not None and w is not None, key
@@ -379,3 +394,22 @@ def test_top_down_chain_keeps_the_bottom_up_bytes(both_chains):
     # residual, and each level above it, has none
     assert pivoted[-len(seeded):] == [key for key, _ in seeded]
     assert [g is not None for g in got[len(cases):]].count(True) == 2
+
+
+def test_positive_rank_builds_no_system(monkeypatch):
+    # a zero row is a missing relation and a zero column a generator no
+    # relation touches: the module has rank >= 1, and D/Dp has rank 0
+    calls = []
+    for name in ("kernel", "solve"):
+        real = getattr(WeylLinearSystem, name)
+        monkeypatch.setattr(WeylLinearSystem, name,
+                            lambda self, real=real: calls.append(real) or real(self))
+    cases = [(key, m) for key, m in seeded_chains() if not all(map(any, m.delta))]
+    cases.append(("[t 0; d 0]", PresentedModule((("t", "0"), ("d", "0")))))
+    assert len(cases) == 6
+    for key, m in cases:
+        for call in (lambda: cyclic_form(m, 4), lambda: iso_witness(CyclicModule("t"), m, 4)):
+            clear_caches()
+            assert call() is None, key
+            assert calls == [], key
+    clear_caches()

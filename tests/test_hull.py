@@ -5,7 +5,6 @@ from dataclasses import replace
 
 from weyldeform import (
     ext_table,
-    hull_trunc_dim,
     hull_unobstructed,
     classify,
     representative,
@@ -43,8 +42,8 @@ def test_trunc_dims_match_path_oracle():
     hull = the_hull()
     for m in range(1, 9):
         oracle = path_count_dims(hull.arrow_counts, m)
-        assert hull_trunc_dim(hull, m) == oracle
-        assert hull_trunc_dim(hull, m) == 2 * m
+        assert hull.trunc_dim(m) == oracle
+        assert hull.trunc_dim(m) == 2 * m
 
 
 def test_loop_table_hull():
@@ -57,7 +56,7 @@ def test_loop_table_hull():
         "e1*s11 = s11",
         "s11*e1 = s11",
     ]
-    dims = [hull_trunc_dim(hull, m) for m in range(6)]
+    dims = [hull.trunc_dim(m) for m in range(6)]
     assert dims == [0, 2, 3, 4, 5, 6]
     for m in range(1, 6):
         assert dims[m] == path_count_dims(loop.dims1, m)
@@ -69,8 +68,8 @@ def test_rigid_table_hull():
     hull = hull_unobstructed(rigid)
     assert hull.arrows == ()
     assert [r.display for r in hull.relations] == ["e1^2 = e1"]
-    assert hull_trunc_dim(hull, 1) == 2
-    assert hull_trunc_dim(hull, 5) == 2
+    assert hull.trunc_dim(1) == 2
+    assert hull.trunc_dim(5) == 2
 
 
 def test_multiplicity_arrow_names():
@@ -79,7 +78,7 @@ def test_multiplicity_arrow_names():
     hull = hull_unobstructed(doubled)
     assert [a.name for a in hull.arrows] == ["s12_1", "s12_2", "s21"]
     for m in range(1, 7):
-        assert hull_trunc_dim(hull, m) == path_count_dims(doubled.dims1, m)
+        assert hull.trunc_dim(m) == path_count_dims(doubled.dims1, m)
 
 
 def test_three_point_table_rejected():
@@ -103,7 +102,7 @@ def test_two_point_rule_only():
 def test_trunc_dim_rejects_negative():
     hull = the_hull()
     with pytest.raises(ValueError):
-        hull_trunc_dim(hull, -1)
+        hull.trunc_dim(-1)
 
 
 def test_relations_annihilate_all_representatives():

@@ -47,6 +47,36 @@ def test_modules_use_every_name_they_import():
         assert not unused, (path.name, unused)
 
 
+def private_definitions(tree):
+    """Functions, methods and classes whose names start with a single
+    underscore."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in ast.walk(tree) if isinstance(node, defs)
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def read_names(tree):
+    """Names the module reads, as a name, an attribute or an imported
+    name; a mention in a docstring is no read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_definition_is_read():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert trees
+    read = {name for tree in trees.values() for name in read_names(tree)}
+    for name, tree in trees.items():
+        unread = sorted(private_definitions(tree) - read)
+        assert not unread, (name, unread)
+
+
 def test_every_export_resolves():
     import weyldeform
     from weyldeform import weyl

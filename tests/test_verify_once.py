@@ -54,9 +54,11 @@ def test_identifying_a_string_verifies_once(verify_calls, v):
 
 def test_iso_through_a_cyclic_form_verifies_at_most_twice(verify_calls):
     delta = specialize(representative("T_4_20"))
+    # the presented side's form is read unverified; only the composite
+    # handed out is checked (2 when the form was verified on its own too)
     w = iso_witness("t*d*t*d", delta, 0)
     assert w is not None
-    assert len(verify_calls) <= 2
+    assert len(verify_calls) == 1
     assert verify_calls[-1] is w
 
 
