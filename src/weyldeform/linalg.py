@@ -16,14 +16,18 @@ on output.  The result is the unique reduced row echelon form in
 Gauss-Jordan gives.  ``echelon_solution`` and
 ``echelon_kernel`` read a solution and a kernel basis off it, sparse;
 the public functions (rank, kernel_basis, solve, inverse) keep taking
-and returning dense lists.  ``reduce_row`` reduces a sparse vector by
-echelon rows.  ``mat_mul`` and ``mat_add`` are the one sparse product
-and the one sum of matrices over any ring: here, in ``modules`` (over
-the Weyl algebra, whose factor order they keep) and in ``ext`` (path
-counts over the integers).  QMatrix is an immutable wrapper used by the
-representation-theory code; its rank and kernel are ``rank`` and
-``kernel_basis`` of its rows.  Its ``apply`` keeps its own loop, over
-nonzeros found once, for the repeated T*x of the normal form.
+and returning dense lists.  ``integer_kernel`` and ``inverse`` read the
+back-substituted integer rows themselves, before any division:
+``integer_kernel`` gives kernel_basis's vectors as primitive integer
+vectors, and ``inverse`` puts its rows over one lcm of their pivot
+entries.  ``reduce_row`` reduces a sparse vector by echelon rows.
+``mat_mul`` and ``mat_add`` are the one sparse product and the one sum
+of matrices over any ring: here, in ``modules`` (over the Weyl algebra,
+whose factor order they keep) and in ``ext`` (path counts over the
+integers).  QMatrix, the rational matrix of the representation-theory
+code, is integer rows over one denominator, multiplied by ``mat_mul``
+over ``int``; its ``apply`` keeps its own loop, over nonzeros found
+once, for the repeated T*x of the normal form.
 """
 
 from __future__ import annotations
@@ -230,6 +234,29 @@ def kernel_basis(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
     return [_dense(v, ncols) for v in echelon_kernel(*rref_rows(rows), ncols)]
 
 
+def integer_kernel(rows: Iterable[Sequence], ncols: int) -> list[list[int]]:
+    """kernel_basis's vectors as primitive integer vectors, in its order,
+    with no Fraction built.  Each is positive at its free column, which is
+    its last nonzero entry: a reduced row is zero left of its pivot.  So
+    dividing a vector by its last nonzero entry gives kernel_basis's."""
+    reduced = _back_substitute(_echelon(rows))
+    basis: dict[int, list] = {fc: [] for fc in range(ncols) if fc not in reduced}
+    for p, row in reduced.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c].append((p, x, row[p]))
+    out = []
+    for fc, entries in basis.items():
+        scale = lcm(*(piv for _, _, piv in entries))
+        vec = [0] * ncols
+        vec[fc] = scale
+        for p, x, piv in entries:
+            vec[p] = -x * (scale // piv)
+        g = gcd(*vec)
+        out.append(vec if g == 1 else [x // g for x in vec])
+    return out
+
+
 def solve(rows: Iterable[Sequence], rhs: Sequence, ncols: int | None = None) -> Vec | None:
     """One solution of A x = b with free variables set to 0, or None."""
     rows = list(rows)
@@ -252,70 +279,108 @@ def _dense(vec: Row, n: int) -> Vec:
 
 
 def inverse(rows: Iterable[Sequence]) -> Mat | None:
-    rows = list(rows)
+    inv = _inverse(list(rows))
+    if inv is None:
+        return None
+    num, den = inv
+    return [[Fraction(x, den) for x in row] for row in num]
+
+
+def _inverse(rows: Sequence[Sequence]) -> tuple[tuple, int] | None:
+    """(num, den) with num / den the inverse of a square matrix, or None if
+    it is singular: the integer reduced rows of [rows | I] over one lcm of
+    their pivot entries."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("inverse needs a square matrix")
-    red, pivots = rref_rows(
-        [*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)
-    )
-    if pivots != list(range(n)):
+    reduced = _back_substitute(_echelon(
+        [*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)))
+    # [rows | I] has n pivots, all left of column n exactly when rows is invertible
+    if any(p >= n for p in reduced):
         return None
-    return [[row.get(n + j, _ZERO) for j in range(n)] for row in red]
+    den = lcm(*(reduced[p][p] for p in range(n)))
+    return tuple(tuple(reduced[p].get(n + j, 0) * (den // reduced[p][p]) for j in range(n))
+                 for p in range(n)), den
 
 
 class QMatrix:
-    """Immutable rational matrix.  Hashable, so usable as a dict key."""
+    """Immutable rational matrix.  Hashable, so usable as a dict key.
 
-    __slots__ = ("_rows", "nrows", "ncols", "_hash", "_nonzeros")
+    Stored as one tuple of integer rows ``_num`` over one positive
+    denominator ``_den``, in lowest terms (the gcd of ``_den`` and every
+    entry is 1), so equal matrices have equal storage, and products,
+    sums, inverses, ``==`` and ``hash`` run on integers.  ``row``,
+    ``__getitem__`` and ``to_rows`` give ``Fraction``s, built once, on
+    the first read.
+    """
+
+    __slots__ = ("_num", "_den", "nrows", "ncols", "_hash", "_frac", "_nonzeros")
 
     def __init__(self, rows: Iterable[Sequence]):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(tuple(row) for row in rows)
         if data and any(len(row) != len(data[0]) for row in data):
             raise ValueError("ragged matrix")
-        self._rows = data
-        self.nrows = len(data)
-        self.ncols = len(data[0]) if data else 0
+        self._set(*_integer_matrix(data), len(data[0]) if data else 0)
+
+    def _set(self, num: tuple, den: int, ncols: int) -> None:
+        self._num = num
+        self._den = den
+        self.nrows = len(num)
+        self.ncols = len(num[0]) if num else ncols
         self._hash = None
+        self._frac = None
         self._nonzeros = None
 
     @classmethod
     def _of(cls, data: tuple, ncols: int = 0) -> "QMatrix":
-        """Wrap equal-length tuples of Fractions as they are, unconverted;
+        """Equal-length row tuples of ints, Fractions or strings, unchecked;
         ncols is the width of a matrix with no rows."""
         m = object.__new__(cls)
-        m._rows = data
-        m.nrows = len(data)
-        m.ncols = len(data[0]) if data else ncols
-        m._hash = None
-        m._nonzeros = None
+        m._set(*_integer_matrix(data), ncols)
+        return m
+
+    @classmethod
+    def _int(cls, num: tuple, den: int, ncols: int = 0) -> "QMatrix":
+        """The matrix num / den, from integer row tuples and den > 0."""
+        m = object.__new__(cls)
+        m._set(*_lowest(num, den), ncols)
         return m
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls._of(tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
+        return cls._int(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "QMatrix":
-        return cls._of(tuple((_ZERO,) * n for _ in range(m)), n)
+        return cls._int(tuple((0,) * n for _ in range(m)), 1, n)
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence["QMatrix"]]) -> "QMatrix":
         """Assemble from a 2d grid of blocks with consistent edge sizes."""
-        rows: list[list[Fraction]] = []
+        den = lcm(*(b._den for brow in blocks for b in brow))
+        rows: list[tuple] = []
         for brow in blocks:
             height = brow[0].nrows
             if any(b.nrows != height for b in brow):
                 raise ValueError("inconsistent block heights")
-            for i in range(height):
-                rows.append(tuple(x for b in brow for x in b._rows[i]))
+            nums = [_scaled_rows(b._num, den // b._den) for b in brow]
+            rows.extend(tuple(x for num in nums for x in num[i]) for i in range(height))
         if rows and any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("ragged matrix")
-        return cls._of(tuple(rows), sum(b.ncols for b in blocks[0]) if blocks else 0)
+        return cls._int(tuple(rows), den, sum(b.ncols for b in blocks[0]) if blocks else 0)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
+
+    @property
+    def _rows(self) -> tuple:
+        """The entries as Fractions, built on the first read."""
+        if self._frac is None:
+            den = self._den
+            self._frac = tuple(tuple(Fraction(x, den) if x else _ZERO for x in row)
+                               for row in self._num)
+        return self._frac
 
     def row(self, i: int) -> tuple:
         return self._rows[i]
@@ -330,22 +395,26 @@ class QMatrix:
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return QMatrix._of(mat_add(self._rows, other._rows), self.ncols)
+        den = lcm(self._den, other._den)
+        return QMatrix._int(mat_add(_scaled_rows(self._num, den // self._den),
+                                    _scaled_rows(other._num, den // other._den)), den, self.ncols)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self + (-other)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix._of(tuple(tuple(-x for x in row) for row in self._rows), self.ncols)
+        return QMatrix._int(_scaled_rows(self._num, -1), self._den, self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in product")
-            return QMatrix._of(mat_mul(self._rows, other._rows, other.ncols, _ZERO), other.ncols)
+            return QMatrix._int(mat_mul(self._num, other._num, other.ncols, 0),
+                                self._den * other._den, other.ncols)
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return QMatrix._of(tuple(tuple(c * x for x in row) for row in self._rows), self.ncols)
+            return QMatrix._int(_scaled_rows(self._num, c.numerator),
+                                self._den * c.denominator, self.ncols)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -354,39 +423,79 @@ class QMatrix:
         return NotImplemented
 
     def transpose(self) -> "QMatrix":
-        cols = tuple(zip(*self._rows)) if self._rows else ((),) * self.ncols
-        return QMatrix._of(cols, self.nrows)
+        cols = tuple(zip(*self._num)) if self._num else ((),) * self.ncols
+        return QMatrix._int(cols, self._den, self.nrows)
 
     def apply(self, vec: Sequence) -> list:
         """Matrix-vector product, over the nonzero entries of each row."""
-        v = [x if type(x) is Fraction else Fraction(x) for x in vec]
+        (v,), vden = _integer_matrix((tuple(vec),))
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
+        den = self._den * vden
+        return [Fraction(x, den) for x in self._times(v)]
+
+    def _times(self, vec: Sequence[int]) -> list[int]:
+        """num times an integer vector: the product with this matrix, times den."""
         if self._nonzeros is None:
             # the rows never change, so their nonzero entries are found once
-            self._nonzeros = [[(j, a) for j, a in enumerate(row) if a] for row in self._rows]
-        return [sum((a * v[j] for j, a in row if v[j]), _ZERO) for row in self._nonzeros]
+            self._nonzeros = [[(j, a) for j, a in enumerate(row) if a] for row in self._num]
+        return [sum([a * vec[j] for j, a in row if vec[j]]) for row in self._nonzeros]
 
     def inverse(self) -> "QMatrix | None":
-        inv = inverse(self._rows)
-        return None if inv is None else QMatrix._of(tuple(map(tuple, inv)))
+        if self.nrows != self.ncols:  # a matrix with no rows shows no row length
+            raise ValueError("inverse needs a square matrix")
+        inv = _inverse(self._num)
+        if inv is None:
+            return None
+        num, den = inv
+        return QMatrix._int(_scaled_rows(num, self._den), den, self.nrows)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._rows for x in row)
+        return not any(map(any, self._num))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return self.ncols == other.ncols and self._rows == other._rows
+        return self.ncols == other.ncols and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        # Fraction.__hash__ runs in Python and takes a modular inverse, so
-        # hash the integer pairs, once: the rows never change
+        # the storage is in lowest terms, so equal matrices hash their equal
+        # integers, once: the rows never change
         if self._hash is None:
-            self._hash = hash((self.shape, tuple(
-                [(x.numerator, x.denominator) for row in self._rows for x in row])))
+            self._hash = hash((self.shape, self._den, self._num))
         return self._hash
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
         return f"QMatrix[{body}]"
+
+
+def _integer_matrix(rows: tuple) -> tuple[tuple, int]:
+    """(num, den) with rows = num / den in lowest terms, from row tuples of
+    ints, Fractions or strings; a float raises TypeError, as it is no
+    exact number."""
+    if all(type(x) is int for row in rows for x in row):
+        return rows, 1
+    bad = next((x for row in rows for x in row if isinstance(x, float)), None)
+    if bad is not None:
+        raise TypeError(f"a float is not an exact entry: {bad!r}")
+    exact = [[Fraction(x) for x in row] for row in rows]
+    # every entry over the lcm of the denominators is in lowest terms
+    den = lcm(*(x.denominator for row in exact for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in exact), den
+
+
+def _lowest(num: tuple, den: int) -> tuple[tuple, int]:
+    """num / den with the gcd of den and every entry divided out."""
+    g = den
+    for row in num:
+        if g == 1:
+            return num, den
+        g = gcd(g, *row)
+    if g == 1:
+        return num, den
+    return tuple(tuple(x // g for x in row) for row in num), den // g
+
+
+def _scaled_rows(num: tuple, c: int) -> tuple:
+    return num if c == 1 else tuple(tuple(c * x for x in row) for row in num)

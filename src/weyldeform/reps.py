@@ -22,19 +22,21 @@ representative.  match_label, the family tables and
 find_proper_submodule (a vertex line, off one kernel per e1 eigenvalue)
 are complete up to dimension 3, classify(4) is a documented best
 effort, and anything larger is refused rather than approximated.
-Everything here is exact Fraction arithmetic.
+Everything here is exact.  A QMatrix is integer rows over one
+denominator, and the normal form runs on integer vectors; Fractions are
+built only where a value is handed out: entries read back, the
+invariant factors and find_proper_submodule's vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
-from .linalg import QMatrix, echelon_kernel, echelon_solution, kernel_basis, mat_mul, rank, rref_rows
-from .linalg import pivot_columns
-from .linalg import solve as solve_linear
+from .linalg import QMatrix, echelon_solution, integer_kernel, kernel_basis, mat_mul, pivot_columns
+from .linalg import rank, rref_rows
 from .modules import _memo
 
 _ZERO = Fraction(0)
@@ -203,13 +205,17 @@ def quiver_form(rep: Representation) -> QuiverForm:
     Memoized per triple for the life of the process: equal triples share
     one immutable form, and clear_caches() empties the memo.
     """
-    n, rows = rep.n, rep.e1._rows
+    n, rows = rep.n, rep.e1._num
     p = sum(1 for i in range(n) if rows[i][i] == 1)
-    if all(x == (i == j < p) for i, row in enumerate(rows) for j, x in enumerate(row)):
-        s12, s21 = rep.s12._rows, rep.s21._rows
+    # a 0/1 matrix is stored over the denominator 1
+    if rep.e1._den == 1 and all(x == (i == j < p) for i, row in enumerate(rows)
+                                for j, x in enumerate(row)):
+        s12, s21 = rep.s12._num, rep.s21._num
         if all(s12[i][j] == 0 == s21[j][i] for i in range(n) for j in range(n) if not i < p <= j):
-            return QuiverForm((p, n - p), QMatrix._of(tuple(row[p:] for row in s12[:p]), n - p),
-                              QMatrix._of(tuple(row[:p] for row in s21[p:]), p), QMatrix.identity(n))
+            return QuiverForm((p, n - p),
+                              QMatrix._int(tuple(row[p:] for row in s12[:p]), rep.s12._den, n - p),
+                              QMatrix._int(tuple(row[:p] for row in s21[p:]), rep.s21._den, p),
+                              QMatrix.identity(n))
     elif (split := _eigenbasis(rep.e1)) is not None:
         p, basis, binv = split
         blocks = _conjugated_blocks(rep, p, basis, binv)
@@ -230,14 +236,14 @@ def _conjugated_blocks(rep: Representation, p: int, basis: QMatrix,
     blocks.  Only those columns are multiplied by binv.
     """
     n = rep.n
-    x, y = (rep.s12 * basis)._rows, (rep.s21 * basis)._rows
-    if any(any(row[:p]) or any(y_row[p:]) for row, y_row in zip(x, y)):
+    x, y = rep.s12 * basis, rep.s21 * basis
+    if any(any(row[:p]) or any(y_row[p:]) for row, y_row in zip(x._num, y._num)):
         return None
-    xa = (binv * QMatrix._of(tuple(row[p:] for row in x), n - p))._rows
-    yb = (binv * QMatrix._of(tuple(row[:p] for row in y), p))._rows
-    if any(map(any, xa[p:])) or any(map(any, yb[:p])):
+    xa = binv * QMatrix._int(tuple(row[p:] for row in x._num), x._den, n - p)
+    yb = binv * QMatrix._int(tuple(row[:p] for row in y._num), y._den, p)
+    if any(map(any, xa._num[p:])) or any(map(any, yb._num[:p])):
         return None
-    return QMatrix._of(xa[:p], n - p), QMatrix._of(yb[p:], p)
+    return QMatrix._int(xa._num[:p], xa._den, n - p), QMatrix._int(yb._num[p:], yb._den, p)
 
 
 def _eigenbasis(e1: QMatrix) -> tuple[int, QMatrix, QMatrix] | None:
@@ -249,20 +255,14 @@ def _eigenbasis(e1: QMatrix) -> tuple[int, QMatrix, QMatrix] | None:
     first along the second.  So the coordinates of x are e1 x at the
     first kernel's free columns, then x - e1 x at the second's.
     """
-    n, rows = e1.nrows, e1._rows
-    kernels = []
-    for m in ([[x - 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)],
-              rows):
-        red, pivots = rref_rows(m)
-        kernels.append(([[v.get(c, _ZERO) for c in range(n)] for v in echelon_kernel(red, pivots, n)],
-                        sorted(set(range(n)).difference(pivots))))
-    (ones, free1), (zeros, free0) = kernels
+    n, rows, den = e1.nrows, e1._num, e1._den
+    ones, zeros = (integer_kernel(m, n) for m in (
+        [[x - den if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)], rows))
     if len(ones) + len(zeros) != n:
         return None
-    basis = QMatrix._of(tuple(zip(*ones, *zeros)))
-    binv = QMatrix._of(tuple(rows[c] for c in free1) + tuple(
-        tuple(int(i == c) - x for i, x in enumerate(rows[c])) for c in free0))
-    return len(ones), basis, binv
+    binv = tuple(rows[_free(v)] for v in ones) + tuple(
+        tuple(den * (i == c) - x for i, x in enumerate(rows[c])) for c in map(_free, zeros))
+    return len(ones), _exact(ones + zeros, n).transpose(), QMatrix._int(binv, den, n)
 
 
 def _rep_from_blocks(p: int, q: int, a_rows, b_rows,
@@ -274,9 +274,9 @@ def _rep_from_blocks(p: int, q: int, a_rows, b_rows,
         return QMatrix._of(tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
 
     return Representation(
-        block(lambda i, j: _ONE if i == j < p else _ZERO),
-        block(lambda i, j: Fraction(a_rows[i][j - p]) if i < p <= j else _ZERO),
-        block(lambda i, j: Fraction(b_rows[i - p][j]) if j < p <= i else _ZERO),
+        block(lambda i, j: int(i == j < p)),
+        block(lambda i, j: a_rows[i][j - p] if i < p <= j else 0),
+        block(lambda i, j: b_rows[i - p][j] if j < p <= i else 0),
         label=label, params=params,
     )
 
@@ -485,12 +485,42 @@ def _new_span(below: list, vectors: list) -> list[int]:
     return [c - len(below) for c in pivots if c >= len(below)]
 
 
-def _chain(t: QMatrix, vec: list, length: int) -> list:
-    """vec, t vec, t^2 vec, ..., length vectors in all."""
+def _powers(t: QMatrix, vec: Sequence[int], length: int) -> list[list[int]]:
+    """vec, N vec, N^2 vec, ..., length integer vectors in all, N = t's
+    integer rows: t^i vec times den^i."""
     out = [list(vec)]
     while len(out) < length:
-        out.append(t.apply(out[-1]))
+        out.append(t._times(out[-1]))
     return out
+
+
+def _chain(t: QMatrix, vec: Sequence[int], den: int, length: int) -> list[tuple[list[int], int]]:
+    """vec / den, t vec / den, t^2 vec / den, ..., length exact vectors in
+    all, each an integer vector over a positive denominator, in lowest terms."""
+    out = []
+    while True:
+        g = gcd(den, *vec)
+        out.append(([x // g for x in vec], den // g))
+        if len(out) == length:
+            return out
+        vec, den = t._times(out[-1][0]), out[-1][1] * t._den
+
+
+def _free(vec: Sequence[int]) -> int:
+    """The free column of an integer_kernel vector: its last nonzero entry."""
+    return max(i for i, x in enumerate(vec) if x)
+
+
+def _over(pairs: list[tuple[Sequence[int], int]], ncols: int) -> QMatrix:
+    """The matrix whose rows are the exact vectors v / e of (v, e) pairs."""
+    den = lcm(*(e for _, e in pairs))
+    return QMatrix._int(tuple(tuple(x * (den // e) for x in v) for v, e in pairs), den, ncols)
+
+
+def _exact(vectors: list[list[int]], ncols: int) -> QMatrix:
+    """The matrix whose rows are kernel_basis's vectors, from integer_kernel's:
+    each divided by its last nonzero entry."""
+    return _over([(v, v[_free(v)]) for v in vectors], ncols)
 
 
 @_memo
@@ -514,9 +544,9 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
     T = s12 + s21 is graded, so ker T^l splits over the two vertices.
     On vertex v's columns T^l has one nonzero row block, X_v(l): B, AB,
     BAB, ... from vertex 0 and A, BA, ABA, ... from vertex 1.  So each
-    level of the kernel flag is one block product and one kernel_basis
-    per vertex, up to T^l = 0 or the Fitting index, where the kernels
-    stop growing.
+    level of the kernel flag is one block product and one kernel per
+    vertex, up to T^l = 0 or the Fitting index, where the kernels stop
+    growing.
     The nilpotent summands are graded Jordan chains of T: a string of
     length l starting at a vertex has its top in a complement of
     ker T^(l-1) + T ker T^(l+1) inside ker T^l at that vertex.  The flag's
@@ -530,11 +560,16 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
     vector f with f(M^i v) = [i = d - 1] cuts out an invariant complement
     for the next chain.  Exact and polynomial in n; nothing is factored
     and nothing is random.
+
+    All of it runs on integers.  Kernels, spans and ranks need vectors only
+    up to a nonzero factor, so the flag holds primitive integer vectors and
+    T acts by its integer rows; where a value enters the basis or the
+    factors, it is exact: a chain starts at kernel_basis's vector, the
+    flag's divided by its last nonzero entry, and goes on over one
+    denominator per vector.
     """
     n = p + q
-    t = QMatrix._of(tuple(tuple(
-        a[i, j - p] if i < p <= j else b[i - p, j] if j < p <= i else _ZERO
-        for j in range(n)) for i in range(n)))
+    t = QMatrix.from_blocks([[QMatrix.zeros(p, p), a], [b, QMatrix.zeros(q, q)]])
     # flag[l][v] spans ker T^l inside vertex v (0 for e1's 1-eigenspace),
     # up to T^l = 0 or the Fitting index, where the kernels stop growing;
     # xs[v] is X_v(l), whose rows sit at vertex v + l
@@ -543,7 +578,7 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
     while sum(map(len, flag[-1])) < n:
         if len(flag) > 1:
             xs = [(b if (v + len(flag)) % 2 else a) * xs[v] for v in (0, 1)]
-        level = [[[_ZERO] * lo + k + [_ZERO] * (n - hi) for k in kernel_basis(xs[v].to_rows(), hi - lo)]
+        level = [[[0] * lo + k + [0] * (n - hi) for k in integer_kernel(xs[v]._num, hi - lo)]
                  for v, (lo, hi) in enumerate(((0, p), (p, n)))]
         if sum(map(len, level)) == sum(map(len, flag[-1])):
             break
@@ -557,49 +592,59 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
             if not (dim[length][v] - dim[length - 1][v]
                     - dim[length + 1][1 - v] + dim[length][1 - v]):
                 continue
-            below = flag[length - 1][v] + [t.apply(x) for x in flag[length + 1][1 - v]]
+            below = flag[length - 1][v] + [t._times(x) for x in flag[length + 1][1 - v]]
             for k in _new_span(below, flag[length][v]):
+                top = flag[length][v][k]
                 strings.append((v + 1, length))
-                chains.append((v, _chain(t, flag[length][v][k], length)))
+                chains.append((v, _chain(t, top, top[_free(top)], length)))
     # im T^l past the Fitting index, inside vertex 1, where M = T^2 is AB:
     # the columns of the X whose rows sit at vertex 0; none if T^l = 0
-    w = []
+    w = QMatrix.zeros(0, n)
     if sum(dim[-1]) < n:
-        image = [list(c) + [_ZERO] * q for c in zip(*xs[(len(flag) - 1) % 2].to_rows())]
-        w = [image[k] for k in _new_span([], image)]
+        x = xs[(len(flag) - 1) % 2]
+        image = [c + (0,) * q for c in zip(*x._num)]
+        w = QMatrix._int(tuple(image[k] for k in _new_span([], image)), x._den, n)
     tt = t.transpose()
     factors = []
-    while w:
-        k = len(w)
+    while w.nrows:
+        k = w.nrows
         # d: the degree of M's minimal polynomial on span w, which M maps
-        # into itself, so a line is an eigenline and d = 1
+        # into itself, so a line is an eigenline and d = 1; the rows of w
+        # share one denominator, so each row below is the exact M^i w
+        # times one nonzero factor
         if k == 1:
             d = 1
         else:
-            powers = [_chain(t, x, 2 * k + 1)[::2] for x in w]
+            powers = [_powers(t, x, 2 * k + 1)[::2] for x in w._num]
             d = rank([sum(col, []) for col in zip(*powers)])
         for c in range(k * k + 1):
-            top = mat_mul([[c ** i for i in range(k)]], w, n, _ZERO)[0]
-            chain = _chain(t, top, 2 * d + 1)
+            top = mat_mul([[c ** i for i in range(k)]], w._num, n, 0)[0]
+            chain = _chain(t, top, w._den, 2 * d + 1)
             krylov = chain[::2]
-            # one elimination of the columns top, M top, ..., M^d top: the
-            # first d are independent exactly when they are all pivots, and
-            # then M^d top's coefficients on them are unique
-            red, pivots = rref_rows(zip(*krylov))
+            # one elimination of the columns top, M top, ..., M^d top, each
+            # times its denominator: the first d are independent exactly when
+            # they are all pivots, and then M^d top's coefficients on them
+            # are unique
+            red, pivots = rref_rows(zip(*(x for x, _ in krylov)))
             if pivots[:d] == list(range(d)):
                 break
         coeffs = echelon_solution(red, pivots, d)
-        factors.append(tuple(-coeffs.get(i, _ZERO) for i in range(d)) + (_ONE,))
+        dens = [e for _, e in krylov]
+        factors.append(tuple(-coeffs.get(i, _ZERO) * dens[i] / dens[d] for i in range(d)) + (_ONE,))
         chains.append((0, chain[:2 * d]))
         if d == k:  # the chain fills span w
             break
-        dual = _chain(tt, solve_linear(krylov[:d], [0] * (d - 1) + [1]), 2 * d - 1)
+        # f with f(M^i top) = [i = d - 1] for i < d, free variables 0: the
+        # kernel vector of [krylov | -rhs] at its last column, which is free
+        f = integer_kernel([[*x, -e * (i == d - 1)] for i, (x, e) in enumerate(krylov[:d])],
+                           n + 1)[-1][:n]
+        dual = _powers(tt, f, 2 * d - 1)
         # the invariant complement: x in span w with f(M^i x) = 0 for i < d
-        cut = mat_mul(dual[::2], list(zip(*w)), k, _ZERO)
-        w = mat_mul(kernel_basis(cut, k), w, n, _ZERO)
+        cut = mat_mul(dual[::2], tuple(zip(*w._num)), k, 0)
+        w = _exact(integer_kernel(cut, k), k) * w
     cols = [x for side in (0, 1) for v, chain in chains
             for i, x in enumerate(chain) if (v + i) % 2 == side]
-    return NormalForm((p, q), tuple(strings), tuple(factors), QMatrix._of(tuple(zip(*cols))))
+    return NormalForm((p, q), tuple(strings), tuple(factors), _over(cols, n).transpose())
 
 
 def _family_key(form: NormalForm) -> tuple:
@@ -667,7 +712,7 @@ def is_simple(rep: Representation) -> bool:
 
 def _form_is_simple(form: QuiverForm) -> bool:
     return sum(form.dims) == 1 or (
-        form.dims == (1, 1) and form.a[0, 0] != 0 != form.b[0, 0])
+        form.dims == (1, 1) and form.a._num[0][0] != 0 != form.b._num[0][0])
 
 
 def find_proper_submodule(rep: Representation):
@@ -691,9 +736,9 @@ def find_proper_submodule(rep: Representation):
         return None
     e1, s12, s21 = rep.triple()
     for m in (e1, e1 - QMatrix.identity(n)):
-        vecs = kernel_basis([*s12._rows, *s21._rows, *m._rows], n)
+        vecs = integer_kernel([*s12._num, *s21._num, *m._num], n)
         if vecs:
-            return (tuple(vecs[0]),)
+            return (_exact(vecs[:1], n).row(0),)
     return None
 
 
@@ -827,6 +872,6 @@ def _summand_labels(spec: FamilySpec, nf: NormalForm) -> tuple[str, ...]:
         labels.append(by_key[(p, length - p), ((v, length),), ()].label)
     for _ in nf.factors:
         labels.append(f"{by_key[(1, 1), (), (1,)].label}({spec.parameter})")
-    first = [min(i for k in block for i in range(sum(nf.dims)) if nf.basis[i, k])
+    first = [min(i for k in block for i in range(sum(nf.dims)) if nf.basis._num[i][k])
              for block in nf.blocks()]
     return tuple(label for _, label in sorted(zip(first, labels)))

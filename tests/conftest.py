@@ -57,7 +57,7 @@ from weyldeform.modules import (
     monomial_count,
     wmat_zero,
 )
-from weyldeform.reps import FAMILIES, NormalForm, QuiverForm, _chain, _eigenbasis, _new_span
+from weyldeform.reps import FAMILIES, NormalForm, QuiverForm, _eigenbasis, _new_span
 from weyldeform.weyl import (Monomial, leading_term, monomial_multiples, term_order,
                              truncated_monomials)
 
@@ -128,6 +128,32 @@ def bareiss_rank(rows):
         row += 1
         rank_val += 1
     return rank_val
+
+
+def ref_mul(a, b, ncols):
+    """The product of two dense matrices of Fractions, by the triple loop;
+    ncols is b's width, which b cannot show when it has no rows."""
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(ncols)]
+            for i in range(len(a))]
+
+
+def ref_inverse(rows):
+    """The inverse of a square matrix by Gauss-Jordan on Fractions, or None."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for c in range(n):
+        r = next((r for r in range(c, n) if m[r][c]), None)
+        if r is None:
+            return None
+        m[c], m[r] = m[r], m[c]
+        piv = m[c][c]
+        m[c] = [x / piv for x in m[c]]
+        for k in range(n):
+            if k != c:
+                f = m[k][c]
+                m[k] = [x - f * y for x, y in zip(m[k], m[c])]
+    return [row[n:] for row in m]
 
 
 def dense_rref_rows(rows):
@@ -897,6 +923,15 @@ def grid_are_conjugate(rep1, rep2):
         if got is not None:
             return got
     return None
+
+
+def _chain(t: QMatrix, vec: list, length: int) -> list:
+    """vec, t vec, t^2 vec, ..., length vectors in all: ``reps._chain``
+    before the normal form ran on integers, kept verbatim."""
+    out = [list(vec)]
+    while len(out) < length:
+        out.append(t.apply(out[-1]))
+    return out
 
 
 def dense_block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:

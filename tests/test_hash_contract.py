@@ -42,6 +42,13 @@ def qmatrix_pool(rng):
         rows = m.to_rows()
         pool += [m, QMatrix(rows), QMatrix([[Fraction(x) for x in row] for row in rows]),
                  QMatrix.identity(n), m * m.inverse()]
+        # routes through a reducible (numerators, denominator) pair: stored
+        # unreduced, they would be equal values with different hashes
+        h = m * Fraction(1, rng.randint(2, 6))
+        for x in (m, h):
+            pool += [x * Fraction(2, 3) * Fraction(3, 2), (x + x) * Fraction(1, 2),
+                     x.inverse().inverse(), x - x + x]
+        pool += [h, QMatrix([[str(x) for x in row] for row in h.to_rows()])]
     return pool
 
 
@@ -75,6 +82,17 @@ def test_equal_values_hash_equal(build, seed):
                 assert hash(a) == hash(b), (a, b)
                 distinct_equal += a is not b
     assert distinct_equal >= len(pool)  # the pool does hold equal values built apart
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_equal_entries_make_equal_matrices(seed):
+    # QMatrix compares its stored (numerators, denominator) pair, so a
+    # route that left it unreduced would make equal entries unequal
+    pool = qmatrix_pool(random.Random(4600 + seed))
+    for a in pool:
+        for b in pool:
+            if a.shape == b.shape and a.to_rows() == b.to_rows():
+                assert a == b and hash(a) == hash(b), (a, b)
 
 
 def test_scalar_elements_are_found_by_their_scalar():

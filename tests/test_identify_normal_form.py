@@ -5,6 +5,7 @@ route this one replaced; the rule from normal-form invariants to targets
 is recomputed here from the invariants alone.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -251,7 +252,9 @@ def rand_block_rep(rng: random.Random, n: int) -> Representation:
     return rep
 
 
-def test_identification_past_the_cap_matches_the_rule():
+def past_the_cap_inputs() -> list[tuple[str, Representation]]:
+    """Long strings, two factors of degree 5 and 6, and seeded conjugated
+    sums of dimensions 5 to 12."""
     rng = random.Random(20261019)
     inputs = [(f"string {v},{length}", string_rep(v, length))
               for v in (1, 2) for length in (10, 13, 17, 30)]
@@ -259,6 +262,27 @@ def test_identification_past_the_cap_matches_the_rule():
     for n in range(5, 13):
         rep = rand_block_rep(rng, n)
         inputs.append((f"random {n}", rep.conjugate(rand_unimodular(rng, n))))
+    return inputs
+
+
+# sha256 of the canonical JSON of every past-the-cap input's (strings,
+# factors, basis), computed with the normal form on Fraction entries,
+# before it ran on integers
+PAST_THE_CAP_SHA256 = "e8b113ec023eabd1199dffaf2953f038d8567be66c4a4125094d0f34cd42a103"
+
+
+def test_past_the_cap_normal_forms_keep_their_bytes():
+    clear_caches()
+    forms = [normal_form(rep) for _, rep in past_the_cap_inputs()]
+    clear_caches()
+    text = json.dumps([[form.strings, [[str(x) for x in f] for f in form.factors],
+                        [[str(x) for x in row] for row in form.basis.to_rows()]] for form in forms],
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PAST_THE_CAP_SHA256
+
+
+def test_identification_past_the_cap_matches_the_rule():
+    inputs = past_the_cap_inputs()
     forms = [normal_form(rep) for _, rep in inputs]
     assert [form.strings for form in forms[:8]] == [
         ((v, length),) for v in (1, 2) for length in (10, 13, 17, 30)]

@@ -301,7 +301,7 @@ def test_mat_add_keeps_the_left_entry_where_the_right_is_zero():
     got = mat_add(((x, x),), ((y, t),))
     assert got[0][0] is x and got[0][1] == x + t
     a = QMatrix([[Fraction(1, 3), 2]])
-    assert (a + QMatrix.zeros(1, 2)).row(0)[0] is a.row(0)[0]
+    assert (a + QMatrix.zeros(1, 2)).row(0)[0] == a.row(0)[0]
     assert (a + QMatrix([[1, -2]])).to_rows() == [[Fraction(4, 3), 0]]
 
 

@@ -143,3 +143,29 @@ def test_cold_string_normal_form_work(monkeypatch):
     clear_caches()
     assert form.strings == ((1, length),)
     assert calls <= 2 * length + 10
+
+
+def test_cold_string_normal_form_hands_the_kernel_integers(monkeypatch):
+    # the flag's kernels, their images under T and the span tests hold
+    # primitive integer vectors: on Fraction vectors this normal form
+    # handed the kernel 113,340 entries that were not ints
+    length = 60
+    rows = others = 0
+    real = weyldeform.linalg._integer_row
+
+    def counted(items):
+        nonlocal rows, others
+        items = list(items)
+        rows += 1
+        others += sum(type(x) is not int for _, x in items)
+        return real(items)
+
+    rep = string_rep(1, length)
+    clear_caches()
+    monkeypatch.setattr(weyldeform.linalg, "_integer_row", counted)
+    form = normal_form(rep)
+    monkeypatch.undo()
+    clear_caches()
+    assert form.strings == ((1, length),)
+    assert rows > length
+    assert others == 0
