@@ -735,11 +735,13 @@ def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitn
     unverified chain, whose witness may pass the cap); the cyclic search
     runs between the two forms and is composed with their witnesses.  When
     one side has no form, that presentation's own generator loop runs with
-    the other form's relation.  Only the composite is verified, once.  None
-    means no witness was found within the degree bound, a bounded
-    negative, not a proof of non-isomorphism.  Memoized on the coerced
-    modules and the cap, so a repeated question returns the same
-    witness; clear_caches() empties the memo.
+    the other form's relation, unless the bottom of its chain has a zero
+    row or column: then it has rank >= 1, and no D/Dp matches it.  Only
+    the composite is verified, once.  None means no witness was found
+    within the degree bound, a bounded negative, not a proof of
+    non-isomorphism.  Memoized on the coerced modules and the cap, so a
+    repeated question returns the same witness; clear_caches() empties
+    the memo.
     """
     n_cap = _check_degree(max_degree)
     return _iso_witness(_coerce_module(source), _coerce_module(target), n_cap)
@@ -760,7 +762,8 @@ def _iso_witness(source, target, n_cap: int) -> IsoWitness | None:
         return None if w is None else w.reversed()
     cyc_a, w_a = side_a
     if side_b is None:
-        found = _own_form(target, n_cap, cyc_a.p)
+        bottom = _pivot_chain(target, n_cap)[0]
+        found = None if _positive_rank(bottom) else _own_form(target, n_cap, cyc_a.p)
         w = None if found is None else found[1]
     else:
         cyc_b, w_b = side_b
@@ -878,8 +881,6 @@ def _own_form(m: PresentedModule, n_cap: int, p: WeylElement | None = None):
     """(D/Dp, witness D/Dp -> m) through the short generators, rung by rung:
     with p given, each generator is certified with that relation, else
     with its one annihilator (_generator_form); None when none passes."""
-    if _positive_rank(m):
-        return None
     gens = _generator_candidates(m)
     forms = functools.cache(lambda gi: _generator_form(m, gens[gi], n_cap, p))
     for sd in _s_rungs(n_cap):

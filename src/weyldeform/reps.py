@@ -35,11 +35,9 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
-from .linalg import QMatrix, echelon_solution, integer_kernel, kernel_basis, mat_mul, pivot_columns
-from .linalg import rank, rref_rows
+from .linalg import QMatrix, integer_kernel, kernel_basis, mat_mul, pivot_columns, rank
 from .modules import _memo
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -621,16 +619,15 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
             top = mat_mul([[c ** i for i in range(k)]], w._num, n, 0)[0]
             chain = _chain(t, top, w._den, 2 * d + 1)
             krylov = chain[::2]
-            # one elimination of the columns top, M top, ..., M^d top, each
-            # times its denominator: the first d are independent exactly when
-            # they are all pivots, and then M^d top's coefficients on them
-            # are unique
-            red, pivots = rref_rows(zip(*(x for x, _ in krylov)))
-            if pivots[:d] == list(range(d)):
+            # the columns top, M top, ..., M^d top, each times its
+            # denominator, are dependent; the first d are independent
+            # exactly when the first kernel vector is free at column d, and
+            # then it holds M^d top's unique coefficients on them
+            rel = integer_kernel(zip(*(x for x, _ in krylov)), d + 1)[0]
+            if _free(rel) == d:
                 break
-        coeffs = echelon_solution(red, pivots, d)
         dens = [e for _, e in krylov]
-        factors.append(tuple(-coeffs.get(i, _ZERO) * dens[i] / dens[d] for i in range(d)) + (_ONE,))
+        factors.append(tuple(Fraction(rel[i] * dens[i], rel[d] * dens[d]) for i in range(d)) + (_ONE,))
         chains.append((0, chain[:2 * d]))
         if d == k:  # the chain fills span w
             break

@@ -1,37 +1,44 @@
-"""Shared oracles and fixtures.
+"""Shared oracles, fixtures and the digest that pins replaced routes.
 
 The oracles here recompute results by routes independent of the package
 internals: operators act on actual polynomials, ranks come from
 fraction-free integer elimination, path counts come from walking the
-quiver.  Tests compare library output against these, never against the
-library itself.
+quiver, the family table is frozen as literals.  Some are earlier package
+routes kept because they compute the same mathematics another way:
+dense elimination and products, the grid conjugacy search, the dense
+block normal form, the Burnside simplicity test, Ext^1 at wide margins,
+the block decomposition of a presentation, the branch-table matcher
+behind coupling_decomposition, the full normal forms modulo Dq that
+Hypothesis inputs are checked against (no pin can cover drawn inputs),
+and the eigen-kernels of the submodule search.
+
+An earlier route that only showed a new one gives the same bytes is not
+kept.  A change that must keep bytes shows it once, against its parent,
+and pins the old route's answers on the test's seeded inputs: digest()
+of them, or the exact inputs where the old route found an answer.
 """
 
-import functools
+import dataclasses
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
-from typing import Iterable
 
 import pytest
 
 from weyldeform import (
-    CommutativePoint,
     QMatrix,
-    SpecializationReport,
     UnsupportedDimensionError,
     WeylElement,
-    WeylLinearSystem,
     intertwiners,
     inverse,
-    iso_witness,
-    normal_form,
     print_weyl,
     quiver_form,
     representative,
     validate,
 )
-from weyldeform import modules
+from weyldeform.cli import _module_json, _witness_json
 from weyldeform.ext import Ext1Result
 from weyldeform.linalg import kernel_basis, rank, reduce_row, rref_rows
 from weyldeform.linalg import solve as solve_linear
@@ -40,26 +47,48 @@ from weyldeform.modules import (
     _ONE,
     _ZERO,
     CyclicModule,
-    HomBasis,
     IsoWitness,
     PresentedModule,
-    TruncatedSpan,
-    _certify_generator,
     _deg,
-    _generator_candidates,
-    _generator_form,
-    _s_rungs,
     _stabilized_at,
-    clear_caches,
-    compose_iso,
-    divide_left,
-    image_witness,
-    monomial_count,
-    wmat_zero,
 )
-from weyldeform.reps import FAMILIES, NormalForm, QuiverForm, _eigenbasis, _new_span
+from weyldeform.reps import FAMILIES, NormalForm, _new_span
 from weyldeform.weyl import (Monomial, leading_term, monomial_multiples, term_order,
                              truncated_monomials)
+
+
+def plain(x):
+    """x as JSON data: an element by print_weyl, a Fraction as its string,
+    modules and witnesses as the CLI writes them, a QMatrix as its shape
+    and rows, a dataclass as its fields, a dict with string keys."""
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, WeylElement):
+        return print_weyl(x)
+    if isinstance(x, (CyclicModule, PresentedModule)):
+        return _module_json(x)
+    if isinstance(x, IsoWitness):
+        return _witness_json(x)
+    if isinstance(x, QMatrix):
+        return [[x.nrows, x.ncols], plain(x.to_rows())]
+    if dataclasses.is_dataclass(x):
+        return {f.name: plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {str(k): plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    raise TypeError(f"no JSON form for {type(x).__name__}")
+
+
+def digest(x) -> str:
+    """SHA-256 of x's canonical JSON: plain(x), keys sorted, no spaces.
+
+    A test that held the package to a route it replaced pins this digest
+    of that route's answers, recorded before the route was deleted."""
+    text = json.dumps(plain(x), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def apply_to_poly(w: WeylElement, coeffs):
@@ -233,446 +262,6 @@ def dense_wmat_mul(a, b):
     )
 
 
-def solve_divide_left(r: WeylElement, q: WeylElement):
-    """The unique s with s*q = r, or None, by one exact linear solve.
-
-    The package's division before it divided by leading terms, kept
-    verbatim (its module constants inlined) as a reference.
-    """
-    if q.is_zero():
-        raise ValueError("division by the zero element")
-    if r.is_zero():
-        return WeylElement.zero()
-    ds = r.degree() - q.degree()
-    if ds < 0:
-        return None
-    sys = WeylLinearSystem()
-    sys.unknown("s", ds)
-    sys.equate([(WeylElement.one(), "s", q, 1)], rhs=r)
-    sol = sys.solve()
-    return None if sol is None else sol["s"]
-
-
-def items_order_divide_left(r: WeylElement, q: WeylElement):
-    """The unique s with s*q = r, or None.
-
-    The package's division before it took leading terms by term_order,
-    kept verbatim as a reference: it leads with the last of items(), which
-    prefers the d-power.
-    """
-    if q.is_zero():
-        raise ValueError("division by the zero element")
-    (k, l), lead_q = q.items()[-1]
-    s = _ZERO
-    while not r.is_zero():
-        (i, j), lead_r = r.items()[-1]
-        if i < k or j < l:
-            return None
-        term = WeylElement.monomial(i - k, j - l, lead_r / lead_q)
-        s = s + term
-        r = r - term * q
-    return s
-
-
-def windowed_finish_cyclic_iso(a: CyclicModule, b: CyclicModule, r: WeylElement,
-                               s_pool: list[WeylElement], max_degree: int):
-    """Cyclic witness through r, with the cofactor c_a solved in a window.
-
-    ``modules._finish_cyclic_iso`` before it read r*s - 1 in Dp off normal
-    forms modulo Dp, kept verbatim (its 2-degree slack inlined) as a
-    reference: c_a is an unknown of a ``WeylLinearSystem`` beside the
-    coefficients of s.
-    """
-    p, q = a.p, b.p
-    dp = _deg(p)
-    u = divide_left(p * r, q)
-    if u is None:
-        return None
-    ca_deg = max(0, _deg(r) + max(_deg(s) for s in s_pool) - dp + 2)
-    sys = WeylLinearSystem()
-    for j in range(len(s_pool)):
-        sys.unknown(f"y{j}", 0)
-    sys.unknown("ca", ca_deg)
-    sys.equate(
-        [(r * s_pool[j], f"y{j}", _ONE, 1) for j in range(len(s_pool))]
-        + [(_ONE, "ca", p, -1)],
-        rhs=_ONE,
-    )
-    sol = sys.solve()
-    if sol is None:
-        return None
-    s = WeylElement.zero()
-    for j, cand in enumerate(s_pool):
-        s = s + cand * sol[f"y{j}"].coeff(0, 0)
-    c_b = divide_left(s * r - _ONE, q)
-    if c_b is None:
-        return None
-    v = divide_left(q * s, p)
-    if v is None:
-        return None
-    return IsoWitness(
-        a, b,
-        ((r,),), ((s,),), ((u,),), ((v,),),
-        ((sol["ca"],),), ((c_b,),),
-        max_degree,
-    )
-
-
-def product_assemble(system: WeylLinearSystem):
-    """Rows, offsets and total of a ``WeylLinearSystem`` by general products.
-
-    ``WeylLinearSystem._assemble`` before it formed every coefficient as
-    ``left * t^a d^b * right`` with two products, kept verbatim (reading
-    the unknowns' degrees where it read their monomial lists) as a
-    reference.
-    """
-    monos = {name: truncated_monomials(deg) for name, deg in system._degree.items()}
-    offset: dict[str, int] = {}
-    total = 0
-    for name in monos:
-        offset[name] = total
-        total += len(monos[name])
-    rows: list[dict[int, Fraction]] = []
-    for terms, rhs in system._eqs:
-        rowmap: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for left, name, right, coef in terms:
-            cf = Fraction(coef)
-            scaled = cf != 1
-            for k, (a, b) in enumerate(monos[name], offset[name]):
-                w = left * WeylElement.monomial(a, b) * right
-                for ij, c in w.items():
-                    if scaled:
-                        c *= cf
-                    row = rowmap.setdefault(ij, {})
-                    y = row.get(k)
-                    if y is None:
-                        row[k] = c
-                    elif y := y + c:
-                        row[k] = y
-                    else:
-                        del row[k]
-        for ij, c in rhs.items():
-            rowmap.setdefault(ij, {})[total] = c
-        rows.extend(rowmap[key] for key in sorted(rowmap))
-    return rows, offset, total
-
-
-class WindowedSpan(TruncatedSpan):
-    """TruncatedSpan with the degree-profile reads the windowed oracles use.
-
-    Coordinates run by descending total degree, so the pivots of degree
-    <= n count dim(span intersect V_n) for every n up to the window.
-    """
-
-    def dim_cap(self, n: int) -> int:
-        return sum(1 for dd in self.pivot_degrees() if dd <= n)
-
-    def pivot_positions(self) -> list[int]:
-        return list(self._pivots)
-
-    def standard_monomials(self, n: int) -> list[tuple[int, tuple[int, int]]]:
-        """Non-pivot coordinates of degree <= n, ascending canonical order."""
-        pivot_set = set(self._pivots)
-        out = [
-            (g, ij)
-            for k, (g, ij) in enumerate(self._cols)
-            if k not in pivot_set and ij[0] + ij[1] <= n
-        ]
-        out.sort(key=lambda c: (c[1][0] + c[1][1], c[1][1], c[0]))
-        return out
-
-
-def windowed_hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBasis:
-    """Hom classes by the (r, u) kernel of p*r = u*q and two truncated spans.
-
-    ``modules._hom_basis`` before it read the classes off normal forms
-    modulo Dq, kept verbatim (unmemoized, on WindowedSpan) as a reference.
-    """
-    p, q = source.p, target.p
-    dp, dq = _deg(p), _deg(q)
-    sys = WeylLinearSystem()
-    sys.unknown("r", n_cap)
-    sys.unknown("u", dp + n_cap - dq)
-    sys.equate([(p, "r", _ONE, 1), (_ONE, "u", q, -1)])
-    sols = sys.kernel()
-    rspan = WindowedSpan([(s["r"],) for s in sols], 1, n_cap)
-    qvecs = [(w,) for w in monomial_multiples(_ONE, n_cap - dq, q)]
-    qspan = WindowedSpan(qvecs, 1, n_cap)
-    dims = tuple(
-        rspan.dim_cap(n) - qspan.dim_cap(n) for n in range(n_cap + 1)
-    )
-    qpivots = set(qspan.pivot_positions())
-    basis = tuple(
-        vec[0]
-        for vec, pos in zip(rspan.basis_vectors(), rspan.pivot_positions())
-        if pos not in qpivots
-    )
-    for r in basis:
-        if divide_left(p * r, q) is None:
-            raise RuntimeError("hom basis element failed the exact recheck")
-    return HomBasis(source, target, n_cap, dims, basis)
-
-
-def _generator_witness(a: CyclicModule, b: PresentedModule, g: tuple,
-                       s_degrees: Iterable[int], max_degree: int) -> IsoWitness | None:
-    """Certify D/Dp = b through the generator g, once p*g lies in the image.
-
-    ``modules._generator_witness`` before iso_witness's presentation branch
-    went through the cyclic form's own generator loop, kept verbatim as a
-    reference.
-    """
-    window = max_degree + WINDOW_MARGIN
-    u_row = image_witness(b, tuple(a.p * e for e in g), window)
-    if u_row is None:
-        return None
-    for sd in s_degrees:
-        w = _certify_generator(a, b, g, u_row, sd, max_degree)
-        if w is not None:
-            return w
-    return None
-
-
-def cyclic_to_presented_iso(a: CyclicModule, b: PresentedModule,
-                            max_degree: int) -> IsoWitness | None:
-    """``modules._cyclic_to_presented_iso``, kept verbatim as a reference:
-    each generator in turn, at every s rung, through _generator_witness."""
-    for g in _generator_candidates(b):
-        w = _generator_witness(a, b, g, _s_rungs(max_degree), max_degree)
-        if w is not None:
-            return w
-    return None
-
-
-_CFORM_ATTEMPT_CAP = 60
-
-
-def _annihilator_candidates(m: PresentedModule, g: tuple, rungs: list[int]) -> list[WeylElement]:
-    """Low-degree elements a with a*g in the image of the presentation.
-
-    ``modules._annihilator_candidates`` before the search certified only
-    the lowest-degree one (``modules._generator_form``), kept verbatim as
-    a reference, with the attempt cap above.
-    """
-    g_deg = max(0, max(_deg(e) for e in g))
-    seen: set[WeylElement] = set()
-    out: list[WeylElement] = []
-    for k in rungs:
-        sys = WeylLinearSystem()
-        sys.unknown("a", k)
-        for i in range(m.n):
-            rd = m.row_degree(i)
-            bound = k + g_deg + WINDOW_MARGIN - rd if rd >= 0 else -1
-            sys.unknown(f"x{i}", bound)
-        for j in range(m.n):
-            sys.equate(
-                [(_ONE, "a", g[j], 1)]
-                + [(_ONE, f"x{i}", m.delta[i][j], -1) for i in range(m.n)]
-            )
-        sols = sys.kernel()
-        avecs = [(s["a"],) for s in sols if not s["a"].is_zero()]
-        if not avecs:
-            continue
-        span = TruncatedSpan(avecs, 1, k)
-        rows = list(zip(span.basis_vectors(), span.pivot_degrees()))
-        rows.sort(key=lambda rp: rp[1])
-        for (vec, _degree) in rows:
-            cand = CyclicModule(vec[0]).p
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-        if out:
-            break
-    return out[:6]
-
-
-def _scaling_witness(m: PresentedModule, max_degree: int):
-    """(D/Dp, witness D/Dp -> m) for a 1 x 1 presentation (p) with p != 0.
-
-    ``modules._scaling_witness`` before the pivot chain scaled its last
-    relation itself (``modules._pivot_chain``), kept verbatim as a
-    reference.
-    """
-    p = m.delta[0][0]
-    cyc = CyclicModule(p)
-    lead = p.items()[-1][1]
-    one = ((_ONE,),)
-    return cyc, IsoWitness(
-        cyc, m,
-        one, one,
-        ((WeylElement.constant(1 / lead),),),
-        ((WeylElement.constant(lead),),),
-        ((_ZERO,),), ((_ZERO,),),
-        max_degree,
-    )
-
-
-def search_cyclic_form(m: PresentedModule, n_cap: int):
-    """Cyclic form by the annihilator search on every presentation.
-
-    ``modules._cyclic_form_search`` before it eliminated generators at
-    constant pivots, kept verbatim (unmemoized) as a reference.
-    """
-    if m.n == 1:
-        if m.delta[0][0].is_zero():
-            return None
-        return _scaling_witness(m, n_cap)
-    attempts = 0
-    gens = _generator_candidates(m)
-    annihilators = functools.cache(
-        lambda gi: _annihilator_candidates(m, gens[gi], _s_rungs(n_cap))
-    )
-    for sd in _s_rungs(n_cap):
-        for gi, g in enumerate(gens):
-            for p_cand in annihilators(gi):
-                if attempts >= _CFORM_ATTEMPT_CAP:
-                    return None
-                attempts += 1
-                cyc = CyclicModule(p_cand)
-                w = _generator_witness(cyc, m, g, (sd,), n_cap)
-                if w is not None:
-                    return cyc, w
-    return None
-
-
-def _pivot_step(m: PresentedModule, n_cap: int) -> IsoWitness | None:
-    """Witness residual -> m, where the residual eliminates generator j by
-    relation i at the constant entry c = delta[i][j] (last column first,
-    then first row); None when m has no nonzero constant entry.
-
-    ``modules._pivot_step`` before the chain became one Gauss–Jordan pass
-    (``modules._pivot_chain``), kept verbatim as a reference: one pivot's
-    witness, dense n x n.
-    """
-    dl = m.delta
-    n = m.n
-    i, j = next(((i, j) for j in reversed(range(n)) for i in range(n)
-                 if _deg(dl[i][j]) == 0), (None, None))
-    if i is None:
-        return None
-    inv = 1 / dl[i][j].coeff(0, 0)
-    rows = [l for l in range(n) if l != i]
-    cols = [k for k in range(n) if k != j]
-    # the Schur complement: row l minus delta[l][j] * c^-1 times row i
-    factor = {l: dl[l][j] * inv for l in rows}
-    residual = PresentedModule(tuple(
-        tuple(dl[l][k] - factor[l] * dl[i][k] if factor[l] else dl[l][k] for k in cols)
-        for l in rows
-    ))
-    # e_j = -c^-1 * sum of delta[i][k] * e_k over k != j
-    s = tuple(
-        tuple(-inv * dl[i][k] if x == j else _ONE if x == k else _ZERO for k in cols)
-        for x in range(n)
-    )
-    u = tuple(
-        tuple(-factor[l] if x == i else _ONE if x == l else _ZERO for x in range(n))
-        for l in rows
-    )
-    return IsoWitness(
-        residual, m,
-        tuple(tuple(_ONE if x == k else _ZERO for x in range(n)) for k in cols),
-        s, u,
-        tuple(tuple(_ONE if x == l else _ZERO for l in rows) for x in range(n)),
-        wmat_zero(n - 1, n - 1),
-        tuple(tuple(WeylElement.constant(-inv) if (x, y) == (j, i) else _ZERO for y in range(n))
-              for x in range(n)),
-        n_cap,
-    )
-
-
-def step_chain(m: PresentedModule, n_cap: int):
-    """(bottom residual, witness bottom -> m or None): the one-pivot
-    witnesses of ``_pivot_step`` composed from the top while two generators
-    are kept, as ``modules._find_cyclic_form`` built its chain before the
-    chain became one Gauss–Jordan pass; one generator left with a nonzero
-    relation is finished by ``_scaling_witness``, composed last, as before
-    the pass scaled that relation itself."""
-    w = None
-    while m.n > 1 and (step := _pivot_step(m, n_cap)) is not None:
-        w, m = (step if w is None else compose_iso(step, w)), step.source
-    if m.n == 1 and not m.delta[0][0].is_zero():
-        cyc, scaling = _scaling_witness(m, n_cap)
-        return cyc, scaling if w is None else compose_iso(scaling, w)
-    return m, w
-
-
-def parent_cyclic_form(m: PresentedModule, n_cap: int):
-    """Cyclic form by the pivot chain, with the list search at each level
-    where the chain stops.
-
-    ``modules._find_cyclic_form`` before it certified one annihilator per
-    generator, kept (unmemoized, unverified) as a reference.
-    """
-    step = _pivot_step(m, n_cap) if m.n > 1 else None
-    found = None if step is None else parent_cyclic_form(step.source, n_cap)
-    if found is not None:
-        return found[0], compose_iso(found[1], step)
-    return search_cyclic_form(m, n_cap)
-
-
-def bottom_up_cyclic_form(m: PresentedModule, n_cap: int):
-    """``modules._find_cyclic_form`` before it composed the chain top-down,
-    kept verbatim (it recurses on itself) as a reference: each level
-    composes the residual's form with its step, compose_iso(found, step).
-    """
-    if m.n == 1:
-        if m.delta[0][0].is_zero():
-            return None
-        return _scaling_witness(m, n_cap)
-    step = _pivot_step(m, n_cap)
-    found = None if step is None else bottom_up_cyclic_form(step.source, n_cap)
-    if found is not None:
-        return found[0], compose_iso(found[1], step)
-    # no step, or a residual with no form: its short generators are not
-    # m's, so m itself is searched
-    gens = _generator_candidates(m)
-    forms = functools.cache(lambda gi: _generator_form(m, gens[gi], n_cap))
-    for sd in _s_rungs(n_cap):
-        for gi, g in enumerate(gens):
-            form = forms(gi)
-            if form is None:
-                continue
-            w = _certify_generator(form[0], m, g, form[1], sd, n_cap)
-            if w is not None:
-                return form[0], w
-    return None
-
-
-@pytest.fixture
-def both_chains(monkeypatch):
-    """run(fn) gives (fn() by the package's chain, fn() by
-    bottom_up_cyclic_form), each from empty caches."""
-    def run(fn):
-        clear_caches()
-        got = fn()
-        with monkeypatch.context() as patch:
-            patch.setattr(modules, "_find_cyclic_form", bottom_up_cyclic_form)
-            clear_caches()
-            want = fn()
-        clear_caches()
-        return got, want
-    return run
-
-
-_T = WeylElement.t()
-_D = WeylElement.d()
-
-
-def _base_candidates() -> list[tuple[str | None, CyclicModule, int | None]]:
-    return [
-        ("M1", CyclicModule("d"), None),
-        ("M2", CyclicModule("t"), None),
-        (None, CyclicModule("d*t"), None),
-    ]
-
-
-def _shift_candidates(base: Fraction) -> list[tuple[str | None, CyclicModule, int | None]]:
-    out = []
-    for m in (0, 1, -1, 2, -2):
-        rel = _T * _D - WeylElement.constant(base - m)
-        out.append((None, CyclicModule(rel), m))
-    return out
-
-
 def block_decompose(m: PresentedModule) -> list[tuple[tuple[int, ...], PresentedModule]]:
     """Split a presentation into its block-diagonal components.
 
@@ -706,106 +295,6 @@ def block_decompose(m: PresentedModule) -> list[tuple[tuple[int, ...], Presented
         )
         out.append((tuple(members), sub))
     return out
-
-
-def candidate_identify(delta: PresentedModule, max_degree: int,
-                       shift_base: Fraction | None,
-                       point: CommutativePoint | None = None) -> SpecializationReport:
-    """Identification by trying a fixed candidate list per coordinate block.
-
-    ``versal._identify_presented`` before it read targets off the normal
-    form, kept verbatim as a reference.
-    """
-    blocks = block_decompose(delta)
-    if len(blocks) > 1:
-        subs = tuple(
-            candidate_identify(sub, max_degree, shift_base) for _, sub in blocks
-        )
-        ok = all(s.identified for s in subs)
-        if ok:
-            parts = ", ".join(s.message for s in subs)
-            message = f"direct sum of {len(subs)} blocks: {parts}"
-        else:
-            message = (
-                f"direct sum of {len(subs)} blocks, not all certified "
-                f"up to degree {max_degree}"
-            )
-        return SpecializationReport(
-            delta, ok, "direct_sum" if ok else None,
-            subs, None, None, None, max_degree, message, point,
-        )
-    candidates = _base_candidates()
-    if shift_base is not None:
-        candidates.extend(_shift_candidates(shift_base))
-    seen = set()
-    unique = []
-    for alias, cand, m in candidates:
-        if cand.p in seen:
-            continue
-        seen.add(cand.p)
-        unique.append((alias, cand, m))
-    for alias, cand, m in unique:
-        witness = iso_witness(cand, delta, max_degree)
-        if witness is not None:
-            name = f"D/D({print_weyl(cand.p)})"
-            if alias:
-                name += f" ({alias})"
-            return SpecializationReport(
-                delta, True, "cyclic", cand, alias, m, witness,
-                max_degree, f"certified isomorphic to {name}", point,
-            )
-    return SpecializationReport(
-        delta, False, None, None, None, None, None, max_degree,
-        f"no certified match up to degree {max_degree}", point,
-    )
-
-
-_STANDARD_TERMS = (
-    (1, _D, "e1"),
-    (-1, _ONE, "s12"),
-    (-1, _ONE, "s21"),
-    (1, _T, "e2"),
-)
-
-
-def term_table_specialize(rep) -> PresentedModule:
-    """Presentation matrix by summing a term table over the hull generators.
-
-    ``versal.specialize`` before it evaluated its formula entrywise, kept
-    verbatim (the table fixed to the standard terms) as a reference.
-    """
-    validate(rep)
-    mats = {"e1": rep.e1, "s12": rep.s12, "s21": rep.s21, "e2": rep.e2}
-    n = rep.n
-    rows = []
-    for l in range(n):
-        row = []
-        for k in range(n):
-            entry = WeylElement.zero()
-            for coef, w, name in _STANDARD_TERMS:
-                scalar = Fraction(coef) * mats[name][k, l]
-                if scalar:
-                    entry = entry + w * scalar
-            row.append(entry)
-        rows.append(tuple(row))
-    return PresentedModule(tuple(rows))
-
-
-def windowed_ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
-    """Ext^1 by one truncated span over all p- and q-multiples in the window.
-
-    ``ext._ext1`` before it read the quotient off normal forms modulo Dq,
-    kept verbatim (unmemoized, on WindowedSpan) as a reference.
-    """
-    window = n_cap + WINDOW_MARGIN
-    dp, dq = _deg(p), _deg(q)
-    ws = monomial_multiples(p, window - dp, _ONE) + monomial_multiples(_ONE, window - dq, q)
-    span = WindowedSpan([(w,) for w in ws], 1, window)
-    dims = tuple(monomial_count(n) - span.dim_cap(n) for n in range(n_cap + 1))
-    reps = tuple(
-        WeylElement.monomial(*ij) for _, ij in span.standard_monomials(n_cap)
-    )
-    return Ext1Result(dims[-1], reps, dims, _stabilized_at(dims))
 
 
 def reference_normal_forms(xs, q: WeylElement, n: int) -> list[WeylElement]:
@@ -996,42 +485,6 @@ def dense_block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalFor
     return NormalForm((p, q), tuple(strings), tuple(factors), QMatrix._of(tuple(zip(*cols))))
 
 
-def four_product_quiver_form(rep) -> QuiverForm | None:
-    """``reps.quiver_form`` before it read a split e1's blocks as they stand
-    and multiplied binv only into the columns it reads, kept as a
-    reference: the eigenbasis of every e1, then binv*s12*basis and
-    binv*s21*basis in full.  None where the eigenvectors do not span or a
-    block is out of shape."""
-    split = _eigenbasis(rep.e1)
-    if split is None:
-        return None
-    p, basis, binv = split
-    n, q = rep.n, rep.n - p
-    s12c = binv * rep.s12 * basis
-    s21c = binv * rep.s21 * basis
-    if not all(s12c[i, j] == 0 == s21c[j, i]
-               for i in range(n) for j in range(n) if not i < p <= j):
-        return None
-    a = QMatrix._of(tuple(tuple(s12c[i, p + j] for j in range(q)) for i in range(p)), q)
-    b = QMatrix._of(tuple(tuple(s21c[p + i, j] for j in range(p)) for i in range(q)), p)
-    return QuiverForm((p, q), a, b, basis)
-
-
-def product_form_delta(rep) -> PresentedModule:
-    """Delta' as ``versal._identify_rep`` multiplied it out before reading it
-    off the invariants: the specialized differential of g^-1 x g for the
-    normal form's basis g, each entry built through WeylElement's checks."""
-    basis = normal_form(rep).basis
-    ginv = basis.inverse()
-    e1, s12, s21 = (ginv * x * basis for x in rep.triple())
-    n = rep.n
-    return PresentedModule(tuple(
-        tuple(WeylElement({(0, 1): e1[k, l], (0, 0): -(s12[k, l] + s21[k, l]),
-                           (1, 0): int(k == l) - e1[k, l]})
-              for k in range(n))
-        for l in range(n)))
-
-
 def _combo(basis, coeffs, n):
     out = QMatrix.zeros(n, n)
     for c, b in zip(coeffs, basis):
@@ -1218,37 +671,6 @@ def _eigen_kernels(e1: QMatrix, s12: QMatrix, s21: QMatrix) -> tuple[list, list]
     k0 = kernel_basis(QMatrix.from_blocks([[s12], [s21], [e1]]).to_rows(), n)
     k1 = kernel_basis(QMatrix.from_blocks([[s12], [s21], [e1 - eye]]).to_rows(), n)
     return k0, k1
-
-
-def invariant_checked_submodule(rep):
-    """A basis of a proper nonzero invariant subspace, or None.
-
-    The package's submodule search before it read the answer off one
-    kernel per vertex line, kept verbatim as a reference: both kernels
-    are built, and each candidate line is re-proved invariant by rank.
-    """
-    quiver_form(rep)
-    n = rep.n
-    if n > 3:
-        raise UnsupportedDimensionError(
-            "submodule search is complete only up to dimension 3"
-        )
-    if n == 1:
-        return None
-    k0, k1 = _eigen_kernels(rep.e1, rep.s12, rep.s21)
-    for vec in k0 + k1:
-        sub = (tuple(vec),)
-        if _invariant(rep, sub):
-            return sub
-    return None
-
-
-def _invariant(rep, basis: tuple) -> bool:
-    dim = rank(basis)
-    for m in rep.triple():
-        if rank([*basis, *(m.apply(v) for v in basis)]) != dim:
-            return False
-    return True
 
 
 def path_count_dims(arrow_counts, order):

@@ -273,7 +273,7 @@ def test_bad_param_syntax(capsys):
 # sha256 of the output bytes, pinned from the branch-table match_label and
 # the Burnside is_simple (conftest's oracles), so any route prints the same;
 # the ext, hull, specialize and commutative bytes were pinned from the
-# term-table specialize (conftest's term_table_specialize)
+# earlier specialize that summed a term table over the hull generators
 GOLDEN_SHA256 = {
     ("classify", "1"): "bf062866eb3ef7b318ea8bab2b1719da92b6ad344d92b64ee3bc3d24f6604c71",
     ("classify", "1", "--format", "text"): "f94ac9ec82a794edb7828a8992dc0770f1b83ef2d3dd7056d486f6553b35703a",

@@ -3,9 +3,9 @@
 Delta' is read off the normal form's invariants, not multiplied out; a
 split e1 is not eigen-split again; one block's witness is verified only
 as the composite handed out; cross_certify composes equal targets
-directly; a repeated iso_witness is answered from its memo.  The
-references are ``conftest.product_form_delta`` and
-``conftest.four_product_quiver_form``, the routes these replaced.
+directly; a repeated iso_witness is answered from its memo.  The routes
+these replaced, Delta' multiplied out and the quiver form by four full
+products, are pinned by the digests (conftest.digest) of their answers.
 """
 
 import json
@@ -33,8 +33,7 @@ from weyldeform.cli import _witness_json
 from weyldeform.reps import _conjugated_blocks, _eigenbasis
 from weyldeform.versal import _form_delta
 
-from conftest import (four_product_quiver_form, product_form_delta, rand_invertible,
-                      rand_unimodular)
+from conftest import digest, rand_invertible, rand_unimodular
 from test_identify_normal_form import SAMPLES, factor_rep, listed_inputs, rand_block_rep, string_rep
 from test_normal_form_flag import BROKEN_TRIPLES
 
@@ -63,9 +62,19 @@ def is_split(e1: QMatrix) -> bool:
     return e1 == QMatrix([[int(i == j < p) for j in range(e1.ncols)] for i in range(e1.nrows)])
 
 
+# Delta' multiplied out, the specialized differential of g^-1 x g for the
+# normal form's basis g, on TRIPLES; the quiver form by the eigenbasis of
+# every e1 and the full products binv*s12*basis and binv*s21*basis, on
+# the split TRIPLES and on the conjugates below: the digests of their
+# answers (the four products gave None on each of BROKEN_TRIPLES)
+PRODUCT_DELTA_SHA256 = "9f7edc6a8bd842042dcc698f0f8525e9fc6f40d8b1a2b755999d238baf62e4b1"
+SPLIT_FORMS_SHA256 = "42f015267efdea816664682763ee798f0b7831dd3422d27445190523b2c26c8f"
+CONJUGATE_FORMS_SHA256 = "48be65d731af89d078b6ed1bd12877cdd53dca776dc6c3c8aabe99dd59a9bd0a"
+
+
 def test_delta_prime_from_the_invariants_is_the_product():
-    for key, rep in TRIPLES:
-        assert _form_delta(weyldeform.normal_form(rep)) == product_form_delta(rep), key
+    deltas = [_form_delta(weyldeform.normal_form(rep)) for _, rep in TRIPLES]
+    assert digest(deltas) == PRODUCT_DELTA_SHA256
 
 
 def test_split_route_gives_the_eigenbasis_quiver_form():
@@ -73,27 +82,29 @@ def test_split_route_gives_the_eigenbasis_quiver_form():
     # every representative, string and factor, and the sums whose strings
     # happen to list vertex 1 first
     assert len(split) > len(list(listed_inputs()))
+    assert len(split) == 137
     for key, rep in split:
-        assert quiver_form(rep) == four_product_quiver_form(rep), key
         assert quiver_form(rep).basis == QMatrix.identity(rep.n), key
+    assert digest([quiver_form(rep) for _, rep in split]) == SPLIT_FORMS_SHA256
 
 
 def test_block_reads_match_the_four_products():
     # every e1 of dimension 1 is split, so the conjugates start at 2
     rng = random.Random(4202)
+    forms = []
     for n in range(2, 9):
         rep = rand_block_rep(rng, n)
         for g in (rand_unimodular(rng, n), rand_invertible(rng, n)):
             conj = rep.conjugate(g)
-            want = four_product_quiver_form(conj)
-            assert want is not None and not is_split(conj.e1)
-            assert quiver_form(conj) == want, n
+            form = quiver_form(conj)
+            assert not is_split(conj.e1)
             p, basis, binv = _eigenbasis(conj.e1)
-            assert _conjugated_blocks(conj, p, basis, binv) == (want.a, want.b), n
+            assert _conjugated_blocks(conj, p, basis, binv) == (form.a, form.b), n
+            forms.append(form)
+    assert digest(forms) == CONJUGATE_FORMS_SHA256
     for key, triple in BROKEN_TRIPLES.items():
         rep = Representation(*triple)
         split = _eigenbasis(rep.e1)
-        assert four_product_quiver_form(rep) is None, key
         if split is not None:
             assert _conjugated_blocks(rep, *split) is None, key
 

@@ -1,7 +1,12 @@
-"""Cyclic forms by elimination at constant pivots, against the search."""
+"""Cyclic forms by elimination at constant pivots, against the search.
+
+The searches the pivot chain replaced (the annihilator search on every
+presentation, the list of every generator's annihilators, the chain
+composed bottom up) are pinned by what they found: the inputs where they
+found a form, and digests (conftest.digest) of their answers.
+"""
 
 import dataclasses
-import json
 import random
 from fractions import Fraction
 
@@ -23,9 +28,8 @@ from weyldeform import (
     representative,
     specialize,
 )
-from weyldeform.cli import _witness_json
 from weyldeform.modules import (
-    _deg,
+    _certify_generator,
     _generator_candidates,
     _generator_form,
     _pivot_chain,
@@ -33,14 +37,7 @@ from weyldeform.modules import (
     wmat_deg,
 )
 
-from conftest import (
-    _annihilator_candidates,
-    _generator_witness,
-    block_decompose,
-    parent_cyclic_form,
-    search_cyclic_form,
-    step_chain,
-)
+from conftest import block_decompose, digest
 
 zero = WeylElement.zero()
 SAMPLES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2))
@@ -97,36 +94,51 @@ def _representative_blocks():
                     yield f"{fam.label} {v}", block
 
 
+# The annihilator search on every presentation, at cap 8, found a form for
+# each of the 57 representative blocks and for every commutative point but
+# (0, 0); the digests of the relations it found, None at its misses
+SEARCH_FORMS_SHA256 = "00f128d285bc905ae72e88da387cec02e6313cf2ca5d530b8643f8cd1592e8b3"
+SEARCH_POINT_MISSES = {(0, 0)}
+SEARCH_POINT_FORMS_SHA256 = "6ab8cc331d1a58584d8bdd08c905606a7fb9f7d06a730691d70cc5149fdd19f3"
+# the draws, from 0, of test_random_presentations_lose_no_form where that
+# search found a form at cap 4
+SEARCH_RANDOM_FORMS = {4, 6, 8, 12, 14, 16, 18, 20, 22}
+
+
 def test_forms_match_the_search_on_representatives():
-    for key, block in _representative_blocks():
-        want = search_cyclic_form(block, 8)
+    blocks = list(_representative_blocks())
+    assert len(blocks) == 57
+    forms = []
+    for key, block in blocks:
         got = cyclic_form(block, 8)
-        if want is not None:
-            assert got is not None, key
-            assert got[0].p == want[0].p, key
-        if got is not None:
-            assert_form(got, block, 8)
+        assert got is not None, key
+        assert_form(got, block, 8)
+        forms.append(got[0].p)
+    assert digest(forms) == SEARCH_FORMS_SHA256
 
 
 def test_forms_match_the_search_on_commutative_points():
+    forms = []
     for alpha in GRID:
         for beta in GRID:
             delta = commutative_specialize((alpha, beta), 8).presentation
-            want = search_cyclic_form(delta, 8)
             got = cyclic_form(delta, 8)
-            if want is not None:
-                assert got is not None and got[0].p == want[0].p, (alpha, beta)
             if got is not None:
                 assert_form(got, delta, 8)
+            if (alpha, beta) in SEARCH_POINT_MISSES:
+                forms.append(None)
+            else:
+                assert got is not None, (alpha, beta)
+                forms.append(got[0].p)
+    assert digest(forms) == SEARCH_POINT_FORMS_SHA256
 
 
 def test_random_presentations_lose_no_form():
     rng = random.Random(4321)
     for k in range(24):
         m = rand_presentation(rng, 2 + k % 2)
-        want = search_cyclic_form(m, 4)
         got = cyclic_form(m, 4)
-        if want is not None:
+        if k in SEARCH_RANDOM_FORMS:
             assert got is not None, m
         if got is not None:
             assert_form(got, m, 4)
@@ -137,21 +149,21 @@ ROWS1 = (("1", "t^2 - 1", "0"), ("0", "-t^2 + 3/2*t", "3*t^2 - 2*t*d"),
          ("0", "0", "-1/2*t^2 + 1/2*t"))
 
 
-@pytest.mark.parametrize("rows, composed", [
-    pytest.param(ROWS0, True, id="rows0"),
-    pytest.param(ROWS1, False, id="rows1"),
+@pytest.mark.parametrize("rows, composed, form", [
+    pytest.param(ROWS0, True, "-3*t^4 + t^3*d", id="rows0"),
+    pytest.param(ROWS1, False, "t^4 - 5/2*t^3 + 3/2*t^2", id="rows1"),
 ])
-def test_residual_miss_falls_back_to_the_search(rows, composed):
+def test_residual_miss_falls_back_to_the_search(rows, composed, form):
     # rows0: the residual has a form, and composing it with the step raises
     # the degree of s to 5, past the cap 4; the cap bounds searches, never
     # a built witness, so that composite is the answer.  rows1: the
-    # residual has no form within degree 4, so m itself is searched.
+    # residual has no form within degree 4, so m itself is searched.  form
+    # is the relation the annihilator search on every presentation found.
     m = PresentedModule(rows)
     residual, _ = _pivot_chain(m, 4, 1)
     found = cyclic_form(residual, 4)
-    want = search_cyclic_form(m, 4)
     got = cyclic_form(m, 4)
-    assert want is not None and got[0].p == want[0].p
+    assert got[0].p == parse_weyl(form)
     if composed:
         assert found is not None and found[0] == got[0]
         assert got[1].verify() and wmat_deg(got[1].s) > 4
@@ -219,9 +231,15 @@ def schur_pivot(delta):
                 return i, j
 
 
+# the digest of the six 2 x 2 steps below when the chain composed one
+# pivot's witness with the scaling witness of the last relation, last
+STEP_CHAIN_SHA256 = "820777902890f71bbd296901f524712380f65fe26d94ab1e82493e49081151e2"
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_step_witness_eliminates_the_pivot(n):
     rng = random.Random(77 + n)
+    steps = []
     for _ in range(6):
         m = rand_presentation(rng, n)
         i, j = schur_pivot(m.delta)
@@ -236,14 +254,15 @@ def test_step_witness_eliminates_the_pivot(n):
         )
         if n == 2:
             # the pivot leaves one generator, whose relation the pass scales
-            # to monic: the step is step_chain's, whose scaling witness is
-            # composed last
-            assert (json.dumps(_witness_json(step))
-                    == json.dumps(_witness_json(step_chain(m, 8)[1])))
+            # to monic: the step is the one-pivot witness with the scaling
+            # witness composed last
+            steps.append(step)
             want = as_presented(CyclicModule(want[0][0])).delta
         assert as_presented(step.source).delta == want
         assert step.c_a == tuple((zero,) * (n - 1) for _ in range(n - 1))
         assert [(x, y) for x in range(n) for y in range(n) if step.c_b[x][y]] == [(j, i)]
+    if n == 2:
+        assert digest(steps) == STEP_CHAIN_SHA256
 
 
 def test_step_keeps_the_first_generator():
@@ -303,47 +322,70 @@ def _byte_cases():
     yield from _search_cases()
 
 
+# The list search, which tried up to six annihilators of every short
+# generator and stopped at 60 attempts, at caps 2, 4 and 6 on _byte_cases:
+# the digest of its answers, None where it found no form, and the one
+# input where it found none and the one-annihilator search finds one
+LIST_SEARCH_SHA256 = "c422565420ae1accb8a0b2f1457820c1e7e6626b5be7ae718fe07f9d234bd67d"
+LIST_SEARCH_GAINS = {("Random(2)-12", 6)}
+
+
 def test_one_annihilator_keeps_the_parent_bytes():
     # one annihilator per generator drops only attempts that cannot pass,
     # in the list search's order, so its first success is the list's
     positives = gained = 0
+    answers = []
     for key, m in _byte_cases():
         for cap in (2, 4, 6):
-            want = parent_cyclic_form(m, cap)
             got = cyclic_form(m, cap)
-            if want is not None:
-                positives += 1
-                assert got is not None and got[0] == want[0], (key, cap)
-                assert (json.dumps(_witness_json(got[1]))
-                        == json.dumps(_witness_json(want[1]))), (key, cap)
-            elif got is not None:
+            if (key, cap) in LIST_SEARCH_GAINS:
                 # past the list search's attempt cap, a new form must verify
-                gained += 1
+                assert got is not None, (key, cap)
                 assert_form(got, m, cap)
+                gained += 1
+                got = None
+            positives += got is not None
+            answers.append(got)
+    assert digest(answers) == LIST_SEARCH_SHA256
     # 12 of the 30 come from the search; the gain is Random(2)-12 at cap 6
     assert (positives, gained) == (30, 1)
 
 
+# The annihilators the list search certified on _search_cases at cap 4, by
+# case and generator index: each was the first of its list and of lower
+# degree than the rest, and its 24 tries of a later candidate certified none
+LIST_SEARCH_CERTIFIED = {
+    ("triangular-1", 2): "t^2*d - 2*t^2",
+    ("triangular-1", 3): "t^2*d - 2*t^2",
+    ("triangular-1", 6): "t^2*d - 2*t^2 - t",
+    ("triangular-1", 7): "t^2*d - 2*t^2",
+    ("triangular-2", 0): "t^2*d",
+    ("triangular-2", 3): "t^2*d",
+    ("triangular-2", 5): "t^2*d",
+    ("triangular-3", 5): "t^2",
+    ("triangular-3", 7): "t^2",
+    ("triangular-4", 4): "t^2*d^2",
+    ("triangular-4", 6): "t^2*d^2",
+    ("[t*d d; t d*t]", 0): "t^2*d^2 + 2*t*d - 1",
+    ("[t*d d; t d*t]", 1): "t^2*d^2 - 1",
+    ("[t*d d; t d*t]", 5): "t^2*d^2 + 2*t*d - 1",
+    ("[t*d d; t d*t]", 6): "t^2*d^2 - 1",
+}
+
+
 def test_only_the_lowest_annihilator_certifies():
     # a certificate through g makes ann(g) = Dp, whose elements of degree
-    # deg p are the multiples of p, and every listed candidate lies in
-    # ann(g): so only the first, alone at its degree, can pass
+    # deg p are the multiples of p: so only the lowest annihilator, alone
+    # at its degree, can pass, and it is the one _generator_form certifies
     cap = 4
-    certified = later = 0
-    for key, m in _search_cases():
-        for g in _generator_candidates(m):
-            cands = _annihilator_candidates(m, g, _s_rungs(cap))
-            form = _generator_form(m, g, cap)
-            for k, p in enumerate(cands):
-                later += k > 0
-                if _generator_witness(CyclicModule(p), m, g, _s_rungs(cap), cap) is None:
-                    continue
-                certified += 1
-                assert k == 0, (key, g)
-                assert all(_deg(q) > _deg(p) for q in cands[1:]), (key, g)
-                assert form is not None and form[0] == CyclicModule(p), (key, g)
-    # 24 tries of a later candidate, none certified
-    assert (certified, later) == (15, 24)
+    cases = dict(_search_cases())
+    for (key, gi), p in LIST_SEARCH_CERTIFIED.items():
+        m = cases[key]
+        g = _generator_candidates(m)[gi]
+        form = _generator_form(m, g, cap)
+        assert form is not None and form[0] == CyclicModule(p), (key, gi)
+        assert any(_certify_generator(form[0], m, g, form[1], sd, cap) is not None
+                   for sd in _s_rungs(cap)), (key, gi)
 
 
 def rows1_under_a_unit_pivot() -> PresentedModule:
@@ -364,7 +406,15 @@ def seeded_chains() -> list[tuple[str, PresentedModule]]:
             for k in range(12)]
 
 
-def test_top_down_chain_keeps_the_bottom_up_bytes(both_chains):
+# The chain composed bottom up, each level's residual form composed with
+# its one-pivot step, on the cases and seeded chains below: the digest of
+# cyclic_form's answers, and of (bottom, chain witness) when the one-pivot
+# witnesses were composed from the top
+BOTTOM_UP_FORMS_SHA256 = "44edf7d3c51345e339f56d0ae92c8ae7620c715f6a921188fb3c0f16163119d9"
+STEP_CHAINS_SHA256 = "64c7182694862fb7e38040289dc94de1a4871f849f07373779a659d370397ae8"
+
+
+def test_top_down_chain_keeps_the_bottom_up_bytes():
     # one Gauss-Jordan pass writes down the product of the one-pivot
     # witnesses, so it builds the bottom-up witness exactly, also where a
     # search ends the chain; the seeded chains of dimension 2-5 add inputs
@@ -375,21 +425,19 @@ def test_top_down_chain_keeps_the_bottom_up_bytes(both_chains):
              ("rows1 under a unit pivot", middle),
              ("Random(99)-24", nth_presentation(99, 24)), *_search_cases()]
     seeded = seeded_chains()
-    got, want = both_chains(lambda: [cyclic_form(m, 4) for _, m in cases + seeded])
-    for (key, _), g, w in zip(cases, got, want):
-        assert g is not None and w is not None, key
-    pivoted = []
-    for (key, m), g, w in zip(cases + seeded, got, want):
-        assert (g is None) == (w is None), key
-        if g is not None:
-            assert g[0] == w[0], key
-            assert json.dumps(_witness_json(g[1])) == json.dumps(_witness_json(w[1])), key
+    clear_caches()
+    got = [cyclic_form(m, 4) for _, m in cases + seeded]
+    clear_caches()
+    for (key, _), g in zip(cases, got):
+        assert g is not None, key
+    assert digest(got) == BOTTOM_UP_FORMS_SHA256
+    chains, pivoted = [], []
+    for key, m in cases + seeded:
         bottom, chain = _pivot_chain(m, 4)
-        ref_bottom, ref_chain = step_chain(m, 4)
-        assert bottom == ref_bottom and (chain is None) == (ref_chain is None), key
+        chains.append((bottom, chain))
         if chain is not None:
-            assert json.dumps(_witness_json(chain)) == json.dumps(_witness_json(ref_chain)), key
             pivoted.append(key)
+    assert digest(chains) == STEP_CHAINS_SHA256
     # every seeded chain pivots, and where its form is None the bottom
     # residual, and each level above it, has none
     assert pivoted[-len(seeded):] == [key for key, _ in seeded]
@@ -406,7 +454,9 @@ def test_positive_rank_builds_no_system(monkeypatch):
                             lambda self, real=real: calls.append(real) or real(self))
     cases = [(key, m) for key, m in seeded_chains() if not all(map(any, m.delta))]
     cases.append(("[t 0; d 0]", PresentedModule((("t", "0"), ("d", "0")))))
-    assert len(cases) == 6
+    # no zero row or column, but the chain's bottom has both
+    cases.append(("[1 t; 1 t]", PresentedModule((("1", "t"), ("1", "t")))))
+    assert len(cases) == 7
     for key, m in cases:
         for call in (lambda: cyclic_form(m, 4), lambda: iso_witness(CyclicModule("t"), m, 4)):
             clear_caches()

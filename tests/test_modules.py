@@ -37,8 +37,7 @@ from weyldeform.modules import (
     wmat_mul,
 )
 
-from conftest import (block_decompose, dense_wmat_mul, items_order_divide_left, product_assemble,
-                      rand_weyl, solve_divide_left)
+from conftest import block_decompose, dense_wmat_mul, digest, rand_weyl
 
 t = WeylElement.t()
 d = WeylElement.d()
@@ -109,6 +108,12 @@ def test_divide_left_fuzz():
         assert divide_left(c * q, q) == c
 
 
+# the digest of the quotients below, None where none exists, as two
+# earlier divisions gave them: one exact linear solve for s, and division
+# by leading terms that led with the last of items() (the d-power first)
+QUOTIENTS_SHA256 = "5c058db452ac7280cb83b6df74c8b92143dc6308a294579bce82769315947a39"
+
+
 def test_divide_left_matches_solve_oracle():
     rng = random.Random(4417)
     pairs = [
@@ -125,17 +130,12 @@ def test_divide_left_matches_solve_oracle():
         pairs.append((c * q, q))
         pairs.append((c * q + rand_weyl(rng, max_deg=1, terms=1), q))
         pairs.append((rand_weyl(rng, max_deg=3), q))
-    found = 0
-    for r, q in pairs:
-        s = divide_left(r, q)
-        assert s == solve_divide_left(r, q)
-        # leading by items() instead of term_order gives the same bytes
-        assert repr(s) == repr(items_order_divide_left(r, q))
-        found += s is not None
+    quotients = [divide_left(r, q) for r, q in pairs]
+    assert len(quotients) == 178
+    assert digest(quotients) == QUOTIENTS_SHA256
+    found = sum(s is not None for s in quotients)
     assert 0 < found < len(pairs)
     for r in (t, WeylElement.zero()):
-        with pytest.raises(ValueError):
-            solve_divide_left(r, WeylElement.zero())
         with pytest.raises(ValueError):
             divide_left(r, WeylElement.zero())
 
@@ -407,21 +407,23 @@ def test_systems_and_spans_eliminate_through_rref_rows(monkeypatch):
     assert not any(span.reduce((t * 2,))) and len(calls) == 3
 
 
+# the digest of the rows, offsets and total of every system assembled
+# below, as two general products per coefficient, left * t^a d^b * right,
+# gave them
+ASSEMBLED_SHA256 = "a89d8e46473a84377c41e6dbc96696f1b0fd7a3b875554064648bc28d79dd2c0"
+
+
 def test_assemble_matches_product_oracle(monkeypatch):
     # every system the searches build assembles to the rows, offsets and
     # total that two general products per coefficient give
     builders = set()
     assemble = WeylLinearSystem._assemble
+    assembled = []
 
     def checked(system):
         builders.add(inspect.currentframe().f_back.f_back.f_code.co_name)
-        rows, offset, total = assemble(system)
-        want_rows, want_offset, want_total = product_assemble(system)
-        assert (offset, total) == (want_offset, want_total)
-        assert len(rows) == len(want_rows)
-        for row, want in zip(rows, want_rows):
-            assert row == want
-        return rows, offset, total
+        assembled.append(assemble(system))
+        return assembled[-1]
 
     monkeypatch.setattr(WeylLinearSystem, "_assemble", checked)
     clear_caches()
@@ -436,6 +438,8 @@ def test_assemble_matches_product_oracle(monkeypatch):
         hom_search(rel, "d", 8)
         hom_search("d", rel, 8)
     clear_caches()
+    assert len(assembled) == 48
+    assert digest(assembled) == ASSEMBLED_SHA256
     assert builders >= {"image_witness", "_certify_generator",
                         "_generator_form"}
     # the cyclic certificate reads normal forms modulo Dp instead

@@ -2,9 +2,9 @@
 
 ``normal_forms`` is checked against its defining properties by plain
 multiplication and exact division.  ``hom_search`` and ``ext1_dim`` are
-checked against the windowed span computations they replaced, kept in
-conftest: dims, bases, representatives and stabilization must agree
-exactly.
+checked against the windowed span computations they replaced, by the
+digests (conftest.digest) of those computations' answers: dims, bases,
+representatives and stabilization must agree exactly.
 """
 
 import random
@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weyldeform import WeylElement, divide_left, ext, ext1_dim, hom_search, linalg, modules, parse_weyl, weyl
-from weyldeform.modules import CyclicModule, clear_caches
+from weyldeform.modules import clear_caches
 from weyldeform.weyl import leading_term, monomial_multiples, normal_forms, truncated_monomials
 
-from conftest import windowed_ext1, windowed_hom_basis
+from conftest import digest
 from test_lazy_multiples import DENSE, NON_UNIT, TALL
 
 t = WeylElement.t()
@@ -70,17 +70,24 @@ def test_normal_form_rejects_elements_above_its_degree():
         normal_forms([WeylElement.monomial(3, 3)], d, 5)
 
 
-def _assert_same(p, q, cap):
-    got = hom_search(p, q, cap)
-    want = windowed_hom_basis(CyclicModule(p), CyclicModule(q), cap)
-    assert got.dims == want.dims
-    assert got.basis == want.basis
-    assert got.stabilized_at() == want.stabilized_at()
-    got = ext1_dim(p, q, cap)
-    want = windowed_ext1(CyclicModule(p).p, CyclicModule(q).p, cap)
-    assert got.dims == want.dims
-    assert got.representatives == want.representatives
-    assert got.stabilized_at == want.stabilized_at
+def _answers(p, q, cap) -> list:
+    """Hom's dims, basis and stabilization, then Ext^1's dims,
+    representatives and stabilization."""
+    hom, ext1 = hom_search(p, q, cap), ext1_dim(p, q, cap)
+    return [hom.dims, hom.basis, hom.stabilized_at(),
+            ext1.dims, ext1.representatives, ext1.stabilized_at]
+
+
+# The digests of _answers as the windowed spans gave them: Hom by the
+# (r, u) kernel of p*r = u*q and two truncated spans, Ext^1 by one span
+# over every p- and q-multiple in the window.  Every pair of constant
+# relations below has the same answers at a cap.
+RANDOM_WINDOWED_SHA256 = "808609fde541f86c7556b83284d1ff679e0f7b00843ee15162a88459b0542be8"
+CONSTANT_WINDOWED_SHA256 = {
+    0: "8334e2be10e12734a6658c7c75858409c46cfef76fbc5bf7e19996efb9982a18",
+    1: "df15607b6b6021496e84fb0e0d1e8ff0cc7d19cbfca319e49f5ea4ac70d99544",
+    4: "3298e201576389f18f112df0dd4f5066c1a3ad6c6479d10a35cf3c96b630bfc2",
+}
 
 
 def _rand_relation(rng, max_deg=3):
@@ -96,8 +103,9 @@ def _rand_relation(rng, max_deg=3):
 
 def test_random_relations_match_the_windowed_spans():
     rng = random.Random(2718)
-    for _ in range(120):
-        _assert_same(_rand_relation(rng), _rand_relation(rng), rng.randint(0, 9))
+    answers = [_answers(_rand_relation(rng), _rand_relation(rng), rng.randint(0, 9))
+               for _ in range(120)]
+    assert digest(answers) == RANDOM_WINDOWED_SHA256
 
 
 @pytest.mark.parametrize("p, q", [
@@ -105,7 +113,60 @@ def test_random_relations_match_the_windowed_spans():
 ])
 @pytest.mark.parametrize("cap", [0, 1, 4])
 def test_constant_relations_match_the_windowed_spans(p, q, cap):
-    _assert_same(parse_weyl(p), parse_weyl(q), cap)
+    assert digest(_answers(parse_weyl(p), parse_weyl(q), cap)) == CONSTANT_WINDOWED_SHA256[cap]
+
+
+# the windowed spans' digests for the two tests below, by (p, q, cap)
+WINDOWED_SHA256 = {
+    ("t*d", "t^3*d^2 - t", 2):
+        "3dc1002ebce177a991a657ef82f5a7322ab266ce84a7c7fdadee18eeee29f6a3",
+    ("d^2 - 1", "t^2*d^2 + d", 3):
+        "251c97bbe400e1574b3661a61bbd0f91a7e46be3bd271ef8770bf0fd04b5f39f",
+    ("t", "d^5 + t^2", 4):
+        "fd0cebb77d9a5628e9ae957c309397443e2644d3ba75d830bb45c196916b1920",
+    ("t^4 - d", "t*d^3", 1):
+        "dbbfe018f9c8d0021ddde4802ea31fd1b6ea7f825d5497fc7fa907ea969af3a0",
+    ("t*d - 2", "d", 12):
+        "99b3099277f53e45963a71a60f211733a3620a5953b3e85f3f28606ad09512ef",
+    ("t^2 - 1/2", "d^2", 12):
+        "674359b58a603776eb599b96f216a7022f93861ef9c65c5d23238d9bac2f691b",
+    ("t^2*d + 3", "d", 12):
+        "d3abc4e592c2db5cfb5272095966afd03e942eb7b3a49dd1af428041a5addab7",
+    ("t*d^2 - 2/3", "d", 12):
+        "73f28806a97d3366e195c58d6e06e3ccf86b0f6c5a5818617e2e92e76b8c8578",
+    ("t*d + 3/2", "d^2", 14):
+        "7948f133e350ff30e2ee93a680603cebe6b4bbfefd36c517856e0b2716a6314e",
+    ("d^2 - 1/3", "t", 12):
+        "6acc26120154abc0bfb3e5171a6c267a8d99aed0fd00587bc7192cc7687bb53c",
+    ("d^2 + 2", "t*d", 14):
+        "5f48aab33c5b52ce2c431f48a7121000d72069d378e165a334118acbada8d504",
+    ("t*d - 5/2", "d", 16):
+        "36a9e65beeab8feae58bc33e1aec7d6b1767b8e5367189835f0fe6225af7c006",
+    ("t*d + 1", "t*d + 1 - 1", 12):
+        "812e68428fec3b90a16971f09a9f85d9097f33bf999032eb845343e0fb97eef7",
+    ("t", "t*d - 3", 14):
+        "c529f8edf9d14f9cb08d6bfc55f1ffa5969900183897b4b80151518810460be3",
+    ("t*d - 1/2", "t*d - 1/2 - 1", 16):
+        "1e9f7ddf074a87c01d15c4e4dcaa7669361456d80aa0e7f2e7816b0c843b0173",
+    ("d^2 + 1/3", "d", 12):
+        "73f28806a97d3366e195c58d6e06e3ccf86b0f6c5a5818617e2e92e76b8c8578",
+    ("t*d^2 + (3/4)*d^2 + (-2/5)*t*d + (5/7)*d + (-7/3)", "d", 12):
+        "73f28806a97d3366e195c58d6e06e3ccf86b0f6c5a5818617e2e92e76b8c8578",
+    ("t*d^2 + (-7/3)*d^2 + (4/9)*t*d + (-5/6)*d + (7/4)", "d", 12):
+        "73f28806a97d3366e195c58d6e06e3ccf86b0f6c5a5818617e2e92e76b8c8578",
+    (DENSE, "d", 12):
+        "73f28806a97d3366e195c58d6e06e3ccf86b0f6c5a5818617e2e92e76b8c8578",
+    ("t*d - 1/2", DENSE, 10):
+        "2892f1465a07ae274bd3128ad0dd43149bff2193ba6729715e2fa1cf2636e463",
+    (TALL, "d", 12):
+        "e6a7285252ab057deb10611a5899f04f282afc701719e7c5e0904871791da668",
+    ("d^2 - 1", TALL, 8):
+        "29b8668c93b47c69dd1b7309ab568f097227ed29128edfbc2aa8506e8dbb2a61",
+    (NON_UNIT, "t*d + 1", 12):
+        "240294618c3247919fadc3045a2136d6d83a6b4b827a70de5978af31377f9810",
+    ("t", NON_UNIT, 10):
+        "3b0bd208e8b681d67d577b3822e0b07b73a7ed9b71a931919715b698368420c7",
+}
 
 
 @pytest.mark.parametrize("p, q, cap", [
@@ -115,7 +176,7 @@ def test_constant_relations_match_the_windowed_spans(p, q, cap):
     ("t^4 - d", "t*d^3", 1),
 ])
 def test_targets_above_the_cap_match_the_windowed_spans(p, q, cap):
-    _assert_same(parse_weyl(p), parse_weyl(q), cap)
+    assert digest(_answers(parse_weyl(p), parse_weyl(q), cap)) == WINDOWED_SHA256[p, q, cap]
 
 
 @pytest.mark.parametrize("p, q, cap", [
@@ -141,7 +202,7 @@ def test_targets_above_the_cap_match_the_windowed_spans(p, q, cap):
     ("t", NON_UNIT, 10),
 ])
 def test_benchmark_relations_match_the_windowed_spans(p, q, cap):
-    _assert_same(parse_weyl(p), parse_weyl(q), cap)
+    assert digest(_answers(parse_weyl(p), parse_weyl(q), cap)) == WINDOWED_SHA256[p, q, cap]
 
 
 def test_cold_ext1_and_hom_stay_over_the_integers(monkeypatch):

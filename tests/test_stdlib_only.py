@@ -77,6 +77,30 @@ def test_every_private_definition_is_read():
         assert not unread, (name, unread)
 
 
+def test_every_conftest_definition_is_read():
+    # each function, class, fixture and constant conftest defines is read
+    # by a test module, or by another of conftest's definitions; a fixture
+    # is read through the argument names of the functions that take it
+    tests = Path(__file__).resolve().parent
+    nodes = ast.parse((tests / "conftest.py").read_text()).body
+    reads = [set(read_names(node)) | {a.arg for a in ast.walk(node) if isinstance(a, ast.arg)}
+             for node in nodes]
+    for path in sorted(tests.glob("test_*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        reads.append({*read_names(tree), *(a.arg for a in ast.walk(tree) if isinstance(a, ast.arg))})
+    unread = []
+    for k, node in enumerate(nodes):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        elsewhere = set().union(*(r for j, r in enumerate(reads) if j != k))
+        unread += [name for name in names if name not in elsewhere]
+    assert not unread, unread
+
+
 def test_every_export_resolves():
     import weyldeform
     from weyldeform import weyl
