@@ -25,7 +25,6 @@ from .modules import (
     CyclicModule,
     DEFAULT_MAX_DEGREE,
     WINDOW_MARGIN,
-    _ONE,
     _check_degree,
     _coerce_module,
     _deg,
@@ -33,8 +32,7 @@ from .modules import (
     _stabilized_at,
     monomial_count,
 )
-from .weyl import WeylElement, _multiples, leading_term, truncated_monomials
-from .weyl import _integer_multiple, _integer_normal_forms
+from .weyl import WeylElement, _product_normal_forms, leading_term, truncated_monomials
 
 
 @dataclass(frozen=True)
@@ -88,9 +86,10 @@ def _ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
     # for a nonstandard m, p*m - p*nf(m) = p*(m - nf(m)) lies in Dq and
     # nf(m) sums standard monomials of no higher degree: only those add
     std = [m for m in truncated_monomials(span) if m[0] < k or m[1] < l]
-    # p' = p up to a constant factor and a row up to its denominator: a
-    # row's scale moves no pivot
-    nfs = _integer_normal_forms(_multiples(_integer_multiple(p), std, _ONE), q, window)
+    # the normal forms of the p*m, reduced from q's table without building
+    # the products, each up to a constant factor: a row's scale moves no
+    # pivot
+    nfs = _product_normal_forms(p, std, q, window)
     pivots = set(pivot_columns({col(m): c for m, c in num.items()} for num, _ in nfs))
     free = [m for m in truncated_monomials(n_cap)
             if (m[0] < k or m[1] < l) and col(m) not in pivots]

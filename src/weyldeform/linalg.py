@@ -470,16 +470,20 @@ class QMatrix:
         return f"QMatrix[{body}]"
 
 
+def _exact_number(x) -> Fraction:
+    """Fraction(x) for an int, a Fraction or a string; a float raises
+    TypeError, as it is no exact number."""
+    if isinstance(x, float):
+        raise TypeError(f"a float is not an exact number: {x!r}")
+    return Fraction(x)
+
+
 def _integer_matrix(rows: tuple) -> tuple[tuple, int]:
     """(num, den) with rows = num / den in lowest terms, from row tuples of
-    ints, Fractions or strings; a float raises TypeError, as it is no
-    exact number."""
+    ints, Fractions or strings (see _exact_number)."""
     if all(type(x) is int for row in rows for x in row):
         return rows, 1
-    bad = next((x for row in rows for x in row if isinstance(x, float)), None)
-    if bad is not None:
-        raise TypeError(f"a float is not an exact entry: {bad!r}")
-    exact = [[Fraction(x) for x in row] for row in rows]
+    exact = [[_exact_number(x) for x in row] for row in rows]
     # every entry over the lcm of the denominators is in lowest terms
     den = lcm(*(x.denominator for row in exact for x in row))
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in exact), den

@@ -31,10 +31,11 @@ from typing import Iterable, Sequence, Tuple
 
 from .linalg import echelon_kernel, echelon_solution, mat_add, mat_mul, reduce_row, rref_rows
 from .weyl import (
+    _MEMOS,
     WeylElement,
-    _integer_multiple,
     _integer_normal_forms,
-    _multiples,
+    _memo,
+    _product_normal_forms,
     leading_term,
     monomial_multiples,
     parse_weyl,
@@ -52,16 +53,6 @@ _ZERO = WeylElement.zero()
 _ONE = WeylElement.one()
 
 Wmat = Tuple[Tuple[WeylElement, ...], ...]
-
-
-_MEMOS: list = []
-
-
-def _memo(fn):
-    """Memoize fn for the life of the process; clear_caches() empties it."""
-    cached = functools.cache(fn)
-    _MEMOS.append(cached)
-    return cached
 
 
 def _deg(w: WeylElement) -> int:
@@ -409,11 +400,11 @@ def divide_left(r: WeylElement, q: WeylElement) -> WeylElement | None:
     return s
 
 
-def _nf_rows(xs: list[WeylElement], q: WeylElement) -> list[dict[int, int]]:
+def _nf_rows(nfs: list[tuple[dict[tuple[int, int], int], int]]) -> list[dict[int, int]]:
     """Sparse integer rows, one per standard monomial, of L times the
-    matrix whose column j is the normal form of xs[j] modulo Dq, L the lcm
-    of the columns' denominators: the same kernel and the same solutions."""
-    nfs = _integer_normal_forms(xs, q, max([0, *map(_deg, xs)]))
+    matrix whose column j is the normal form nfs[j], as (numerators, den),
+    L the lcm of the columns' denominators: the same kernel and the same
+    solutions."""
     scale = lcm(*(den for _, den in nfs))
     rows: dict[tuple[int, int], dict[int, int]] = {}
     for col, (num, den) in enumerate(nfs):
@@ -482,8 +473,8 @@ def _hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBas
     # as the reduced basis in TruncatedSpan's order
     std = sorted((m for m in truncated_monomials(n_cap) if m[0] < k or m[1] < l),
                  key=term_order)
-    # p' = p up to a constant factor, which scales every column alike
-    rows = _nf_rows(_multiples(_integer_multiple(p), std, _ONE), q)
+    # p*m up to one constant factor, which scales every column alike
+    rows = _nf_rows(_product_normal_forms(p, std, q, n_cap + _deg(p)))
     kernel = echelon_kernel(*rref_rows(rows), len(std))
     # a kernel vector's last column is its free one
     dims = tuple(sum(1 for v in kernel if sum(std[max(v)]) <= n) for n in range(n_cap + 1))
@@ -593,7 +584,8 @@ def _finish_cyclic_iso(a: CyclicModule, b: CyclicModule, r: WeylElement,
     u = divide_left(p * r, q)
     if u is None:
         return None
-    rows = _nf_rows([r * s for s in s_pool] + [_ONE], p)
+    xs = [r * s for s in s_pool] + [_ONE]
+    rows = _nf_rows(_integer_normal_forms(xs, p, max(map(_deg, xs))))
     y = echelon_solution(*rref_rows(rows), len(s_pool))
     if y is None:
         return None

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
-from .linalg import QMatrix, integer_kernel, kernel_basis, mat_mul, pivot_columns, rank
+from .linalg import QMatrix, _exact_number, integer_kernel, kernel_basis, mat_mul, pivot_columns, rank
 from .modules import _memo
 
 _ONE = Fraction(1)
@@ -389,7 +389,7 @@ def representative(label: str, params: dict | None = None) -> Representation:
             raise ValueError(
                 f"family {label} needs parameter {spec.parameter!r}"
             )
-        value = Fraction(params[spec.parameter])
+        value = _exact_number(params[spec.parameter])
         if value == 0:
             raise ValueError(
                 f"parameter {spec.parameter!r} of {label} must be nonzero"

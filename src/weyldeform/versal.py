@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .linalg import QMatrix
+from .linalg import QMatrix, _exact_number
 from .modules import (
     CyclicModule,
     DEFAULT_MAX_DEGREE,
@@ -123,8 +123,8 @@ class CommutativePoint:
     beta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "alpha", _exact_number(self.alpha))
+        object.__setattr__(self, "beta", _exact_number(self.beta))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,12 @@ form that ``parse_weyl`` maps back to the same element.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Tuple
+
+from .linalg import _exact_number
 
 Monomial = Tuple[int, int]
 
@@ -35,6 +38,16 @@ __all__ = [
     "term_order",
     "truncated_monomials",
 ]
+
+
+_MEMOS: list = []
+
+
+def _memo(fn):
+    """Memoize fn for the life of the process; clear_caches() empties it."""
+    cached = functools.cache(fn)
+    _MEMOS.append(cached)
+    return cached
 
 
 def _mono_mul(i: int, j: int, k: int, l: int) -> list[tuple[Monomial, int]]:
@@ -65,7 +78,7 @@ class WeylElement:
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in monomial {(i, j)}")
                 if not isinstance(c, Fraction):
-                    c = Fraction(c)
+                    c = _exact_number(c)
                 if c:
                     clean[(i, j)] = c
         self._terms = clean
@@ -100,11 +113,11 @@ class WeylElement:
 
     @classmethod
     def constant(cls, c: int | Fraction) -> "WeylElement":
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): _exact_number(c)})
 
     @classmethod
     def monomial(cls, i: int, j: int, c: int | Fraction = 1) -> "WeylElement":
-        return cls({(i, j): Fraction(c)})
+        return cls({(i, j): _exact_number(c)})
 
     # -- inspection --------------------------------------------------
 
@@ -258,21 +271,40 @@ def _d_times(w: WeylElement) -> WeylElement:
     return _shift(w, 0, 1) + WeylElement._of(lower)
 
 
+def _t_powers(left: WeylElement, top: int) -> list[WeylElement]:
+    """``left * t^a`` for a = 0, ..., top, by the recurrence
+    t^i d^j * t = t^(i+1) d^j + j t^i d^(j-1)."""
+    steps = [left]
+    for _ in range(top):
+        w = steps[-1]._terms
+        # the terms of _shift(w, 1, 0) + the lower ones, in __add__'s order
+        terms = {(i + 1, j): c for (i, j), c in w.items()}
+        for (i, j), c in w.items():
+            if j:
+                key = (i, j - 1)
+                s = terms.get(key)
+                if s is None:
+                    terms[key] = j * c
+                elif s := s + j * c:
+                    terms[key] = s
+                else:
+                    del terms[key]
+        steps.append(WeylElement._of(terms))
+    return steps
+
+
 def _multiples(left: WeylElement, monos: list[Monomial], right: WeylElement) -> list[WeylElement]:
     """``left * t^a d^b * right`` for each (a, b) of monos, in that order.
 
-    With ``right`` = 1, t^i d^j * t = t^(i+1) d^j + j t^i d^(j-1) builds
-    ``left * t^a`` up to the largest a in monos and ``* d^b`` is a shift.
-    Otherwise _d_times builds ``d^b * right`` up to the largest b and
-    ``t^a *`` is a shift; unless ``left`` = 1, each entry then costs one
-    product.
+    With ``right`` = 1, _t_powers builds ``left * t^a`` up to the largest
+    a in monos and ``* d^b`` is a shift.  Otherwise _d_times builds
+    ``d^b * right`` up to the largest b and ``t^a *`` is a shift; unless
+    ``left`` = 1, each entry then costs one product.  Ext^1 and Hom do not
+    come here: _product_normal_forms reduces the products p*t^a d^b
+    without building them.
     """
     if right == 1:
-        steps = [left]
-        for _ in range(max((a for a, _ in monos), default=0)):
-            w = steps[-1]
-            lower = {(i, j - 1): j * c for (i, j), c in w._terms.items() if j}
-            steps.append(_shift(w, 1, 0) + WeylElement._of(lower))
+        steps = _t_powers(left, max((a for a, _ in monos), default=0))
         return [_shift(steps[a], 0, b) for a, b in monos]
     steps = [right]
     for _ in range(max((b for _, b in monos), default=0)):
@@ -308,8 +340,8 @@ def _numerators(w: WeylElement) -> tuple[dict[Monomial, int], int]:
 def _integer_multiple(w: WeylElement) -> WeylElement:
     """The multiple of a nonzero w whose coefficients are coprime integers,
     the leading one positive.  Its coefficients are ints, not Fractions, so
-    it stays private: _multiples, _shift and _d_times keep it over the
-    integers, and _integer_normal_forms reads it."""
+    it stays private: _t_powers, _shift and _d_times keep it over the
+    integers, and the normal-form tables read it."""
     nums, _ = _numerators(w)
     g = math.gcd(*nums.values())
     g = g if leading_term(w)[1] > 0 else -g
@@ -319,45 +351,53 @@ def _integer_multiple(w: WeylElement) -> WeylElement:
 def normal_forms(xs: Iterable[WeylElement], q: WeylElement, n: int) -> list[WeylElement]:
     """The normal form modulo Dq of each x of degree <= n: congruent to x,
     on the standard monomials (those lm(q) does not divide), of degree at
-    most deg x.  _integer_normal_forms computes them over the integers;
-    each is converted to Fractions here, once, in the same storage order."""
+    most deg x.  _integer_normal_forms computes them over the integers,
+    from q's table, which reduces each monomial once per process; each is
+    converted to Fractions here, once, in the same storage order."""
     return [WeylElement._of({mono: Fraction(c, den) for mono, c in num.items()})
             for num, den in _integer_normal_forms(xs, q, n)]
 
 
-def _integer_normal_forms(xs: Iterable[WeylElement], q: WeylElement,
-                          n: int) -> list[tuple[dict[Monomial, int], int]]:
-    """normal_forms over the integers: each as (numerators, den), den > 0
-    and coprime to the numerators.  The xs may have int coefficients, as
-    the _multiples of an _integer_multiple do.  t^a d^b * q is built only
-    for the monomials the xs reach, directly or through another multiple,
-    and each of those is reduced once per call, over one common
-    denominator."""
-    (k, l), _ = leading_term(q)
-    xs = list(xs)
-    if any((x.degree() or 0) > n for x in xs):
-        raise ValueError("element exceeds the degree of the normal forms")
-    steps = [_integer_multiple(q)]  # d^b * q', and Dq' = Dq
-    lead = steps[0]._terms[k, l]
+_Terms = list[tuple[Monomial, int]]
 
-    # the multiple t^a d^b * q' led by each non-standard monomial the xs
-    # reach; none exceeds the degree of the x it came from
-    multiples: dict[Monomial, WeylElement] = {}
-    todo = [mono for x in xs for mono in x._terms]
-    while todo:
-        mono = todo.pop()
-        i, j = mono
-        if i >= k and j >= l and mono not in multiples:
-            while len(steps) <= j - l:
-                steps.append(_d_times(steps[-1]))
-            w = multiples[mono] = _shift(steps[j - l], i - k, 0)
-            todo.extend(w._terms)
 
-    reduced: dict[Monomial, tuple[dict[Monomial, int], int]] = {}
+class _NormalFormTable:
+    """q's side of the normal forms modulo Dq, for a q with coprime integer
+    coefficients (an _integer_multiple): the steps d^b * q, and the normal
+    form of each non-standard monomial reached so far, as (numerators,
+    den) with den > 0 and coprime to the numerators.  A normal form is
+    unique, so no entry depends on which call reached its monomial first."""
 
-    def reduce(terms: list[tuple[Monomial, int]], den: int) -> tuple[dict[Monomial, int], int]:
+    __slots__ = ("k", "l", "lead", "steps", "rows")
+
+    def __init__(self, q: WeylElement):
+        (self.k, self.l), self.lead = leading_term(q)
+        self.steps = [q]
+        self.rows: dict[Monomial, tuple[dict[Monomial, int], int]] = {}
+
+    def _extend(self, monos: Iterable[Monomial]) -> None:
+        # the multiple t^a d^b * q led by each non-standard monomial that
+        # monos reach and the table lacks; none exceeds the degree of the
+        # monomial it came from
+        k, l, steps, rows = self.k, self.l, self.steps, self.rows
+        multiples: dict[Monomial, WeylElement] = {}
+        todo = list(monos)
+        while todo:
+            mono = todo.pop()
+            i, j = mono
+            if i >= k and j >= l and mono not in rows and mono not in multiples:
+                while len(steps) <= j - l:
+                    steps.append(_d_times(steps[-1]))
+                w = multiples[mono] = _shift(steps[j - l], i - k, 0)
+                todo.extend(w._terms)
+        # every other term of t^a d^b * q is smaller, so it is reduced already
+        for mono in sorted(multiples, key=term_order):
+            rows[mono] = self._combine([(key, -c) for key, c in multiples[mono] if key != mono],
+                                       self.lead)
+
+    def _combine(self, terms: _Terms, den: int) -> tuple[dict[Monomial, int], int]:
         # the normal form of sum(c * mono) / den, over one common denominator
-        rows = [reduced.get(mono) for mono, _ in terms]
+        rows = [self.rows.get(mono) for mono, _ in terms]
         common = math.lcm(*(r[1] for r in rows if r))
         out: dict[Monomial, int] = {}
         for (mono, c), r in zip(terms, rows):
@@ -372,10 +412,46 @@ def _integer_normal_forms(xs: Iterable[WeylElement], q: WeylElement,
         g = math.gcd(den, *out.values())
         return {key: c // g for key, c in out.items() if c}, den // g
 
-    # every other term of t^a d^b * q' is smaller, so it is reduced already
-    for mono in sorted(multiples, key=term_order):
-        reduced[mono] = reduce([(key, -c) for key, c in multiples[mono] if key != mono], lead)
-    return [reduce(list(num.items()), den) for num, den in map(_numerators, xs)]
+    def reduce(self, elements: list[tuple[_Terms, int]]) -> list[tuple[dict[Monomial, int], int]]:
+        """The normal form of each sum(c * mono) / den of elements, as
+        (numerators, den) in lowest terms, den > 0."""
+        self._extend(mono for terms, _ in elements for mono, _ in terms)
+        return [self._combine(terms, den) for terms, den in elements]
+
+
+@_memo
+def _normal_form_table(q: WeylElement) -> _NormalFormTable:
+    """The one table of an _integer_multiple q, kept until clear_caches();
+    Dq is the same ideal for every nonzero multiple of q, so all of them
+    share it."""
+    return _NormalFormTable(q)
+
+
+def _integer_normal_forms(xs: Iterable[WeylElement], q: WeylElement,
+                          n: int) -> list[tuple[dict[Monomial, int], int]]:
+    """normal_forms over the integers: each as (numerators, den), den > 0
+    and coprime to the numerators.  The xs may have int coefficients.
+    t^a d^b * q is built and reduced only for the monomials the xs reach,
+    directly or through another multiple, and only once per q per process:
+    q's table keeps them until clear_caches()."""
+    xs = list(xs)
+    if any((x.degree() or 0) > n for x in xs):
+        raise ValueError("element exceeds the degree of the normal forms")
+    table = _normal_form_table(_integer_multiple(q))
+    return table.reduce([(list(num.items()), den) for num, den in map(_numerators, xs)])
+
+
+def _product_normal_forms(p: WeylElement, monos: list[Monomial], q: WeylElement,
+                          n: int) -> list[tuple[dict[Monomial, int], int]]:
+    """_integer_normal_forms of p' * t^a d^b for each (a, b) of monos, p' =
+    _integer_multiple(p), a constant multiple of p, so each comes out up
+    to a constant factor.  The products are not built: _t_powers gives
+    p' * t^a, and * d^b shifts its terms as they go into q's table."""
+    if max((a + b for a, b in monos), default=0) + (p.degree() or 0) > n:
+        raise ValueError("element exceeds the degree of the normal forms")
+    steps = [list(w) for w in _t_powers(_integer_multiple(p), max((a for a, _ in monos), default=0))]
+    table = _normal_form_table(_integer_multiple(q))
+    return table.reduce([([((i, j + b), c) for (i, j), c in steps[a]], 1) for a, b in monos])
 
 
 # -- printing ---------------------------------------------------------

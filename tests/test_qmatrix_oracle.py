@@ -13,7 +13,7 @@ from math import gcd
 
 import pytest
 
-from weyldeform import QMatrix, Representation
+from weyldeform import CommutativePoint, QMatrix, Representation, WeylElement, representative
 
 from conftest import ref_inverse, ref_mul
 
@@ -135,6 +135,13 @@ def test_reducible_routes_land_in_lowest_terms():
     lambda: QMatrix([[1, 2]]).apply([0.5, 1]),
     lambda: QMatrix([[1, 2]]).apply([Fraction(1, 2), 1.0]),
     lambda: Representation([[0.5]], [[0]], [[0]]),
+    lambda: WeylElement({(1, 0): 0.1}),
+    lambda: WeylElement({(0, 0): 1, (1, 1): 2.0}),
+    lambda: WeylElement.constant(0.1),
+    lambda: WeylElement.monomial(1, 2, 0.5),
+    lambda: representative("T_2_6", {"a": 0.1}),
+    lambda: CommutativePoint(0.1, 2),
+    lambda: CommutativePoint(1, 2.0),
 ])
 def test_floats_are_refused(bad):
     with pytest.raises(TypeError, match="float"):
@@ -147,3 +154,13 @@ def test_exact_entries_are_accepted():
     assert m == QMatrix([[Fraction(1, 2), 3], [Fraction(-2, 3), 0]])
     assert m.apply(["1/2", 1]) == [Fraction(13, 4), Fraction(-1, 3)]
     assert QMatrix([[True, False]]) == QMatrix([[1, 0]])
+
+
+def test_exact_numbers_are_accepted():
+    assert WeylElement({(1, 0): "1/2", (0, 1): 3}) == WeylElement({(1, 0): Fraction(1, 2),
+                                                                 (0, 1): Fraction(3)})
+    assert WeylElement.constant("-2/3") == WeylElement.constant(Fraction(-2, 3))
+    assert WeylElement.monomial(1, 2, 4).coeff(1, 2) == 4
+    assert representative("T_2_6", {"a": "1/2"}) == representative("T_2_6", {"a": Fraction(1, 2)})
+    assert representative("T_2_6", {"a": 2}) == representative("T_2_6", {"a": Fraction(2)})
+    assert CommutativePoint("1/2", 3) == CommutativePoint(Fraction(1, 2), Fraction(3))
