@@ -31,7 +31,6 @@ from .modules import (
     HARD_CAP,
     IsoWitness,
     PresentedModule,
-    _memo,
     iso_witness,
     hom_search,
 )
@@ -49,7 +48,7 @@ from .versal import (
     commutative_specialize,
     identify_specialization,
 )
-from .weyl import WeylSyntaxError, print_weyl
+from .weyl import WeylSyntaxError, _memo, print_weyl
 
 
 class CliError(Exception):

@@ -3,9 +3,9 @@
 For cyclic left modules D/Dp and D/Dq the first extension space is the
 quotient D / (pD + Dq): pD collects right multiples of p, Dq left
 multiples of q.  Dimensions are read off one elimination of the normal
-forms modulo Dq of the products p*m, m a standard monomial, in a window
-wider than the reported range, because a membership witness can exceed
-the degree of the element it certifies.  m runs up to degree
+forms modulo Dq of the products p*m, m a standard monomial of degree up
+to a span wider than the reported range, because a membership witness
+can exceed the degree of the element it certifies.  The span is
 max(cap + WINDOW_MARGIN - deg p, cap): at least the cap, so a p deeper
 than the margin still reaches the top of the range.
 
@@ -28,11 +28,9 @@ from .modules import (
     _check_degree,
     _coerce_module,
     _deg,
-    _memo,
     _stabilized_at,
-    monomial_count,
 )
-from .weyl import WeylElement, _product_normal_forms, leading_term, truncated_monomials
+from .weyl import WeylElement, _memo, _product_normal_forms, leading_term, truncated_monomials
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ def ext1_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext1Result
     """Compute Ext^1(D/Dp, D/Dq) = D/(pD + Dq) up to a degree bound.
 
     The representatives are the standard monomials modulo Dq that lead
-    no normal form of a p*m in the window, in ascending order.
+    no normal form of a p*m, m in the span, in ascending order.
     """
     source = _coerce_module(source)
     target = _coerce_module(target)
@@ -73,15 +71,13 @@ def ext1_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext1Result
 @_memo
 def _ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
     span = max(n_cap + WINDOW_MARGIN - _deg(p), n_cap)
-    window = span + _deg(p)
     (k, l), _ = leading_term(q)
-    count = monomial_count(window)
 
     def col(m):
-        # the place of m in descending term_order (TruncatedSpan's), so a
-        # row's pivot is its leading monomial
+        # minus the place of m in ascending term_order, so a row's pivot,
+        # its smallest column, is its leading monomial
         s = m[0] + m[1]
-        return count - 1 - (s * (s + 1) // 2 + m[0])
+        return -(s * (s + 1) // 2 + m[0])
 
     # for a nonstandard m, p*m - p*nf(m) = p*(m - nf(m)) lies in Dq and
     # nf(m) sums standard monomials of no higher degree: only those add
@@ -89,7 +85,7 @@ def _ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
     # the normal forms of the p*m, reduced from q's table without building
     # the products, each up to a constant factor: a row's scale moves no
     # pivot
-    nfs = _product_normal_forms(p, std, q, window)
+    nfs = _product_normal_forms(p, std, q)
     pivots = set(pivot_columns({col(m): c for m, c in num.items()} for num, _ in nfs))
     free = [m for m in truncated_monomials(n_cap)
             if (m[0] < k or m[1] < l) and col(m) not in pivots]

@@ -101,7 +101,7 @@ def _integer_row(items) -> dict[int, int]:
             ints = False
             # entries are converted before the zero test: "0" is truthy
             if not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
+                x = _exact_number(x)
         if x:
             row[c] = x
     if not row:

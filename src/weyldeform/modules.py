@@ -7,12 +7,12 @@ row vectors; a presentation matrix acts by right multiplication, so the
 submodule being quotiented out is spanned by ``m * row_i`` over all
 monomials m.
 
-Questions about cyclic modules (Hom, the isomorphism certificate) read
-off normal forms modulo a principal ideal Dp, where {p} is a Groebner
-basis.  Only Ext^1 and submodules of D^n are solved over degree-truncated
-monomial windows; a cyclic form eliminates a generator at each constant
-entry and searches only what is left.  Degree caps default to
-``DEFAULT_MAX_DEGREE`` and are never allowed past ``HARD_CAP``.
+Questions about cyclic modules (Hom, Ext^1 in ``ext``, the isomorphism
+certificate) read off normal forms modulo a principal ideal Dp, where {p}
+is a Groebner basis.  Only submodules of D^n are solved over
+degree-truncated monomial windows; a cyclic form eliminates a generator
+at each constant entry and searches only what is left.  Degree caps
+default to ``DEFAULT_MAX_DEGREE`` and are never allowed past ``HARD_CAP``.
 Membership witnesses in D^n can have higher degree than the vector they
 certify (cancellation), so those windows are ``WINDOW_MARGIN`` degrees
 wider than the range being reported.
@@ -29,7 +29,7 @@ from itertools import combinations, islice
 from math import lcm
 from typing import Iterable, Sequence, Tuple
 
-from .linalg import echelon_kernel, echelon_solution, mat_add, mat_mul, reduce_row, rref_rows
+from .linalg import _exact_number, echelon_kernel, echelon_solution, mat_add, mat_mul, reduce_row, rref_rows
 from .weyl import (
     _MEMOS,
     WeylElement,
@@ -293,7 +293,7 @@ class WeylLinearSystem:
         for terms, rhs in self._eqs:
             rowmap: dict[tuple[int, int], dict[int, Fraction]] = {}
             for left, name, right, coef in terms:
-                cf = Fraction(coef)
+                cf = _exact_number(coef)
                 # the slack unknowns carry -1: negating skips a gcd
                 negate, scaled = cf == -1, cf not in (1, -1)
                 ws = monomial_multiples(left, self._degree[name], right)
@@ -474,7 +474,7 @@ def _hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBas
     std = sorted((m for m in truncated_monomials(n_cap) if m[0] < k or m[1] < l),
                  key=term_order)
     # p*m up to one constant factor, which scales every column alike
-    rows = _nf_rows(_product_normal_forms(p, std, q, n_cap + _deg(p)))
+    rows = _nf_rows(_product_normal_forms(p, std, q))
     kernel = echelon_kernel(*rref_rows(rows), len(std))
     # a kernel vector's last column is its free one
     dims = tuple(sum(1 for v in kernel if sum(std[max(v)]) <= n) for n in range(n_cap + 1))
@@ -585,7 +585,7 @@ def _finish_cyclic_iso(a: CyclicModule, b: CyclicModule, r: WeylElement,
     if u is None:
         return None
     xs = [r * s for s in s_pool] + [_ONE]
-    rows = _nf_rows(_integer_normal_forms(xs, p, max(map(_deg, xs))))
+    rows = _nf_rows(_integer_normal_forms(xs, p))
     y = echelon_solution(*rref_rows(rows), len(s_pool))
     if y is None:
         return None
@@ -727,8 +727,9 @@ def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitn
     unverified chain, whose witness may pass the cap); the cyclic search
     runs between the two forms and is composed with their witnesses.  When
     one side has no form, that presentation's own generator loop runs with
-    the other form's relation, unless the bottom of its chain has a zero
-    row or column: then it has rank >= 1, and no D/Dp matches it.  Only
+    the other form's relation, unless the search proved that no D/Dp
+    matches it: the bottom of its chain has a zero row or column, so rank
+    >= 1.  Only
     the composite is verified, once.  None means no witness was found
     within the degree bound, a bounded negative, not a proof of
     non-isomorphism.  Memoized on the coerced modules and the cap, so a
@@ -747,16 +748,16 @@ def _iso_witness(source, target, n_cap: int) -> IsoWitness | None:
         (m, None) if isinstance(m, CyclicModule) else _find_cyclic_form(m, n_cap)
         for m in (source, target)
     )
-    if side_a is None:
-        if side_b is None:
+    if not side_a:
+        if not side_b:
             return None
         w = _iso_witness(target, source, n_cap)
         return None if w is None else w.reversed()
     cyc_a, w_a = side_a
-    if side_b is None:
-        bottom = _pivot_chain(target, n_cap)[0]
-        found = None if _positive_rank(bottom) else _own_form(target, n_cap, cyc_a.p)
-        w = None if found is None else found[1]
+    if not side_b:
+        # False: the search proved that no D/Dp matches the target
+        found = side_b is None and _own_form(target, n_cap, cyc_a.p)
+        w = found[1] if found else None
     else:
         cyc_b, w_b = side_b
         w = _cyclic_iso(cyc_a, cyc_b, n_cap)
@@ -848,11 +849,13 @@ def _pivot_chain(m: PresentedModule, n_cap: int, steps: int | None = None):
 @_memo
 def _cyclic_form_search(m: PresentedModule, n_cap: int):
     found = _find_cyclic_form(m, n_cap)
-    return None if found is None else (found[0], _verified(found[1]))
+    return (found[0], _verified(found[1])) if found else None
 
 
 @_memo
 def _find_cyclic_form(m: PresentedModule, n_cap: int):
+    """(D/Dp, unverified witness D/Dp -> m); False when no D/Dp can
+    match m, a proof; None when the bounded search found no form."""
     # each level's own search, from the chain's bottom up (a residual's
     # short generators are not its parent's); a level is eliminated again,
     # with one pivot fewer, only when the one below it has no form.  The
@@ -861,7 +864,7 @@ def _find_cyclic_form(m: PresentedModule, n_cap: int):
     if isinstance(mod, CyclicModule):
         return mod, w
     if _positive_rank(mod):
-        return None
+        return False
     while (found := _own_form(mod, n_cap)) is None:
         if w is None:
             return None

@@ -36,7 +36,7 @@ from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
 from .linalg import QMatrix, _exact_number, integer_kernel, kernel_basis, mat_mul, pivot_columns, rank
-from .modules import _memo
+from .weyl import _memo
 
 _ONE = Fraction(1)
 

@@ -49,7 +49,6 @@ from .modules import (
     PresentedModule,
     _check_degree,
     _find_cyclic_form,
-    _memo,
     _verified,
     compose_iso,
     cyclic_form,
@@ -57,7 +56,7 @@ from .modules import (
     wmat_zero,
 )
 from .reps import NormalForm, Representation, _rep_from_blocks, normal_form, validate
-from .weyl import WeylElement, print_weyl
+from .weyl import WeylElement, _memo, print_weyl
 
 _D = WeylElement.d()
 _T = WeylElement.t()
@@ -168,7 +167,7 @@ def _rule_target(form: NormalForm, k: int) -> CyclicModule:
 def _block_report(block: PresentedModule, found, want: CyclicModule, n_cap: int,
                   base: Fraction | None) -> SpecializationReport:
     """The report of a block whose pivot chain found (form, witness)."""
-    if found is None or found[0] != want:
+    if not found or found[0] != want:
         raise RuntimeError("normal-form target failed verification")
     cyc, witness = found
     alias = _ALIASES.get(cyc.p)

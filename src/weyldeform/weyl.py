@@ -293,31 +293,26 @@ def _t_powers(left: WeylElement, top: int) -> list[WeylElement]:
     return steps
 
 
-def _multiples(left: WeylElement, monos: list[Monomial], right: WeylElement) -> list[WeylElement]:
-    """``left * t^a d^b * right`` for each (a, b) of monos, in that order.
+def monomial_multiples(left: WeylElement, n: int, right: WeylElement) -> list[WeylElement]:
+    """``left * t^a d^b * right`` for each (a, b) of truncated_monomials(n),
+    by normal-ordering recurrences instead of general products.
 
-    With ``right`` = 1, _t_powers builds ``left * t^a`` up to the largest
-    a in monos and ``* d^b`` is a shift.  Otherwise _d_times builds
-    ``d^b * right`` up to the largest b and ``t^a *`` is a shift; unless
-    ``left`` = 1, each entry then costs one product.  Ext^1 and Hom do not
-    come here: _product_normal_forms reduces the products p*t^a d^b
-    without building them.
+    With ``right`` = 1, _t_powers builds ``left * t^a`` for a <= n and
+    ``* d^b`` is a shift.  Otherwise _d_times builds ``d^b * right`` for
+    b <= n and ``t^a *`` is a shift; unless ``left`` = 1, each entry then
+    costs one product.  Ext^1 and Hom do not come here:
+    _product_normal_forms reduces the products p*t^a d^b without
+    building them.
     """
+    monos = truncated_monomials(n)
     if right == 1:
-        steps = _t_powers(left, max((a for a, _ in monos), default=0))
+        steps = _t_powers(left, n)
         return [_shift(steps[a], 0, b) for a, b in monos]
     steps = [right]
-    for _ in range(max((b for _, b in monos), default=0)):
+    for _ in range(n):
         steps.append(_d_times(steps[-1]))
     out = [_shift(steps[b], a, 0) for a, b in monos]
     return out if left == 1 else [left * w for w in out]
-
-
-def monomial_multiples(left: WeylElement, n: int, right: WeylElement) -> list[WeylElement]:
-    """``left * t^a d^b * right`` for each (a, b) of truncated_monomials(n),
-    by normal-ordering recurrences instead of general products (see
-    _multiples, which builds them for any list of monomials)."""
-    return _multiples(left, truncated_monomials(n), right)
 
 
 def term_order(m: Monomial) -> tuple[int, int]:
@@ -354,8 +349,11 @@ def normal_forms(xs: Iterable[WeylElement], q: WeylElement, n: int) -> list[Weyl
     most deg x.  _integer_normal_forms computes them over the integers,
     from q's table, which reduces each monomial once per process; each is
     converted to Fractions here, once, in the same storage order."""
+    xs = list(xs)
+    if any((x.degree() or 0) > n for x in xs):
+        raise ValueError("element exceeds the degree of the normal forms")
     return [WeylElement._of({mono: Fraction(c, den) for mono, c in num.items()})
-            for num, den in _integer_normal_forms(xs, q, n)]
+            for num, den in _integer_normal_forms(xs, q)]
 
 
 _Terms = list[tuple[Monomial, int]]
@@ -427,28 +425,23 @@ def _normal_form_table(q: WeylElement) -> _NormalFormTable:
     return _NormalFormTable(q)
 
 
-def _integer_normal_forms(xs: Iterable[WeylElement], q: WeylElement,
-                          n: int) -> list[tuple[dict[Monomial, int], int]]:
-    """normal_forms over the integers: each as (numerators, den), den > 0
-    and coprime to the numerators.  The xs may have int coefficients.
-    t^a d^b * q is built and reduced only for the monomials the xs reach,
-    directly or through another multiple, and only once per q per process:
-    q's table keeps them until clear_caches()."""
-    xs = list(xs)
-    if any((x.degree() or 0) > n for x in xs):
-        raise ValueError("element exceeds the degree of the normal forms")
+def _integer_normal_forms(xs: Iterable[WeylElement],
+                          q: WeylElement) -> list[tuple[dict[Monomial, int], int]]:
+    """normal_forms over the integers, of any degree: each as (numerators,
+    den), den > 0 and coprime to the numerators.  The xs may have int
+    coefficients.  t^a d^b * q is built and reduced only for the monomials
+    the xs reach, directly or through another multiple, and only once per
+    q per process: q's table keeps them until clear_caches()."""
     table = _normal_form_table(_integer_multiple(q))
     return table.reduce([(list(num.items()), den) for num, den in map(_numerators, xs)])
 
 
-def _product_normal_forms(p: WeylElement, monos: list[Monomial], q: WeylElement,
-                          n: int) -> list[tuple[dict[Monomial, int], int]]:
+def _product_normal_forms(p: WeylElement, monos: list[Monomial],
+                          q: WeylElement) -> list[tuple[dict[Monomial, int], int]]:
     """_integer_normal_forms of p' * t^a d^b for each (a, b) of monos, p' =
     _integer_multiple(p), a constant multiple of p, so each comes out up
     to a constant factor.  The products are not built: _t_powers gives
     p' * t^a, and * d^b shifts its terms as they go into q's table."""
-    if max((a + b for a, b in monos), default=0) + (p.degree() or 0) > n:
-        raise ValueError("element exceeds the degree of the normal forms")
     steps = [list(w) for w in _t_powers(_integer_multiple(p), max((a for a, _ in monos), default=0))]
     table = _normal_form_table(_integer_multiple(q))
     return table.reduce([([((i, j + b), c) for (i, j), c in steps[a]], 1) for a, b in monos])

@@ -28,8 +28,10 @@ from weyldeform import (
     representative,
     specialize,
 )
+from weyldeform import modules
 from weyldeform.modules import (
     _certify_generator,
+    _find_cyclic_form,
     _generator_candidates,
     _generator_form,
     _pivot_chain,
@@ -462,4 +464,22 @@ def test_positive_rank_builds_no_system(monkeypatch):
             clear_caches()
             assert call() is None, key
             assert calls == [], key
+        # the search's own verdict is a proof, False; cyclic_form reports
+        # it as None, like a bounded miss
+        assert _find_cyclic_form(m, 4) is False, key
     clear_caches()
+
+
+def test_iso_witness_builds_one_chain_per_side(monkeypatch):
+    # the target's chain ends at [0], of rank 1: iso_witness reads that
+    # verdict from the search instead of building the chain again
+    calls = []
+    real = modules._pivot_chain
+    monkeypatch.setattr(modules, "_pivot_chain", lambda *args: calls.append(args) or real(*args))
+    target = PresentedModule((("1", "t"), ("1", "t")))
+    clear_caches()
+    try:
+        assert iso_witness(CyclicModule("t"), target, 4) is None
+        assert len(calls) == 1
+    finally:
+        clear_caches()

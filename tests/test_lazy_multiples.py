@@ -1,11 +1,12 @@
 """Products built only where an answer reads them.
 
 ``normal_forms`` builds t^a d^b * q only for the monomials its inputs
-reach, and ``_multiples`` builds left * t^a d^b * right only for the
-monomials it is handed.  Both are checked against the versions that
-built every product in the degree window (kept in conftest), term for
-term and in storage order.  ``ext1_dim`` is checked against a much wider
-window where the relation p is deeper than the window margin.
+reach, checked against the version that built every product in the
+degree window (kept in conftest), term for term and in storage order.
+``monomial_multiples`` builds left * t^a d^b * right by recurrences, not
+products, checked against the products.  ``ext1_dim`` builds only the
+multiples of q it reads, and is checked against a much wider window
+where the relation p is deeper than the window margin.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from weyldeform import WeylElement, ext1_dim, parse_weyl
 from weyldeform import weyl
 from weyldeform.modules import clear_caches
-from weyldeform.weyl import _multiples, normal_forms
+from weyldeform.weyl import monomial_multiples, normal_forms, truncated_monomials
 
 from conftest import filtered_ext1, reference_normal_forms
 
@@ -78,16 +79,13 @@ def test_degree_guard_matches_the_full_window(xs, q, n):
             route(xs, parse_weyl(q), n)
 
 
-_MONOS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12)
-
-
 @settings(max_examples=150, deadline=None)
-@given(w=_element(3, 4), monos=_MONOS, on_left=st.booleans())
-def test_multiples_of_listed_monomials_match_products(w, monos, on_left):
+@given(w=_element(3, 4), n=st.integers(-1, 6), on_left=st.booleans())
+def test_multiples_of_listed_monomials_match_products(w, n, on_left):
     one = WeylElement.one()
     left, right = (w, one) if on_left else (one, w)
-    got = _multiples(left, monos, right)
-    assert got == [left * WeylElement.monomial(a, b) * right for a, b in monos]
+    got = monomial_multiples(left, n, right)
+    assert got == [left * WeylElement.monomial(a, b) * right for a, b in truncated_monomials(n)]
     assert all(type(c) is Fraction and c for x in got for _, c in x)
 
 

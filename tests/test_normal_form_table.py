@@ -121,7 +121,7 @@ def test_scalar_multiples_of_q_share_one_table():
 
 
 # the p-side recurrences: every other _shift is a multiple of q
-_P_SIDE = {"_t_powers", "_multiples", "_d_times"}
+_P_SIDE = {"_t_powers", "monomial_multiples", "_d_times"}
 
 
 def _count_q_side(monkeypatch) -> list[int]:

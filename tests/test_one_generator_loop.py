@@ -5,7 +5,7 @@ own through cyclic_form's generator loop, given the form's relation; it
 must find exactly what the generator-by-generator loop it replaced found,
 pinned by the digests (conftest.digest) of that loop's witnesses.  The pivot chain is
 memoized, so cross_certify's two identifications of one Delta' build it
-once.  Every memo registered through ``modules._memo`` is reached by a
+once.  Every memo registered through ``weyl._memo`` is reached by a
 public call and emptied by clear_caches().
 """
 

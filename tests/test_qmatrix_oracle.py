@@ -13,7 +13,10 @@ from math import gcd
 
 import pytest
 
-from weyldeform import CommutativePoint, QMatrix, Representation, WeylElement, representative
+from weyldeform import (CommutativePoint, QMatrix, Representation, WeylElement, WeylLinearSystem,
+                        representative)
+from weyldeform.linalg import (integer_kernel, inverse, kernel_basis, pivot_columns, rank,
+                               rref_rows, solve)
 
 from conftest import ref_inverse, ref_mul
 
@@ -142,6 +145,15 @@ def test_reducible_routes_land_in_lowest_terms():
     lambda: representative("T_2_6", {"a": 0.1}),
     lambda: CommutativePoint(0.1, 2),
     lambda: CommutativePoint(1, 2.0),
+    lambda: rank([[1, 0.5]]),
+    lambda: pivot_columns([[Fraction(1, 2), 0.0]]),
+    lambda: rref_rows([{0: 1, 3: 0.25}]),
+    lambda: kernel_basis([[1, 2.0]], 2),
+    lambda: integer_kernel([[0.5, 1]], 2),
+    lambda: inverse([[0.1]]),
+    lambda: solve([[1, 0.5]], [1]),
+    lambda: solve([[1, 2]], [0.5]),
+    lambda: _weyl_system_with_coefficient(0.5).solve(),
 ])
 def test_floats_are_refused(bad):
     with pytest.raises(TypeError, match="float"):
@@ -156,7 +168,26 @@ def test_exact_entries_are_accepted():
     assert QMatrix([[True, False]]) == QMatrix([[1, 0]])
 
 
+def _weyl_system_with_coefficient(coef):
+    # coef * X = t, X of degree <= 1
+    sys = WeylLinearSystem()
+    sys.unknown("x", 1)
+    sys.equate([(WeylElement.one(), "x", WeylElement.one(), coef)], rhs=WeylElement.t())
+    return sys
+
+
 def test_exact_numbers_are_accepted():
+    half = Fraction(1, 2)
+    for h in ("1/2", half):
+        assert rank([[1, h]]) == 1 and pivot_columns([[0, h]]) == [1]
+        assert rref_rows([{0: 2, 3: h}]) == ([{0: 1, 3: Fraction(1, 4)}], [0])
+        assert kernel_basis([[1, h]], 2) == [[Fraction(-1, 2), 1]]
+        assert integer_kernel([[h, 1]], 2) == [[-2, 1]]
+        assert inverse([[h]]) == [[Fraction(2)]]
+        assert solve([[1, h]], [h]) == [half, 0]
+        assert _weyl_system_with_coefficient(h).solve() == {"x": WeylElement.monomial(1, 0, 2)}
+    assert inverse([[2]]) == [[half]] and solve([[2]], [1]) == [half]
+    assert _weyl_system_with_coefficient(2).solve() == {"x": WeylElement.monomial(1, 0, half)}
     assert WeylElement({(1, 0): "1/2", (0, 1): 3}) == WeylElement({(1, 0): Fraction(1, 2),
                                                                  (0, 1): Fraction(3)})
     assert WeylElement.constant("-2/3") == WeylElement.constant(Fraction(-2, 3))

@@ -29,8 +29,8 @@ def _resolve(name: str, namespace: dict):
 
 
 def test_readme_names_existing_code():
-    # module-qualified names (`modules._memo`, `fractions.Fraction`, a call's
-    # `json.dumps`) and private ones (`_multiples`), not file names
+    # module-qualified names (`weyl._memo`, `fractions.Fraction`, a call's
+    # `json.dumps`) and private ones (`_t_powers`), not file names
     mods = [importlib.import_module(f"weyldeform.{m.name}")
             for m in pkgutil.iter_modules(weyldeform.__path__)]
     namespace = {"weyldeform": weyldeform}

@@ -117,3 +117,30 @@ def test_package_exports_exactly_what_it_imports():
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(weyldeform.__all__) == sorted(imported | {"__version__"})
+
+
+def top_level_definitions(tree):
+    """Names a module's own top-level statements define: functions,
+    classes and assigned names, not the names it imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_names_come_from_the_module_that_defines_them():
+    # a name taken through a module that only imports it hides where it
+    # lives, and keeps working there after it moves
+    defined = {path.stem: top_level_definitions(ast.parse(path.read_text(), str(path)))
+               for path in PACKAGE.glob("*.py")}
+    relayed = []
+    for path in sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                relayed += [(path.name, node.module, alias.name) for alias in node.names
+                            if alias.name not in defined[node.module]]
+    assert not relayed, relayed
