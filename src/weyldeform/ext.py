@@ -5,9 +5,14 @@ quotient D / (pD + Dq): pD collects right multiples of p, Dq left
 multiples of q.  Dimensions are read off one elimination of the normal
 forms modulo Dq of the products p*m, m a standard monomial of degree up
 to a span wider than the reported range, because a membership witness
-can exceed the degree of the element it certifies.  The span is
+can exceed the degree of the element it certifies.  Where
+``modules._window_proof`` proves a window (q = t or d, through the
+indicial polynomial of p on Q[t] or Q[d], or coprime Bernstein symbols),
+the span is the proved one, and the classes lie in degrees up to a proved
+top; an answer whose top passes the cap is left unstabilized.  Otherwise,
+or when the proved span would be wider, the span is
 max(cap + WINDOW_MARGIN - deg p, cap): at least the cap, so a p deeper
-than the margin still reaches the top of the range.
+than the margin still reaches the top of the range, but not a proof.
 
 Every D/Dp has the free resolution 0 -> D -> D -> D/Dp -> 0 whose map
 is right multiplication by p, injective because D is a domain, and D
@@ -29,6 +34,7 @@ from .modules import (
     _coerce_module,
     _deg,
     _stabilized_at,
+    _window_proof,
 )
 from .weyl import WeylElement, _memo, _product_normal_forms, leading_term, truncated_monomials
 
@@ -70,7 +76,18 @@ def ext1_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext1Result
 
 @_memo
 def _ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
-    span = max(n_cap + WINDOW_MARGIN - _deg(p), n_cap)
+    # free monomials up to degree cut, from the p*m with deg m <= span:
+    # the margin window, or the proved one when it needs no more products,
+    # as classes lie in degrees <= top and an element of pD + Dq of degree
+    # <= low is p*x with deg x <= max(r, low - s)
+    span, cut, top = max(n_cap + WINDOW_MARGIN - _deg(p), n_cap), n_cap, None
+    proof = _window_proof(p, q)
+    if proof is not None:
+        r, s, top = proof
+        low = min(n_cap, top)
+        need = max(r, low - s) if low >= 0 else -1
+        if need <= span:
+            span, cut = need, low
     (k, l), _ = leading_term(q)
 
     def col(m):
@@ -87,11 +104,11 @@ def _ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
     # pivot
     nfs = _product_normal_forms(p, std, q)
     pivots = set(pivot_columns({col(m): c for m, c in num.items()} for num, _ in nfs))
-    free = [m for m in truncated_monomials(n_cap)
+    free = [m for m in truncated_monomials(cut)
             if (m[0] < k or m[1] < l) and col(m) not in pivots]
     dims = tuple(sum(1 for i, j in free if i + j <= n) for n in range(n_cap + 1))
     reps = tuple(WeylElement.monomial(*m) for m in free)
-    return Ext1Result(dims[-1], reps, dims, _stabilized_at(dims))
+    return Ext1Result(dims[-1], reps, dims, _stabilized_at(dims, top))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ at each constant entry and searches only what is left.  Degree caps
 default to ``DEFAULT_MAX_DEGREE`` and are never allowed past ``HARD_CAP``.
 Membership witnesses in D^n can have higher degree than the vector they
 certify (cancellation), so those windows are ``WINDOW_MARGIN`` degrees
-wider than the range being reported.
+wider than the range being reported.  Hom and Ext^1 between cyclic
+modules need no margin where ``_window_proof`` bounds the degrees: into
+D/Dd = Q[t] or D/Dt = Q[d], and between modules with coprime symbols.
 Each witness handed out is verified once, by plain multiplication;
 negative answers always mean "no witness up to the degree bound".
 """
@@ -26,15 +28,17 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Tuple
 
-from .linalg import _exact_number, echelon_kernel, echelon_solution, mat_add, mat_mul, reduce_row, rref_rows
+from .linalg import (_exact_number, _free, echelon_kernel, echelon_solution, integer_kernel,
+                     mat_add, mat_mul, reduce_row, rref_rows)
 from .weyl import (
     _MEMOS,
     WeylElement,
     _integer_normal_forms,
     _memo,
+    _numerators,
     _product_normal_forms,
     leading_term,
     monomial_multiples,
@@ -438,12 +442,16 @@ class HomBasis:
         return self.dims[-1]
 
     def stabilized_at(self) -> int | None:
-        return _stabilized_at(self.dims)
+        proof = _window_proof(self.source.p, self.target.p)
+        return _stabilized_at(self.dims, None if proof is None else proof[0])
 
 
-def _stabilized_at(dims: tuple[int, ...]) -> int | None:
+def _stabilized_at(dims: tuple[int, ...], top: int | None = None) -> int | None:
     """First cutoff from which every later dim agrees, when that run holds
-    at least STABLE_RUN dims, or None."""
+    at least STABLE_RUN dims, or None.  None as well when a proof puts the
+    answer's top degree past the cap: a class may lie above it."""
+    if top is not None and top >= len(dims):
+        return None
     n = len(dims)
     while n and dims[n - 1] == dims[-1]:
         n -= 1
@@ -455,8 +463,11 @@ def hom_search(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> HomBasis
 
     A class has one representative r on the standard monomials modulo Dq,
     a map when p*r has normal form 0; reduction never raises degree, so
-    the profile is exact, not a window estimate.  Every representative is
-    rechecked by an exact division before the basis is handed back.
+    the profile is exact, not a window estimate.  Where _window_proof
+    bounds the classes' degrees (q = t or d, or coprime symbols), only the
+    r up to that bound are searched, and a bound past the cap leaves the
+    answer unstabilized.  Every representative is rechecked by an exact
+    division before the basis is handed back.
     """
     source = _coerce_module(source)
     target = _coerce_module(target)
@@ -469,20 +480,156 @@ def hom_search(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> HomBasis
 def _hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBasis:
     p, q = source.p, target.p
     (k, l), _ = leading_term(q)
+    proof = _window_proof(p, q)
+    span = n_cap if proof is None else min(n_cap, proof[0])
     # standard monomials in ascending term_order, so the kernel comes out
     # as the reduced basis in TruncatedSpan's order
-    std = sorted((m for m in truncated_monomials(n_cap) if m[0] < k or m[1] < l),
+    std = sorted((m for m in truncated_monomials(span) if m[0] < k or m[1] < l),
                  key=term_order)
     # p*m up to one constant factor, which scales every column alike
-    rows = _nf_rows(_product_normal_forms(p, std, q))
-    kernel = echelon_kernel(*rref_rows(rows), len(std))
-    # a kernel vector's last column is its free one
-    dims = tuple(sum(1 for v in kernel if sum(std[max(v)]) <= n) for n in range(n_cap + 1))
-    basis = tuple(WeylElement({std[c]: x for c, x in v.items()}) for v in reversed(kernel))
+    kernel = integer_kernel(_nf_rows(_product_normal_forms(p, std, q)), len(std))
+    free = [_free(v) for v in kernel]
+    dims = tuple(sum(1 for c in free if sum(std[c]) <= n) for n in range(n_cap + 1))
+    basis = tuple(WeylElement({std[c]: Fraction(x, v[fc]) for c, x in enumerate(v) if x})
+                  for v, fc in zip(reversed(kernel), reversed(free)))
     for r in basis:
         if divide_left(p * r, q) is None:
             raise RuntimeError("hom basis element failed the exact recheck")
     return HomBasis(source, target, n_cap, dims, basis)
+
+
+# -- windows proved for Hom and Ext^1 --------------------------------------
+
+
+def _falling(shift: int, count: int) -> list[int]:
+    """(k + shift)(k + shift - 1)...(k + shift - count + 1), as integer
+    coefficients in k, ascending."""
+    poly = [1]
+    for step in range(count):
+        poly = [(shift - step) * a + b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def _value(c: list[int], x: int) -> int:
+    return sum(a * x ** e for e, a in enumerate(c))
+
+
+def _root_floors(c: list[int], lo: int, hi: int) -> list[int]:
+    """Integers n in [lo, hi) such that every real root of c in [lo, hi]
+    lies in some [n, n + 1].  The roots of c' cut [lo, hi] into pieces on
+    which c is monotone, so one bisection finds c's one sign change in
+    each; a piece of length 1 is kept whole."""
+    if len(c) < 2:
+        return []
+    cuts = {lo, hi}
+    for n in _root_floors([e * a for e, a in enumerate(c)][1:], lo, hi):
+        cuts.update((n, n + 1))
+    cuts = sorted(cuts)
+    out = []
+    for u, v in zip(cuts, cuts[1:]):
+        sign = _value(c, u)
+        if v > u + 1 and sign * _value(c, v) > 0:
+            continue
+        while v > u + 1:
+            m = (u + v) // 2
+            if sign * _value(c, m) > 0:
+                u = m
+            else:
+                v = m
+        out.append(u)
+    return out
+
+
+def _largest_root(c: list[int]) -> int:
+    """The largest non-negative integer root of c, an integer polynomial
+    with a nonzero leading coefficient, or -1 when it has none.  Every
+    real root x has |x| <= 1 + max |c_i| (Cauchy's bound)."""
+    hi = 1 + max(map(abs, c[:-1]), default=0)
+    roots = {x for n in _root_floors(c, 0, hi) for x in (n, n + 1) if _value(c, x) == 0}
+    return max(roots, default=-1)
+
+
+def _indicial(p: WeylElement, on_t: bool) -> tuple[int, list[int]]:
+    """(s, c) with p sending monomial k of D/Dd = Q[t] (on_t) or D/Dt =
+    Q[d] to c(k) times monomial k + s, plus lower monomials.
+
+    On Q[t], d acts as d/dt: t^i d^j sends t^k to (k)_j t^(k+i-j).  On
+    Q[d], t acts as -d/dd: t^i d^j sends d^k to (-1)^i (k+j)_i d^(k+j-i).
+    c sums the terms of the largest shift s; falling factorials of
+    distinct degrees are independent, so c is not zero."""
+    nums, _ = _numerators(p)
+    if on_t:
+        terms = [(i - j, a, _falling(0, j)) for (i, j), a in nums.items()]
+    else:
+        terms = [(j - i, (-1) ** i * a, _falling(j, i)) for (i, j), a in nums.items()]
+    s = max(shift for shift, _, _ in terms)
+    c = [0] * max(len(f) for shift, _, f in terms if shift == s)
+    for shift, a, f in terms:
+        if shift == s:
+            for e, x in enumerate(f):
+                c[e] += a * x
+    return s, c
+
+
+def _symbol(w: WeylElement) -> tuple[list[int], bool]:
+    """w's top form in commuting t and d, at d = 1, as integer
+    coefficients in t, ascending and trimmed; and whether d divides it."""
+    nums, _ = _numerators(w)
+    a = _deg(w)
+    f = [nums.get((i, a - i), 0) for i in range(a + 1)]
+    by_d = not f[-1]
+    while not f[-1]:
+        f.pop()
+    return f, by_d
+
+
+def _coprime(f: list[int], g: list[int]) -> bool:
+    """Whether two nonzero integer polynomials, coefficients ascending and
+    trimmed, have a constant gcd: Euclid on primitive pseudo-remainders."""
+    while g:
+        while len(f) >= len(g):
+            pad = [0] * (len(f) - len(g)) + g
+            f = [g[-1] * a - f[-1] * b for a, b in zip(f, pad)]
+            while f and not f[-1]:
+                f.pop()
+            if not f:
+                break
+            h = gcd(*f)
+            f = [a // h for a in f]
+        f, g = g, f
+    return len(f) == 1
+
+
+_T, _D = WeylElement.t(), WeylElement.d()
+
+
+@_memo
+def _window_proof(p: WeylElement, q: WeylElement) -> tuple[int, int, int] | None:
+    """(r, s, top) for a pair whose Hom(D/Dp, D/Dq) is proved to lie in
+    degrees <= r and Ext^1 in degrees <= top, with p raising the degree of
+    every element of D/Dq of degree > r by exactly s; None otherwise.  So
+    an element of pD + Dq of degree <= n is p*x for an x of degree
+    <= max(r, n - s).
+
+    - q = d or t: D/Dq is Q[t] or Q[d] and _indicial gives p's (s, c).
+      r is c's largest non-negative integer root (-1 if none), so p is
+      injective above degree r and hits every monomial of degree
+      > max(r + s, s - 1).  See Abramov-Bronstein-Petkovsek (ISSAC 1995)
+      and Saito-Sturmfels-Takayama (2000), ch. 5.
+    - gcd(sigma(p), sigma(q)) = 1, sigma the top form: on gr D/Dq =
+      Q[t, d]/(sigma(q)), p acts as multiplication by sigma(p), which is
+      injective.  So Hom = 0, p raises every degree by a = deg p, and
+      Ext^1 has gr Q[t, d]/(sigma(p), sigma(q)), zero from degree
+      a + deg q - 1 on.
+    """
+    if q == _D or q == _T:
+        s, c = _indicial(p, q == _D)
+        r = _largest_root(c)
+        return r, s, max(r + s, s - 1)
+    (f, f_by_d), (g, g_by_d) = _symbol(p), _symbol(q)
+    if (f_by_d and g_by_d) or not _coprime(f, g):
+        return None
+    return -1, _deg(p), _deg(p) + _deg(q) - 2
 
 
 # -- isomorphism certificates ----------------------------------------------

@@ -150,16 +150,16 @@ def test_a_reduced_q_builds_no_multiple_again(monkeypatch):
     clear_caches()
     try:
         cold = ext_table(mods, 12)
-        assert count[0] == 149
+        assert count[0] == 86
         # new sources against targets reduced over the same window: no
         # _ext1 memo hit, and no multiple of q built (rebuilding q's side
         # on every call built 660 for ext_table, then 43 and 72 here)
         assert ext1_dim("t*d + 3", "d^2 - 2", 12).dim == 2
         assert ext1_dim("t*d", "t*d - 1/2", 12).dim == 0
-        assert count[0] == 149
+        assert count[0] == 86
         clear_caches()
         count[0] = 0
         assert ext_table(mods, 12) == cold
-        assert count[0] == 149
+        assert count[0] == 86
     finally:
         clear_caches()
