@@ -234,7 +234,7 @@ def kernel_basis(rows: Iterable[Sequence], ncols: int) -> list[Vec]:
     return [_dense(v, ncols) for v in echelon_kernel(*rref_rows(rows), ncols)]
 
 
-def integer_kernel(rows: Iterable[Sequence | Row], ncols: int) -> list[list[int]]:
+def integer_kernel(rows: Iterable[Sequence], ncols: int) -> list[list[int]]:
     """kernel_basis's vectors as primitive integer vectors, in its order,
     with no Fraction built.  Each is positive at its free column, which is
     its last nonzero entry: a reduced row is zero left of its pivot.  So
@@ -255,11 +255,6 @@ def integer_kernel(rows: Iterable[Sequence | Row], ncols: int) -> list[list[int]
         g = gcd(*vec)
         out.append(vec if g == 1 else [x // g for x in vec])
     return out
-
-
-def _free(vec: Sequence[int]) -> int:
-    """The free column of an integer_kernel vector: its last nonzero entry."""
-    return max(i for i, x in enumerate(vec) if x)
 
 
 def solve(rows: Iterable[Sequence], rhs: Sequence, ncols: int | None = None) -> Vec | None:

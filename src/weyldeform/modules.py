@@ -31,8 +31,7 @@ from itertools import combinations, islice
 from math import gcd, lcm
 from typing import Iterable, Sequence, Tuple
 
-from .linalg import (_exact_number, _free, echelon_kernel, echelon_solution, integer_kernel,
-                     mat_add, mat_mul, reduce_row, rref_rows)
+from .linalg import _exact_number, echelon_kernel, echelon_solution, mat_add, mat_mul, reduce_row, rref_rows
 from .weyl import (
     _MEMOS,
     WeylElement,
@@ -487,11 +486,11 @@ def _hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBas
     std = sorted((m for m in truncated_monomials(span) if m[0] < k or m[1] < l),
                  key=term_order)
     # p*m up to one constant factor, which scales every column alike
-    kernel = integer_kernel(_nf_rows(_product_normal_forms(p, std, q)), len(std))
-    free = [_free(v) for v in kernel]
-    dims = tuple(sum(1 for c in free if sum(std[c]) <= n) for n in range(n_cap + 1))
-    basis = tuple(WeylElement({std[c]: Fraction(x, v[fc]) for c, x in enumerate(v) if x})
-                  for v, fc in zip(reversed(kernel), reversed(free)))
+    rows = _nf_rows(_product_normal_forms(p, std, q))
+    kernel = echelon_kernel(*rref_rows(rows), len(std))
+    # a kernel vector's last column is its free one
+    dims = tuple(sum(1 for v in kernel if sum(std[max(v)]) <= n) for n in range(n_cap + 1))
+    basis = tuple(WeylElement({std[c]: x for c, x in v.items()}) for v in reversed(kernel))
     for r in basis:
         if divide_left(p * r, q) is None:
             raise RuntimeError("hom basis element failed the exact recheck")
@@ -603,7 +602,6 @@ def _coprime(f: list[int], g: list[int]) -> bool:
 _T, _D = WeylElement.t(), WeylElement.d()
 
 
-@_memo
 def _window_proof(p: WeylElement, q: WeylElement) -> tuple[int, int, int] | None:
     """(r, s, top) for a pair whose Hom(D/Dp, D/Dq) is proved to lie in
     degrees <= r and Ext^1 in degrees <= top, with p raising the degree of

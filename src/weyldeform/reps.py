@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
-from .linalg import QMatrix, _exact_number, _free, integer_kernel, kernel_basis, mat_mul, pivot_columns, rank
+from .linalg import QMatrix, _exact_number, integer_kernel, kernel_basis, mat_mul, pivot_columns, rank
 from .weyl import _memo
 
 _ONE = Fraction(1)
@@ -502,6 +502,11 @@ def _chain(t: QMatrix, vec: Sequence[int], den: int, length: int) -> list[tuple[
         if len(out) == length:
             return out
         vec, den = t._times(out[-1][0]), out[-1][1] * t._den
+
+
+def _free(vec: Sequence[int]) -> int:
+    """The free column of an integer_kernel vector: its last nonzero entry."""
+    return max(i for i, x in enumerate(vec) if x)
 
 
 def _over(pairs: list[tuple[Sequence[int], int]], ncols: int) -> QMatrix:

@@ -4,7 +4,8 @@ modules whose Bernstein symbols are coprime.
 
 The oracles are independent of the windows: Ext^1 from every product p*m
 in a window 18 degrees past the cap (``filtered_ext1``), and Hom from a
-search at the hard cap, cut down to the bound.
+search at the hard cap with ``_window_proof`` switched off, so every
+standard r up to the hard cap is searched, cut down to the bound.
 """
 
 import random
@@ -46,6 +47,10 @@ def _covered_pairs(seed, count):
 # the margin window alone reports classes here that do not exist:
 # t^9, t^10 for d^3 into M1, d^7, d^8 for t^3 into M2
 NAMED = [(d ** 3, d, 10), (t ** 3, t, 8), (t * d - 3, d, 2), (t * d - 12, d, 8)]
+# indicial roots inside the cap, so Hom has classes there: t^3; t^2, t^5;
+# d^4 (t*d acts on Q[d] as -(k + 1)); t^12
+NAMED += [(t * d - 3, d, 8), (t ** 2 * d ** 2 - 6 * t * d + 10, d, 8), (t * d + 5, t, 6),
+          (t * d - 12, d, 14)]
 PAIRS = NAMED + _covered_pairs(56, 60)
 
 
@@ -65,16 +70,28 @@ def test_ext1_matches_the_wide_margin(p, q, cap):
         assert got.stabilized_at == want.stabilized_at
 
 
+def _unproved_hom(monkeypatch, p, q):
+    """Hom at the hard cap over every standard r, no proof consulted."""
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "_window_proof", lambda p, q: None)
+        modules.clear_caches()
+        try:
+            return hom_search(p, q, modules.HARD_CAP)
+        finally:
+            modules.clear_caches()
+
+
 @pytest.mark.parametrize("p, q, cap", PAIRS)
-def test_hom_matches_the_hard_cap_cut_at_the_bound(p, q, cap):
-    got, wide = hom_search(p, q, cap), hom_search(p, q, modules.HARD_CAP)
+def test_hom_matches_the_unproved_hard_cap_cut_at_the_bound(monkeypatch, p, q, cap):
+    wide = _unproved_hom(monkeypatch, p, q)
+    got = hom_search(p, q, cap)
     assert got.dims == wide.dims[:cap + 1]
     assert got.basis == tuple(b for b in wide.basis if b.degree() <= cap)
     if _top(p, q)[0] > cap:
         assert got.stabilized_at() is None
 
 
-def test_coprime_symbols_give_ab_classes_and_no_map():
+def test_coprime_symbols_give_ab_classes_and_no_map(monkeypatch):
     # dim Hom - dim Ext^1 = -deg p * deg q when the symbols are coprime
     checked = 0
     for p, q, _ in _covered_pairs(7, 40):
@@ -82,7 +99,7 @@ def test_coprime_symbols_give_ab_classes_and_no_map():
         r, _, top = _window_proof(p, q)
         if q in (t, d) or r >= 0 or top > modules.HARD_CAP:
             continue
-        assert hom_search(p, q, modules.HARD_CAP).dim == 0
+        assert _unproved_hom(monkeypatch, p, q).dim == 0
         assert ext1_dim(p, q, modules.HARD_CAP).dim == _deg(p) * _deg(q)
         checked += 1
     assert checked >= 5
