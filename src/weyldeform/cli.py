@@ -10,9 +10,9 @@ An answer is a pure function of the argument list, so it is rendered
 once per distinct argv per process: main keeps the printed text and the
 exit code in one memo, which clear_caches() empties, and answers a
 repeated argv from it.  The key is the raw argv, so an equal question
-spelled differently (a=0.5 against a=1/2) is parsed and answered again,
-from the library's own memos.  Only in-process callers of main gain;
-the weyldeform entry point makes one call per process.
+spelled differently (a=0.5 against a=1/2) is parsed and answered again.
+Only in-process callers of main gain; the weyldeform entry point makes
+one call per process.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .modules import (
     _stabilized_at,
     _window_proof,
 )
-from .weyl import WeylElement, _memo, _product_normal_forms, leading_term, truncated_monomials
+from .weyl import WeylElement, _product_normal_forms, leading_term, truncated_monomials
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,7 @@ def ext1_dim(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> Ext1Result
     target = _coerce_module(target)
     if not isinstance(source, CyclicModule) or not isinstance(target, CyclicModule):
         raise TypeError("ext1_dim expects cyclic modules")
-    return _ext1(source.p, target.p, _check_degree(max_degree))
-
-
-@_memo
-def _ext1(p: WeylElement, q: WeylElement, n_cap: int) -> Ext1Result:
+    p, q, n_cap = source.p, target.p, _check_degree(max_degree)
     # free monomials up to degree cut, from the p*m with deg m <= span:
     # the margin window, or the proved one when it needs no more products,
     # as classes lie in degrees <= top and an element of pD + Dq of degree
@@ -142,6 +138,8 @@ _PAIR = (CyclicModule("d"), CyclicModule("t"))
 
 def ext_table(modules: Iterable | None = None,
               max_degree: int = DEFAULT_MAX_DEGREE) -> ExtTable:
+    if isinstance(modules, str):
+        raise TypeError("ext_table expects a sequence of modules, not a string")
     mods = _PAIR if modules is None else tuple(_coerce_module(m) for m in modules)
     n_cap = _check_degree(max_degree)
     results = [

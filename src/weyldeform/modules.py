@@ -347,14 +347,13 @@ class WeylLinearSystem:
 # -- membership in presentation images ------------------------------------
 
 
-@_memo
 def module_image_span(m: PresentedModule, window: int) -> TruncatedSpan:
     """Truncated span of {mono * row_i : all rows, mono within the window}.
 
     Nothing in the package calls it: image_witness answers membership
-    and returns the coefficients in one solve.  It stays as the public,
-    memoized view of the image, which the tests compare with
-    image_witness and clear_caches(), and the bench tracer wraps by name.
+    and returns the coefficients in one solve.  It stays as the public
+    view of the image, which the tests compare with image_witness, and
+    the bench tracer wraps by name.
     """
     vectors = []
     for i in range(m.n):
@@ -472,12 +471,7 @@ def hom_search(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> HomBasis
     target = _coerce_module(target)
     if not isinstance(source, CyclicModule) or not isinstance(target, CyclicModule):
         raise TypeError("hom_search expects cyclic modules")
-    return _hom_basis(source, target, _check_degree(max_degree))
-
-
-@_memo
-def _hom_basis(source: CyclicModule, target: CyclicModule, n_cap: int) -> HomBasis:
-    p, q = source.p, target.p
+    p, q, n_cap = source.p, target.p, _check_degree(max_degree)
     (k, l), _ = leading_term(q)
     proof = _window_proof(p, q)
     span = n_cap if proof is None else min(n_cap, proof[0])
@@ -874,19 +868,12 @@ def iso_witness(source, target, max_degree: int = DEFAULT_MAX_DEGREE) -> IsoWitn
     one side has no form, that presentation's own generator loop runs with
     the other form's relation, unless the search proved that no D/Dp
     matches it: the bottom of its chain has a zero row or column, so rank
-    >= 1.  Only
-    the composite is verified, once.  None means no witness was found
-    within the degree bound, a bounded negative, not a proof of
-    non-isomorphism.  Memoized on the coerced modules and the cap, so a
-    repeated question returns the same witness; clear_caches() empties
-    the memo.
+    >= 1.  Only the composite is verified, once.  None means no witness
+    was found within the degree bound, a bounded negative, not a proof of
+    non-isomorphism.
     """
     n_cap = _check_degree(max_degree)
-    return _iso_witness(_coerce_module(source), _coerce_module(target), n_cap)
-
-
-@_memo
-def _iso_witness(source, target, n_cap: int) -> IsoWitness | None:
+    source, target = _coerce_module(source), _coerce_module(target)
     if as_presented(source).delta == as_presented(target).delta:
         return _verified(_identity_witness(source, target, n_cap))
     side_a, side_b = (
@@ -896,7 +883,7 @@ def _iso_witness(source, target, n_cap: int) -> IsoWitness | None:
     if not side_a:
         if not side_b:
             return None
-        w = _iso_witness(target, source, n_cap)
+        w = iso_witness(target, source, n_cap)
         return None if w is None else w.reversed()
     cyc_a, w_a = side_a
     if not side_b:
@@ -934,10 +921,13 @@ def cyclic_form(m: PresentedModule, max_degree: int = DEFAULT_MAX_DEGREE):
     graded order, so the elements of Dp of degree deg p are the multiples
     of p.  None is a bounded negative; the witness is verified once, at
     the top of the chain, before it is returned.  The unverified chain is
-    memoized on its own, so versal's one-block identifications and
-    iso_witness read the same one.
+    memoized, so versal's one-block identifications and iso_witness read
+    the same one.
     """
-    return _cyclic_form_search(m, _check_degree(max_degree))
+    if not isinstance(m, PresentedModule):
+        raise TypeError("cyclic_form expects a PresentedModule")
+    found = _find_cyclic_form(m, _check_degree(max_degree))
+    return (found[0], _verified(found[1])) if found else None
 
 
 def _pivot_chain(m: PresentedModule, n_cap: int, steps: int | None = None):
@@ -989,12 +979,6 @@ def _pivot_chain(m: PresentedModule, n_cap: int, steps: int | None = None):
         tuple(tuple(-y for y in pivots[x][n:]) if x in pivots else (_ZERO,) * n for x in range(n)),
         n_cap,
     )
-
-
-@_memo
-def _cyclic_form_search(m: PresentedModule, n_cap: int):
-    found = _find_cyclic_form(m, n_cap)
-    return (found[0], _verified(found[1])) if found else None
 
 
 @_memo

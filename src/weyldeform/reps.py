@@ -806,10 +806,8 @@ class ClassificationResult:
         return tuple(f.label for f in self.families if f.parameter is not None)
 
 
-@_memo
 def classify(n: int) -> ClassificationResult:
-    """Classify n-dimensional representations up to conjugation, once per
-    dimension: the result is frozen.
+    """Classify n-dimensional representations up to conjugation.
 
     Dimensions 1 to 3 list every orbit: finitely many discrete ones plus
     one-parameter families whose parameter is the displayed invariant.

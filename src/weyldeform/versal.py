@@ -56,7 +56,7 @@ from .modules import (
     wmat_zero,
 )
 from .reps import NormalForm, Representation, _rep_from_blocks, normal_form, validate
-from .weyl import WeylElement, _memo, print_weyl
+from .weyl import WeylElement, print_weyl
 
 _D = WeylElement.d()
 _T = WeylElement.t()
@@ -179,7 +179,6 @@ def _block_report(block: PresentedModule, found, want: CyclicModule, n_cap: int,
                                 n_cap, f"certified isomorphic to {name}")
 
 
-@_memo
 def _identify_rep(rep: Representation, n_cap: int, base: Fraction | None,
                   point: CommutativePoint | None = None) -> SpecializationReport:
     form = normal_form(rep)  # raises validate()'s RelationViolation on a bad rep

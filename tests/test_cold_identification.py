@@ -3,9 +3,9 @@
 Delta' is read off the normal form's invariants, not multiplied out; a
 split e1 is not eigen-split again; one block's witness is verified only
 as the composite handed out; cross_certify composes equal targets
-directly; a repeated iso_witness is answered from its memo.  The routes
-these replaced, Delta' multiplied out and the quiver form by four full
-products, are pinned by the digests (conftest.digest) of their answers.
+directly.  The routes these replaced, Delta' multiplied out and the
+quiver form by four full products, are pinned by the digests
+(conftest.digest) of their answers.
 """
 
 import json
@@ -178,14 +178,9 @@ def test_cross_certify_keeps_the_bytes_through_the_identity(a):
         assert json.dumps(_witness_json(got)) == json.dumps(_witness_json(want)), (a, alpha)
 
 
-def test_iso_witness_is_memoized():
+def test_iso_witness_refuses_bad_caps():
     clear_caches()
-    w = iso_witness("t*d - 1", "t*d - 2", 8)
-    assert w is not None
-    assert iso_witness("t*d - 1", "t*d - 2", 8) is w
-    assert iso_witness("t*d - 2", "t*d - 1", 8) is not w
-    clear_caches()
-    assert iso_witness("t*d - 1", "t*d - 2", 8) is not w
+    assert iso_witness("t*d - 1", "t*d - 2", 8) is not None
     for _ in range(2):
         for bad in (-1, 17, True):
             with pytest.raises(ValueError):

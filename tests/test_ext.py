@@ -8,17 +8,13 @@ from weyldeform import (
     CyclicModule,
     PresentedModule,
     WeylElement,
-    classify,
-    cyclic_form,
     ext1_dim,
     ext_table,
-    hom_search,
-    identify_specialization,
     normal_form,
     quiver_form,
     representative,
 )
-from weyldeform.modules import _find_cyclic_form, module_image_span
+from weyldeform.modules import _find_cyclic_form
 
 one = WeylElement.one()
 
@@ -45,19 +41,11 @@ PAIR = PresentedModule((("d", "-1"), ("-1", "t")))
 
 
 @pytest.mark.parametrize("call, value", [
-    pytest.param(lambda: ext1_dim("t*d", "t", 6), lambda r: r, id="ext1_dim"),
-    pytest.param(lambda: hom_search("t*d", "t*d", 6), lambda r: r, id="hom_search"),
-    pytest.param(lambda: cyclic_form(PAIR, 6), lambda r: r, id="cyclic_form"),
     pytest.param(lambda: _find_cyclic_form(PAIR, 6), lambda r: r, id="_find_cyclic_form"),
-    pytest.param(lambda: module_image_span(PAIR, 6),
-                 lambda span: span.basis_vectors(), id="module_image_span"),
-    pytest.param(lambda: classify(3), lambda r: r, id="classify"),
     pytest.param(lambda: quiver_form(representative("T_3_7", {"b": 2})),
                  lambda r: (r, r.basis), id="quiver_form"),
     pytest.param(lambda: normal_form(representative("T_4_22", {"e": 3})),
                  lambda r: (r, r.basis), id="normal_form"),
-    pytest.param(lambda: identify_specialization(representative("T_3_6"), 2),
-                 lambda r: (r.target, r.witness), id="identify_specialization"),
     pytest.param(lambda: cli._answer(("ext",)), lambda r: r, id="cli._answer"),
 ])
 def test_clear_caches_empties_every_memo(call, value):
@@ -90,6 +78,10 @@ def test_inputs_coerce_from_elements_and_modules():
     a = ext1_dim(CyclicModule("d"), CyclicModule("t"), 8)
     b = ext1_dim("d", "t", 8)
     assert a.dim == b.dim and a.representatives == b.representatives
+    # a string is one module's relation, not a sequence of modules
+    for bad in ("dt", "t*d - 1"):
+        with pytest.raises(TypeError, match="ext_table expects"):
+            ext_table(bad, 4)
 
 
 def test_default_table_parses_its_pair_once(monkeypatch):

@@ -481,6 +481,10 @@ def test_cyclic_searches_refuse_presented_modules():
     for search in (hom_search, ext1_dim):
         with pytest.raises(TypeError, match="expects cyclic modules"):
             search(PresentedModule((("t",),)), "d", 4)
+    # and the search for a cyclic form takes only a presentation
+    for bad in (CyclicModule("d"), "t*d - 1", 5):
+        with pytest.raises(TypeError, match="cyclic_form expects a PresentedModule"):
+            cyclic_form(bad, 4)
 
 
 def test_iso_witness_without_cyclic_forms_is_none():

@@ -20,9 +20,6 @@ from weyldeform import (
     clear_caches,
     cross_certify,
     cyclic_form,
-    ext1_dim,
-    hom_search,
-    identify_specialization,
     iso_witness,
     representative,
 )
@@ -110,7 +107,9 @@ def test_presented_route_finds_what_the_generator_loop_found(monkeypatch):
             if digest(got) != LOOP_WITNESS_SHA256[key]:
                 changed.add(key)
     clear_caches()
-    assert len(with_p) == route
+    # iso_witness(t_mod, s_mod) answers by reversing iso_witness(s_mod,
+    # t_mod), which runs the loop again: one loop per direction
+    assert len(with_p) == 2 * route
     assert (route, positives) == (26, 12)
     # the declared changes: generator 0 certifies only at s rung 6 and
     # generator 4 at rung 2 or 4, so rung by rung generator 4 comes first
@@ -147,20 +146,19 @@ def test_cross_certify_builds_one_chain(monkeypatch):
 
 
 PAIR = PresentedModule((("d", "-1"), ("-1", "t")))
+KEPT_MEMOS = ("_normal_form_table", "_find_cyclic_form", "quiver_form", "normal_form",
+              "_families_by_key", "_answer")
 
 
 def test_every_memo_is_reached_and_cleared(capsys):
     clear_caches()
     cli.main(["ext"])
     capsys.readouterr()
-    iso_witness("t*d - 1", "t*d - 2", 6)
-    hom_search("t*d", "t", 6)
     cyclic_form(PAIR, 6)
-    modules.module_image_span(PAIR, 6)
-    ext1_dim("t*d", "t", 6)
     classify(3)
-    identify_specialization(representative("T_3_6"), 2)
-    assert modules._MEMOS
+    # a memo is process state: one is kept only where a workload repeats
+    # the question, so a new one is a reviewed change
+    assert sorted(memo.__wrapped__.__qualname__ for memo in modules._MEMOS) == sorted(KEPT_MEMOS)
     for memo in modules._MEMOS:
         assert memo.cache_info().currsize > 0, memo.__wrapped__.__qualname__
     clear_caches()

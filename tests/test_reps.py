@@ -249,17 +249,6 @@ def test_classify_counts():
     assert c3.exact
 
 
-def test_classify_is_built_once_per_dimension(monkeypatch):
-    first = classify(3)
-    assert classify(3) is first
-
-    def rebuilt(rep):
-        raise AssertionError("classify rebuilt a family")
-
-    monkeypatch.setattr("weyldeform.reps.quiver_form", rebuilt)
-    assert classify(3) is first
-
-
 def test_classify_labels_in_table_order():
     c2 = classify(2)
     assert [f.label for f in c2.families] == [
