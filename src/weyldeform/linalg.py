@@ -36,6 +36,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .weyl import _exact_number, _tally
+
 Vec = list
 Mat = list
 Row = dict
@@ -107,6 +109,7 @@ def _integer_row(items) -> dict[int, int]:
     if not row:
         return row
     if not ints:
+        _tally("linalg.fraction_rows")
         den = lcm(*(x.denominator for x in row.values()))
         row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
     return _primitive(row)
@@ -140,8 +143,8 @@ def _echelon(rows: Iterable[Sequence | Row]) -> dict[int, dict[int, int]]:
     its right.  Dense rows must share one length.  Input is not modified.
     """
     echelon: dict[int, dict[int, int]] = {}
-    width = None
-    for row in rows:
+    width, count = None, 0
+    for count, row in enumerate(rows, 1):
         if isinstance(row, dict):
             vec = _integer_row(row.items())
         else:
@@ -157,6 +160,8 @@ def _echelon(rows: Iterable[Sequence | Row]) -> dict[int, dict[int, int]]:
                 echelon[c] = vec
                 break
             vec = _eliminate(vec, other, c)
+    _tally("linalg.echelon")
+    _tally("linalg.rows", count)
     return echelon
 
 
@@ -167,6 +172,7 @@ def _back_substitute(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, 
     at every other pivot, so eliminating one pivot never brings back
     another.
     """
+    _tally("linalg.back_substitute")
     reduced: dict[int, dict[int, int]] = {}
     for p in sorted(echelon, reverse=True):
         vec = echelon[p]
@@ -406,6 +412,7 @@ class QMatrix:
         return QMatrix._int(_scaled_rows(self._num, -1), self._den, self.ncols)
 
     def __mul__(self, other):
+        _tally("linalg.qmatrix_mul")
         if isinstance(other, QMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in product")
@@ -468,14 +475,6 @@ class QMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
         return f"QMatrix[{body}]"
-
-
-def _exact_number(x) -> Fraction:
-    """Fraction(x) for an int, a Fraction or a string; a float raises
-    TypeError, as it is no exact number."""
-    if isinstance(x, float):
-        raise TypeError(f"a float is not an exact number: {x!r}")
-    return Fraction(x)
 
 
 def _integer_matrix(rows: tuple) -> tuple[tuple, int]:

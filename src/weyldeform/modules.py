@@ -31,14 +31,16 @@ from itertools import combinations, islice
 from math import gcd, lcm
 from typing import Iterable, Sequence, Tuple
 
-from .linalg import _exact_number, echelon_kernel, echelon_solution, mat_add, mat_mul, reduce_row, rref_rows
+from .linalg import echelon_kernel, echelon_solution, mat_add, mat_mul, reduce_row, rref_rows
 from .weyl import (
     _MEMOS,
     WeylElement,
+    _exact_number,
     _integer_normal_forms,
     _memo,
     _numerators,
     _product_normal_forms,
+    _tally,
     leading_term,
     monomial_multiples,
     parse_weyl,
@@ -124,7 +126,9 @@ class PresentedModule:
 
     def __init__(self, delta: Iterable[Iterable]):
         rows = []
-        for row in delta:
+        for row in [delta] if isinstance(delta, str) else delta:
+            if isinstance(row, str):
+                raise TypeError("presentation rows must be sequences of entries, not strings")
             rows.append(
                 tuple(parse_weyl(e) if isinstance(e, str) else e for e in row)
             )
@@ -190,6 +194,7 @@ def wmat_zero(nrows: int, ncols: int) -> Wmat:
 
 def wmat_mul(a: Wmat, b: Wmat) -> Wmat:
     """a * b by linalg.mat_mul; when b has no rows, each product row is empty."""
+    _tally("modules.wmat_mul")
     if a and len(a[0]) != len(b):
         raise ValueError("shape mismatch in product")
     return mat_mul(a, b, len(b[0]) if b else 0, _ZERO)
@@ -287,6 +292,7 @@ class WeylLinearSystem:
     def _assemble(self):
         """Sparse rows, one per monomial, with the right-hand side in
         column ``total``; returns (rows, offset of each unknown, total)."""
+        _tally("modules.system")
         offset: dict[str, int] = {}
         total = 0
         for name in self._degree:
@@ -653,6 +659,7 @@ class IsoWitness:
     max_degree: int
 
     def verify(self) -> bool:
+        _tally("modules.verify")
         da = as_presented(self.source).delta
         db = as_presented(self.target).delta
         return (
@@ -696,6 +703,7 @@ def compose_iso(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
     The correction terms substitute one certificate's identities into the
     other, so the composite of two witnesses that verify also verifies.
     """
+    _tally("modules.compose")
     if as_presented(w1.target).delta != as_presented(w2.source).delta:
         raise ValueError("witness endpoints do not match")
     r = wmat_mul(w1.r, w2.r)
@@ -942,6 +950,7 @@ def _pivot_chain(m: PresentedModule, n_cap: int, steps: int | None = None):
     (J, I): the reduced rows, as in the one-pivot witnesses' product.  One
     generator left with a nonzero relation ends at D/Dp: its row is scaled
     by 1/lead to a monic p, and v holds lead."""
+    _tally("modules.pivot_chain")
     n = m.n
     rows = [[*row, *(_ONE if x == l else _ZERO for x in range(n))] for l, row in enumerate(m.delta)]
     kept_rows, kept_cols, pivots = list(range(n)), list(range(n)), {}
@@ -1005,6 +1014,8 @@ def _own_form(m: PresentedModule, n_cap: int, p: WeylElement | None = None):
     """(D/Dp, witness D/Dp -> m) through the short generators, rung by rung:
     with p given, each generator is certified with that relation, else
     with its one annihilator (_generator_form); None when none passes."""
+    if p is not None:
+        _tally("modules.own_form_with_p")
     gens = _generator_candidates(m)
     forms = functools.cache(lambda gi: _generator_form(m, gens[gi], n_cap, p))
     for sd in _s_rungs(n_cap):

@@ -35,8 +35,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
-from .linalg import QMatrix, _exact_number, integer_kernel, kernel_basis, mat_mul, pivot_columns, rank
-from .weyl import _memo
+from .linalg import QMatrix, integer_kernel, kernel_basis, mat_mul, pivot_columns, rank
+from .weyl import _exact_number, _memo, _tally
 
 _ONE = Fraction(1)
 
@@ -566,6 +566,7 @@ def _block_normal_form(p: int, q: int, a: QMatrix, b: QMatrix) -> NormalForm:
     flag's divided by its last nonzero entry, and goes on over one
     denominator per vector.
     """
+    _tally("reps.block_normal_form")
     n = p + q
     t = QMatrix.from_blocks([[QMatrix.zeros(p, p), a], [b, QMatrix.zeros(q, q)]])
     # flag[l][v] spans ker T^l inside vertex v (0 for e1's 1-eigenspace),

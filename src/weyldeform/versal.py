@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .linalg import QMatrix, _exact_number
+from .linalg import QMatrix
 from .modules import (
     CyclicModule,
     DEFAULT_MAX_DEGREE,
@@ -56,7 +56,7 @@ from .modules import (
     wmat_zero,
 )
 from .reps import NormalForm, Representation, _rep_from_blocks, normal_form, validate
-from .weyl import WeylElement, print_weyl
+from .weyl import WeylElement, _exact_number, print_weyl
 
 _D = WeylElement.d()
 _T = WeylElement.t()

@@ -16,12 +16,13 @@ form that ``parse_weyl`` maps back to the same element.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import contextvars
 import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Tuple
-
-from .linalg import _exact_number
 
 Monomial = Tuple[int, int]
 
@@ -48,6 +49,42 @@ def _memo(fn):
     cached = functools.cache(fn)
     _MEMOS.append(cached)
     return cached
+
+
+_WORK: contextvars.ContextVar = contextvars.ContextVar("work", default=None)
+
+
+def _tally(unit: str, k: int = 1) -> None:
+    """Add k to unit in the innermost _counting() block, if there is one."""
+    if (work := _WORK.get()) is not None:
+        work[unit] += k
+
+
+@contextlib.contextmanager
+def _counting():
+    """A fresh Counter of the work done in the block, outside nested blocks:
+    linalg.{echelon, rows, fraction_rows, back_substitute, qmatrix_mul},
+    weyl.{mul, shift, q_multiples, products_reduced, normal_forms, parse},
+    modules.{verify, compose, wmat_mul, system, pivot_chain, own_form_with_p}
+    and reps.block_normal_form, tallied once per call where the work is
+    done; on exit, "<module>.<memo>.hits" and ".misses", each memo's
+    cache_info() deltas over the whole block (a clear_caches() resets them)."""
+    before = [(memo, memo.cache_info()) for memo in _MEMOS]
+    token = _WORK.set(work := collections.Counter())
+    try:
+        yield work
+    finally:
+        _WORK.reset(token)
+        for memo, (hits, misses, _, _) in before:
+            name, now = f"{memo.__module__.rpartition('.')[2]}.{memo.__qualname__}", memo.cache_info()
+            work.update({name + ".hits": now.hits - hits, name + ".misses": now.misses - misses})
+
+
+def _exact_number(x) -> Fraction:
+    """Fraction(x) for an int, a Fraction or a string; a float is no exact number."""
+    if isinstance(x, float):
+        raise TypeError(f"a float is not an exact number: {x!r}")
+    return Fraction(x)
 
 
 def _mono_mul(i: int, j: int, k: int, l: int) -> list[tuple[Monomial, int]]:
@@ -187,6 +224,7 @@ class WeylElement:
         return WeylElement._of({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other) -> "WeylElement":
+        _tally("weyl.mul")
         # a constant factor on either side scales the other's coefficients
         if not isinstance(other, WeylElement):
             return self._scaled(other) if isinstance(other, (int, Fraction)) else NotImplemented
@@ -262,6 +300,7 @@ def truncated_monomials(n: int) -> list[Monomial]:
 
 def _shift(w: WeylElement, a: int, b: int) -> WeylElement:
     """t^a * w * d^b, which only moves every exponent pair by (a, b)."""
+    _tally("weyl.shift")
     return WeylElement._of({(i + a, j + b): c for (i, j), c in w._terms.items()})
 
 
@@ -349,6 +388,7 @@ def normal_forms(xs: Iterable[WeylElement], q: WeylElement, n: int) -> list[Weyl
     most deg x.  _integer_normal_forms computes them over the integers,
     from q's table, which reduces each monomial once per process; each is
     converted to Fractions here, once, in the same storage order."""
+    _tally("weyl.normal_forms")
     xs = list(xs)
     if any((x.degree() or 0) > n for x in xs):
         raise ValueError("element exceeds the degree of the normal forms")
@@ -379,6 +419,7 @@ class _NormalFormTable:
         # monomial it came from
         k, l, steps, rows = self.k, self.l, self.steps, self.rows
         multiples: dict[Monomial, WeylElement] = {}
+        built = len(steps)
         todo = list(monos)
         while todo:
             mono = todo.pop()
@@ -388,6 +429,7 @@ class _NormalFormTable:
                     steps.append(_d_times(steps[-1]))
                 w = multiples[mono] = _shift(steps[j - l], i - k, 0)
                 todo.extend(w._terms)
+        _tally("weyl.q_multiples", len(multiples) + len(steps) - built)
         # every other term of t^a d^b * q is smaller, so it is reduced already
         for mono in sorted(multiples, key=term_order):
             rows[mono] = self._combine([(key, -c) for key, c in multiples[mono] if key != mono],
@@ -442,6 +484,7 @@ def _product_normal_forms(p: WeylElement, monos: list[Monomial],
     _integer_multiple(p), a constant multiple of p, so each comes out up
     to a constant factor.  The products are not built: _t_powers gives
     p' * t^a, and * d^b shifts its terms as they go into q's table."""
+    _tally("weyl.products_reduced", len(monos))
     steps = [list(w) for w in _t_powers(_integer_multiple(p), max((a for a, _ in monos), default=0))]
     table = _normal_form_table(_integer_multiple(q))
     return table.reduce([([((i, j + b), c) for (i, j), c in steps[a]], 1) for a, b in monos])
@@ -626,4 +669,5 @@ def parse_weyl(s: str) -> WeylElement:
     """
     if not isinstance(s, str):
         raise TypeError("parse_weyl expects a string")
+    _tally("weyl.parse")
     return _Parser(s).parse()

@@ -31,6 +31,7 @@ from weyldeform import (
     QMatrix,
     UnsupportedDimensionError,
     WeylElement,
+    clear_caches,
     intertwiners,
     inverse,
     print_weyl,
@@ -53,7 +54,7 @@ from weyldeform.modules import (
     _stabilized_at,
 )
 from weyldeform.reps import FAMILIES, NormalForm, _new_span
-from weyldeform.weyl import (Monomial, leading_term, monomial_multiples, term_order,
+from weyldeform.weyl import (Monomial, _counting, leading_term, monomial_multiples, term_order,
                              truncated_monomials)
 
 
@@ -729,6 +730,15 @@ def rand_unimodular(rng: random.Random, n: int) -> QMatrix:
 @pytest.fixture
 def rng():
     return random.Random(90125)
+
+
+@pytest.fixture
+def work():
+    """Cold caches and the Counter of weyl._counting() over the test."""
+    clear_caches()
+    with _counting() as counts:
+        yield counts
+    clear_caches()
 
 
 # The canonical family table, frozen as literals.  Each entry is

@@ -13,6 +13,7 @@ import pytest
 
 from weyldeform import cli, clear_caches
 from weyldeform.cli import main
+from weyldeform.weyl import _counting
 
 
 def run_cli(capsys, *argv):
@@ -356,21 +357,17 @@ def test_warm_answer_prints_what_the_cold_one_printed(capsys):
     assert codes == {0, 1, 2}
 
 
-def test_each_distinct_argv_is_parsed_once(capsys, monkeypatch):
+def test_each_distinct_argv_is_parsed_once(capsys):
+    # main parses an argv only on a miss of cli._answer, keyed by the argv
     clear_caches()
-    parses = []
-    parse = cli._PARSER.parse_args
-
-    def counted(args):
-        parses.append(tuple(args))
-        return parse(args)
-
-    monkeypatch.setattr(cli._PARSER, "parse_args", counted)
-    for _ in range(2):
-        for argv in _MEMO_ARGVS:
-            main(argv)
+    with _counting() as work:
+        for _ in range(2):
+            for argv in _MEMO_ARGVS:
+                main(argv)
     capsys.readouterr()
-    assert sorted(parses) == sorted({tuple(argv) for argv in _MEMO_ARGVS})
+    distinct = len({tuple(argv) for argv in _MEMO_ARGVS})
+    assert work["cli._answer.misses"] == distinct
+    assert work["cli._answer.hits"] == 2 * len(_MEMO_ARGVS) - distinct
 
 
 def test_main_without_arguments_reads_sys_argv(capsys, monkeypatch):

@@ -16,7 +16,6 @@ from weyldeform import (
     CyclicModule,
     PresentedModule,
     WeylElement,
-    WeylLinearSystem,
     as_presented,
     classify,
     clear_caches,
@@ -28,7 +27,6 @@ from weyldeform import (
     representative,
     specialize,
 )
-from weyldeform import modules
 from weyldeform.modules import (
     _certify_generator,
     _find_cyclic_form,
@@ -38,6 +36,7 @@ from weyldeform.modules import (
     _s_rungs,
     wmat_deg,
 )
+from weyldeform.weyl import _counting
 
 from conftest import block_decompose, digest
 
@@ -446,14 +445,9 @@ def test_top_down_chain_keeps_the_bottom_up_bytes():
     assert [g is not None for g in got[len(cases):]].count(True) == 2
 
 
-def test_positive_rank_builds_no_system(monkeypatch):
+def test_positive_rank_builds_no_system():
     # a zero row is a missing relation and a zero column a generator no
     # relation touches: the module has rank >= 1, and D/Dp has rank 0
-    calls = []
-    for name in ("kernel", "solve"):
-        real = getattr(WeylLinearSystem, name)
-        monkeypatch.setattr(WeylLinearSystem, name,
-                            lambda self, real=real: calls.append(real) or real(self))
     cases = [(key, m) for key, m in seeded_chains() if not all(map(any, m.delta))]
     cases.append(("[t 0; d 0]", PresentedModule((("t", "0"), ("d", "0")))))
     # no zero row or column, but the chain's bottom has both
@@ -462,24 +456,18 @@ def test_positive_rank_builds_no_system(monkeypatch):
     for key, m in cases:
         for call in (lambda: cyclic_form(m, 4), lambda: iso_witness(CyclicModule("t"), m, 4)):
             clear_caches()
-            assert call() is None, key
-            assert calls == [], key
+            with _counting() as work:
+                assert call() is None, key
+            assert work["modules.system"] == 0, key
         # the search's own verdict is a proof, False; cyclic_form reports
         # it as None, like a bounded miss
         assert _find_cyclic_form(m, 4) is False, key
     clear_caches()
 
 
-def test_iso_witness_builds_one_chain_per_side(monkeypatch):
+def test_iso_witness_builds_one_chain_per_side(work):
     # the target's chain ends at [0], of rank 1: iso_witness reads that
     # verdict from the search instead of building the chain again
-    calls = []
-    real = modules._pivot_chain
-    monkeypatch.setattr(modules, "_pivot_chain", lambda *args: calls.append(args) or real(*args))
     target = PresentedModule((("1", "t"), ("1", "t")))
-    clear_caches()
-    try:
-        assert iso_witness(CyclicModule("t"), target, 4) is None
-        assert len(calls) == 1
-    finally:
-        clear_caches()
+    assert iso_witness(CyclicModule("t"), target, 4) is None
+    assert work["modules.pivot_chain"] == 1

@@ -3,7 +3,7 @@
 import pytest
 
 import weyldeform
-from weyldeform import cli, modules
+from weyldeform import cli
 from weyldeform import (
     CyclicModule,
     PresentedModule,
@@ -15,6 +15,7 @@ from weyldeform import (
     representative,
 )
 from weyldeform.modules import _find_cyclic_form
+from weyldeform.weyl import _counting
 
 one = WeylElement.one()
 
@@ -84,14 +85,12 @@ def test_inputs_coerce_from_elements_and_modules():
             ext_table(bad, 4)
 
 
-def test_default_table_parses_its_pair_once(monkeypatch):
+def test_default_table_parses_its_pair_once():
     first = ext_table()
     assert first.modules == (CyclicModule("d"), CyclicModule("t"))
-    parses = []
-    parse = modules.parse_weyl
-    monkeypatch.setattr(modules, "parse_weyl", lambda s: parses.append(s) or parse(s))
-    second = ext_table()
-    assert parses == []
+    with _counting() as work:
+        second = ext_table()
+    assert work["weyl.parse"] == 0
     assert all(a is b for a, b in zip(first.modules, second.modules, strict=True))
     assert second == first
 

@@ -34,6 +34,7 @@ from weyldeform import (
 )
 from weyldeform.cli import _witness_json
 from weyldeform.reps import FAMILIES, _rep_from_blocks
+from weyldeform.weyl import _counting
 
 t = WeylElement.t()
 d = WeylElement.d()
@@ -346,21 +347,12 @@ def test_top_down_chain_keeps_the_bottom_up_bytes():
     assert digest(got) == BOTTOM_UP_WITNESSES_SHA256
 
 
-def test_cold_string_identification_work(monkeypatch):
+def test_cold_string_identification_work():
     # composed from the top, each step is a rank-one update of c_b and
     # constant factors only scale: the bottom-up chain made 23,891 products
-    calls = 0
-    mul = WeylElement.__mul__
-
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return mul(a, b)
-
     clear_caches()
-    monkeypatch.setattr(WeylElement, "__mul__", counted)
-    report = identify_specialization(string_rep(1, 30), 0)
-    monkeypatch.undo()
+    with _counting() as work:
+        report = identify_specialization(string_rep(1, 30), 0)
     clear_caches()
     assert report.target.p == rule_target(normal_form(string_rep(1, 30)), 0)
-    assert calls <= 16_000
+    assert work["weyl.mul"] <= 16_000

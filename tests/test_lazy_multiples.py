@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from weyldeform import WeylElement, ext1_dim, parse_weyl
 from weyldeform import weyl
-from weyldeform.modules import clear_caches
 from weyldeform.weyl import monomial_multiples, normal_forms, truncated_monomials
 
 from conftest import filtered_ext1, reference_normal_forms
@@ -89,25 +88,12 @@ def test_multiples_of_listed_monomials_match_products(w, n, on_left):
     assert all(type(c) is Fraction and c for x in got for _, c in x)
 
 
-def test_ext1_builds_only_the_products_it_reads(monkeypatch):
-    calls = 0
-    shift = weyl._shift
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return shift(*args)
-
-    monkeypatch.setattr(weyl, "_shift", counted)
-    clear_caches()
-    try:
-        assert ext1_dim("t*d - 1/2", "d", 16).dim == 0
-    finally:
-        clear_caches()
+def test_ext1_builds_only_the_products_it_reads(work):
+    assert ext1_dim("t*d - 1/2", "d", 16).dim == 0
     # the full window shifted 437 times; building the standard products
     # and the multiples of d they reach took 56, and the multiples of d
     # alone, now that the products are reduced unbuilt, take 19
-    assert calls <= 80
+    assert work["weyl.shift"] <= 80
 
 
 @pytest.mark.parametrize("p, q, cap", [

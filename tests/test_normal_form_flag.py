@@ -11,8 +11,6 @@ import random
 
 import pytest
 
-import weyldeform.linalg
-import weyldeform.reps
 from weyldeform import (
     QMatrix,
     RelationViolation,
@@ -23,6 +21,7 @@ from weyldeform import (
     representative,
 )
 from weyldeform.reps import _block_normal_form, _eigenbasis
+from weyldeform.weyl import _counting
 
 from conftest import dense_block_normal_form, rand_invertible, rand_unimodular
 from test_identify_normal_form import factor_rep, listed_inputs, rand_block_rep, string_rep
@@ -121,51 +120,31 @@ def test_integer_triple_hits_the_memo_of_its_equal():
     assert normal_form(ints) is normal_form(Representation(*rep.triple()))
 
 
-def test_cold_string_normal_form_work(monkeypatch):
+def test_cold_string_normal_form_work():
     # the flag takes two kernel_basis calls per level, and the complement
     # is computed at the one level where the string is: the dense route
     # made 246 eliminations here
     length = 60
-    calls = 0
-    real = weyldeform.linalg._echelon
-
-    def counted(rows):
-        nonlocal calls
-        calls += 1
-        return real(rows)
-
     rep = string_rep(1, length)
     clear_caches()
     # every exit of the elimination kernel runs its forward pass
-    monkeypatch.setattr(weyldeform.linalg, "_echelon", counted)
-    form = normal_form(rep)
-    monkeypatch.undo()
+    with _counting() as work:
+        form = normal_form(rep)
     clear_caches()
     assert form.strings == ((1, length),)
-    assert calls <= 2 * length + 10
+    assert work["linalg.echelon"] <= 2 * length + 10
 
 
-def test_cold_string_normal_form_hands_the_kernel_integers(monkeypatch):
+def test_cold_string_normal_form_hands_the_kernel_integers():
     # the flag's kernels, their images under T and the span tests hold
     # primitive integer vectors: on Fraction vectors this normal form
     # handed the kernel 113,340 entries that were not ints
     length = 60
-    rows = others = 0
-    real = weyldeform.linalg._integer_row
-
-    def counted(items):
-        nonlocal rows, others
-        items = list(items)
-        rows += 1
-        others += sum(type(x) is not int for _, x in items)
-        return real(items)
-
     rep = string_rep(1, length)
     clear_caches()
-    monkeypatch.setattr(weyldeform.linalg, "_integer_row", counted)
-    form = normal_form(rep)
-    monkeypatch.undo()
+    with _counting() as work:
+        form = normal_form(rep)
     clear_caches()
     assert form.strings == ((1, length),)
-    assert rows > length
-    assert others == 0
+    assert work["linalg.rows"] > length
+    assert work["linalg.fraction_rows"] == 0

@@ -11,7 +11,6 @@ builds no multiple of q.
 """
 
 import random
-import sys
 from fractions import Fraction
 
 from weyldeform import (
@@ -120,46 +119,19 @@ def test_scalar_multiples_of_q_share_one_table():
     assert _table_size() == 0
 
 
-# the p-side recurrences: every other _shift is a multiple of q
-_P_SIDE = {"_t_powers", "monomial_multiples", "_d_times"}
-
-
-def _count_q_side(monkeypatch) -> list[int]:
-    """Count the multiples of q built: each _d_times step d^(b+1)*q, and each
-    shifted multiple t^a d^b * q (a _shift outside the p-side recurrences)."""
-    count = [0]
-    shift, d_times = weyl._shift, weyl._d_times
-
-    def counted_shift(*args):
-        if sys._getframe(1).f_code.co_name not in _P_SIDE:
-            count[0] += 1
-        return shift(*args)
-
-    def counted_d_times(w):
-        count[0] += 1
-        return d_times(w)
-
-    monkeypatch.setattr(weyl, "_shift", counted_shift)
-    monkeypatch.setattr(weyl, "_d_times", counted_d_times)
-    return count
-
-
-def test_a_reduced_q_builds_no_multiple_again(monkeypatch):
+def test_a_reduced_q_builds_no_multiple_again(work):
+    # weyl.q_multiples counts each step d^(b+1)*q and each shifted multiple
+    # t^a d^b * q that a table builds
     mods = ["d", "t", "t*d - 1/2", "d^2 - 2"]
-    count = _count_q_side(monkeypatch)
+    cold = ext_table(mods, 12)
+    assert work["weyl.q_multiples"] == 86
+    # new sources against targets reduced over the same window: no
+    # multiple of q built (rebuilding q's side on every call built 660
+    # for ext_table, then 43 and 72 here)
+    assert ext1_dim("t*d + 3", "d^2 - 2", 12).dim == 2
+    assert ext1_dim("t*d", "t*d - 1/2", 12).dim == 0
+    assert work["weyl.q_multiples"] == 86
     clear_caches()
-    try:
-        cold = ext_table(mods, 12)
-        assert count[0] == 86
-        # new sources against targets reduced over the same window: no
-        # _ext1 memo hit, and no multiple of q built (rebuilding q's side
-        # on every call built 660 for ext_table, then 43 and 72 here)
-        assert ext1_dim("t*d + 3", "d^2 - 2", 12).dim == 2
-        assert ext1_dim("t*d", "t*d - 1/2", 12).dim == 0
-        assert count[0] == 86
-        clear_caches()
-        count[0] = 0
-        assert ext_table(mods, 12) == cold
-        assert count[0] == 86
-    finally:
-        clear_caches()
+    work.clear()
+    assert ext_table(mods, 12) == cold
+    assert work["weyl.q_multiples"] == 86

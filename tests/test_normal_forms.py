@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weyldeform import WeylElement, divide_left, ext, ext1_dim, hom_search, linalg, modules, parse_weyl, weyl
+from weyldeform import WeylElement, divide_left, ext1_dim, hom_search, parse_weyl
 from weyldeform.modules import clear_caches
-from weyldeform.weyl import leading_term, monomial_multiples, normal_forms, truncated_monomials
+from weyldeform.weyl import _counting, leading_term, monomial_multiples, normal_forms, truncated_monomials
 
 from conftest import digest
 from test_lazy_multiples import DENSE, NON_UNIT, TALL
@@ -205,29 +205,17 @@ def test_benchmark_relations_match_the_windowed_spans(p, q, cap):
     assert digest(_answers(parse_weyl(p), parse_weyl(q), cap)) == WINDOWED_SHA256[p, q, cap]
 
 
-def test_cold_ext1_and_hom_stay_over_the_integers(monkeypatch):
-    # Ext^1 reads only pivots, so it makes no back-substitution and divides
-    # no row by its pivot; neither search builds a normal form in Fractions
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(linalg, "_back_substitute", counted("back", linalg._back_substitute))
-    monkeypatch.setattr(linalg, "_scaled", counted("scaled", linalg._scaled))
-    wrapper = weyl.normal_forms
-    for mod in (weyl, modules, ext):
-        for attr, value in list(vars(mod).items()):
-            if value is wrapper:
-                monkeypatch.setattr(mod, attr, counted("normal_forms", wrapper))
+def test_cold_ext1_and_hom_stay_over_the_integers():
+    # Ext^1 reads only pivots, so it makes no back-substitution, and so
+    # divides no row by its pivot (rref_rows's last step, which only
+    # follows one); neither search builds a normal form in Fractions
     clear_caches()
     try:
-        assert ext1_dim("t^2*d - 3/2", "d", 12).dim == 1
-        assert calls == []
-        assert hom_search("t*d - 3", "t*d - 4", 12).dim == 1
-        assert "normal_forms" not in calls and "back" in calls
+        with _counting() as work:
+            assert ext1_dim("t^2*d - 3/2", "d", 12).dim == 1
+        assert work["linalg.back_substitute"] == work["weyl.normal_forms"] == 0
+        with _counting() as work:
+            assert hom_search("t*d - 3", "t*d - 4", 12).dim == 1
+        assert work["weyl.normal_forms"] == 0 and work["linalg.back_substitute"] > 0
     finally:
         clear_caches()

@@ -76,19 +76,10 @@ LOOP_WITNESS_SHA256 = {
 }
 
 
-def test_presented_route_finds_what_the_generator_loop_found(monkeypatch):
+def test_presented_route_finds_what_the_generator_loop_found(work):
     # cap 8 only, to keep the test short; caps 6 and 10 give the same
     # found/not-found sets as the reference too
     cap = 8
-    own_form = modules._own_form
-    with_p = []
-
-    def spy(m, n_cap, p=None):
-        if p is not None:
-            with_p.append(m)
-        return own_form(m, n_cap, p)
-
-    monkeypatch.setattr(modules, "_own_form", spy)
     route = positives = 0
     changed = set()
     for key, s_mod, t_mod in route_family():
@@ -109,36 +100,23 @@ def test_presented_route_finds_what_the_generator_loop_found(monkeypatch):
     clear_caches()
     # iso_witness(t_mod, s_mod) answers by reversing iso_witness(s_mod,
     # t_mod), which runs the loop again: one loop per direction
-    assert len(with_p) == 2 * route
+    assert work["modules.own_form_with_p"] == 2 * route
     assert (route, positives) == (26, 12)
     # the declared changes: generator 0 certifies only at s rung 6 and
     # generator 4 at rung 2 or 4, so rung by rung generator 4 comes first
     assert changed == {(7, "t", "t"), (7, "t", "t - t^2*d")}
 
 
-def _counted(monkeypatch, counts, owner, name):
-    fn = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        counts[name] += 1
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
-
-
-def test_cross_certify_builds_one_chain(monkeypatch):
-    counts = {"_pivot_chain": 0, "verify": 0}
-    _counted(monkeypatch, counts, modules, "_pivot_chain")
-    _counted(monkeypatch, counts, IsoWitness, "verify")
+def test_cross_certify_builds_one_chain(work):
     digest = hashlib.sha256()
     for a in SAMPLES:
         clear_caches()
-        counts.update(_pivot_chain=0, verify=0)
+        work.clear()
         w = cross_certify(representative("T_2_6", {"a": a}), (2, a / 2), 8)
         assert w is not None
         # one chain for the two identifications of one Delta': 2 before
         # the chain was memoized
-        assert counts == {"_pivot_chain": 1, "verify": 3}, a
+        assert (work["modules.pivot_chain"], work["modules.verify"]) == (1, 3), a
         digest.update(_bytes(w).encode())
     clear_caches()
     # the witnesses' bytes before the chain was memoized

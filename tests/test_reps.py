@@ -25,6 +25,7 @@ from weyldeform import (
     representative,
     validate,
 )
+from weyldeform.weyl import _counting
 
 from conftest import (
     burnside_is_simple,
@@ -330,19 +331,12 @@ def test_family_agrees_with_coupling_oracle_and_samples(label):
             fam.simple, fam.indecomposable), value
 
 
-def test_classify_takes_one_normal_form_per_family(monkeypatch):
+def test_classify_takes_one_normal_form_per_family():
     weyldeform.clear_caches()
     weyldeform.reps._families_by_key()
-    real = weyldeform.reps._block_normal_form
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr("weyldeform.reps._block_normal_form", counted)
-    assert len(classify(4).families) == 26
-    assert len(calls) == 26
+    with _counting() as work:
+        assert len(classify(4).families) == 26
+    assert work["reps.block_normal_form"] == 26
 
 
 def test_dimension_four_best_effort():
@@ -625,7 +619,7 @@ def test_every_non_simple_rep_up_to_dimension_three_has_a_line():
 # -- the memoized quiver form and normal form ---------------------------------
 
 
-def test_repeat_questions_on_an_equal_triple_eliminate_nothing(monkeypatch):
+def test_repeat_questions_on_an_equal_triple_eliminate_nothing():
     rng = random.Random(829)
     weyldeform.reps._families_by_key()
     cases = []
@@ -637,18 +631,11 @@ def test_repeat_questions_on_an_equal_triple_eliminate_nothing(monkeypatch):
         copy = Representation(*(QMatrix(m.to_rows()) for m in conj.triple()))
         assert copy == conj and copy is not conj
         cases.append((copy, want))
-    real = weyldeform.linalg._echelon
-    calls = []
-
-    def counted(rows):
-        calls.append(rows)
-        return real(rows)
-
     # every exit of the elimination kernel runs its forward pass
-    monkeypatch.setattr("weyldeform.linalg._echelon", counted)
-    for copy, want in cases:
-        assert (is_simple(copy), is_indecomposable(copy), match_label(copy)) == want
-    assert calls == []
+    with _counting() as work:
+        for copy, want in cases:
+            assert (is_simple(copy), is_indecomposable(copy), match_label(copy)) == want
+    assert work["linalg.echelon"] == 0
 
 
 @pytest.mark.parametrize("call", [

@@ -11,8 +11,6 @@ quiver form already warm.
 
 import random
 
-import weyldeform.linalg
-import weyldeform.reps
 from weyldeform import find_proper_submodule, quiver_form
 
 from conftest import _eigen_kernels, digest, rand_unimodular
@@ -33,19 +31,6 @@ def _inputs():
 INPUTS = _inputs()
 
 
-def _counting(monkeypatch) -> list:
-    # every exit of the elimination kernel runs its forward pass once
-    real = weyldeform.linalg._echelon
-    calls = []
-
-    def counted(rows):
-        calls.append(None)
-        return real(rows)
-
-    monkeypatch.setattr("weyldeform.linalg._echelon", counted)
-    return calls
-
-
 # the digest of the reprs of the rank-checked search's answers on INPUTS
 RANK_CHECKED_SHA256 = "d793b9caf3c30734585b41b6474d30008fbcd5858352e3da34454aaa9475bfdd"
 
@@ -58,16 +43,16 @@ def test_answers_equal_the_rank_checked_search_byte_for_byte():
     assert 0 < lines < len(INPUTS)
 
 
-def test_one_elimination_per_kernel_tried(monkeypatch):
-    # 1 when e1's 0-eigenspace holds a line, else 2; none in dimension 1
+def test_one_elimination_per_kernel_tried(work):
+    # 1 when e1's 0-eigenspace holds a line, else 2; none in dimension 1;
+    # every exit of the elimination kernel runs its forward pass once
     wants = [0 if rep.n == 1 else 1 if _eigen_kernels(*rep.triple())[0] else 2
              for rep in INPUTS]
     for rep in INPUTS:
         quiver_form(rep)
-    calls = _counting(monkeypatch)
     for rep, want in zip(INPUTS, wants):
-        del calls[:]
+        work.clear()
         find_proper_submodule(rep)
-        assert len(calls) == want, rep.triple()
+        assert work["linalg.echelon"] == want, rep.triple()
     # the rank-checked search made 2,218 on the same inputs
     assert sum(wants) == 574
